@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import combinations
 from statistics import fmean
 
 from . import prompts
 from .errors import ConfigError
 from .gateway import LlmGateway
+from .registry import Registry
 from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -232,24 +234,34 @@ def merge_small_groups(
     hit's leaf as representative and its position in the list. Groups at or
     above the threshold are never touched, so one undersized straggler
     simply stays as it is.
+
+    Cost: with k groups initially below the threshold, the O(k^2) pairwise
+    distances come from one `Taxonomy.distances` call (a single parent-map
+    pass), made only when k >= 2. Representatives never change, so each
+    greedy round then compares precomputed (distance, sorted leaf ids) keys
+    plus the current sizes: O(k^2) per round, O(k^3) in all, and no further
+    tree walks.
     """
     groups = [LeafHit(leaf_id=h.leaf_id, services=list(h.services)) for h in hits]
+    small_ids = [g.leaf_id for g in groups if len(g.services) < merge_threshold]
+    if len(small_ids) < 2:
+        return groups
+    pair_keys = {
+        pair: (distance, tuple(sorted(pair)))
+        for pair, distance in taxonomy.distances(small_ids).items()
+    }
+
+    def merge_key(pair: tuple[int, int]) -> tuple:
+        a, b = groups[pair[0]], groups[pair[1]]
+        distance, ids = pair_keys[a.leaf_id, b.leaf_id]
+        return (distance, len(a.services) + len(b.services), ids)
+
     while True:
         small = [i for i, g in enumerate(groups) if len(g.services) < merge_threshold]
         if len(small) < 2:
             return groups
-        best: tuple | None = None
-        for a_pos in range(len(small)):
-            for b_pos in range(a_pos + 1, len(small)):
-                i, j = small[a_pos], small[b_pos]
-                key = (
-                    taxonomy.lca_distance(groups[i].leaf_id, groups[j].leaf_id),
-                    len(groups[i].services) + len(groups[j].services),
-                    tuple(sorted((groups[i].leaf_id, groups[j].leaf_id))),
-                )
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, i, j = best
+        # equal keys need a repeated leaf id; min then keeps the earliest pair
+        i, j = min(combinations(small, 2), key=merge_key)
         groups[i] = LeafHit(
             leaf_id=groups[i].leaf_id, services=groups[i].services + groups[j].services
         )
@@ -260,13 +272,13 @@ def select_services(
     group: LeafHit,
     query: str,
     mode: str,
-    registry_names: dict[str, tuple[str, str]],
+    registry: Registry,
     gateway: LlmGateway,
 ) -> tuple[list[str], TraceStep, dict]:
     """One chat call choosing services from a merged group."""
+    services = [registry.get(sid) for sid in group.services]
     options = "\n".join(
-        f"{i}. {registry_names[sid][0]}: {registry_names[sid][1]}"
-        for i, sid in enumerate(group.services, start=1)
+        f"{i}. {svc.name}: {svc.description}" for i, svc in enumerate(services, start=1)
     )
     system, user = prompts.render(
         "search_select",
@@ -293,7 +305,7 @@ def select_services(
 def retrieve(
     query: str,
     taxonomy: Taxonomy,
-    registry,
+    registry: Registry,
     gateway: LlmGateway,
     cfg: SearchConfig | None = None,
 ) -> RetrievalResult:
@@ -303,14 +315,13 @@ def retrieve(
     service, matching the single-branch navigation instruction.
     """
     cfg = cfg or SearchConfig()
-    registry_names = {svc.id: (svc.name, svc.description) for svc in registry}
 
     hits, nav_steps, nav_counters = navigate(taxonomy, query, cfg.mode, gateway)
     groups = merge_small_groups(dedup(hits), cfg.merge_threshold, taxonomy)
     groups = [g for g in groups if g.services]
 
     selections = gateway.run_parallel(
-        lambda g: select_services(g, query, cfg.mode, registry_names, gateway), groups
+        lambda g: select_services(g, query, cfg.mode, registry, gateway), groups
     )
 
     service_ids: list[str] = []

@@ -128,36 +128,50 @@ class Taxonomy:
         walk(self.root_id)
         return order
 
+    def _ancestors(self, node_id: str, parents: dict[str, str]) -> list[str]:
+        """The chain node_id, its parent, ..., the root.
+
+        Raises DataError for an unknown id and for a node whose parent chain
+        ends, or cycles, without reaching the root.
+        """
+        self.node(node_id)
+        chain = [node_id]
+        while chain[-1] != self.root_id:
+            parent = parents.get(chain[-1])
+            if parent is None or len(chain) > len(self.nodes):
+                raise DataError(f"node {chain[-1]!r} is not reachable from the root")
+            chain.append(parent)
+        return chain
+
     def top_level_of(self, node_id: str) -> str:
-        """The depth-1 ancestor of a node (the node itself if it is the root)."""
-        parents = self.parent_map()
-        current = node_id
-        while current != self.root_id and parents.get(current, self.root_id) != self.root_id:
-            current = parents[current]
-        return current
+        """The depth-1 ancestor of a node (the node itself if it is the root).
+        Raises DataError for an unknown or unreachable node."""
+        chain = self._ancestors(node_id, self.parent_map())
+        return chain[-2] if len(chain) > 1 else chain[-1]
 
     def lca_distance(self, a: str, b: str) -> int:
         """Tree path length between two nodes: depth(a)+depth(b)-2*depth(lca)."""
+        return self.distances([a, b])[a, b]
+
+    def distances(self, node_ids: list[str]) -> dict[tuple[str, str], int]:
+        """Tree path lengths between every ordered pair of the given nodes,
+        the pair of a node with itself included (0).
+
+        Builds the parent map once and walks one ancestor chain per distinct
+        id, so k ids cost one pass over the tree plus O(k^2 * depth).
+        """
         parents = self.parent_map()
-
-        def chain(node_id: str) -> list[str]:
-            self.node(node_id)
-            path = [node_id]
-            while path[-1] != self.root_id:
-                parent = parents.get(path[-1])
-                if parent is None:
-                    raise DataError(f"node {path[-1]!r} is not reachable from the root")
-                path.append(parent)
-            return path
-
-        chain_a = chain(a)
-        depth_a = {node_id: i for i, node_id in enumerate(chain_a)}
-        steps_b = 0
-        for node_id in chain(b):
-            if node_id in depth_a:
-                return depth_a[node_id] + steps_b
-            steps_b += 1
-        raise DataError(f"nodes {a!r} and {b!r} share no ancestor")
+        steps_up: dict[str, dict[str, int]] = {}
+        for node_id in node_ids:
+            if node_id not in steps_up:
+                chain = self._ancestors(node_id, parents)
+                steps_up[node_id] = {anc: i for i, anc in enumerate(chain)}
+        out: dict[tuple[str, str], int] = {}
+        for a, up_a in steps_up.items():
+            for b, up_b in steps_up.items():
+                # the first ancestor of b that is also an ancestor of a is the LCA
+                out[a, b] = next(up_a[anc] + i for anc, i in up_b.items() if anc in up_a)
+        return out
 
     def rebuild_assignment(self) -> None:
         """Derives the assignment map from leaf service lists.

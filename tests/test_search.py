@@ -3,8 +3,10 @@ merging, per-group selection, and the three disclosure modes."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxonav.errors import ConfigError
@@ -157,6 +159,99 @@ def test_merge_id_tiebreak_is_lexicographic():
         ("root/p/x", ["sx", "sy"]),
         ("root/p/z", ["sz"]),
     ]
+
+
+def reference_merge_small_groups(
+    hits: list[LeafHit], merge_threshold: int, taxonomy: Taxonomy
+) -> list[LeafHit]:
+    """The original O(k^3) merge that asks lca_distance for every candidate
+    pair in every round; the fast merge must return exactly what it does."""
+    groups = [LeafHit(leaf_id=h.leaf_id, services=list(h.services)) for h in hits]
+    while True:
+        small = [i for i, g in enumerate(groups) if len(g.services) < merge_threshold]
+        if len(small) < 2:
+            return groups
+        best: tuple | None = None
+        for a_pos in range(len(small)):
+            for b_pos in range(a_pos + 1, len(small)):
+                i, j = small[a_pos], small[b_pos]
+                key = (
+                    taxonomy.lca_distance(groups[i].leaf_id, groups[j].leaf_id),
+                    len(groups[i].services) + len(groups[j].services),
+                    tuple(sorted((groups[i].leaf_id, groups[j].leaf_id))),
+                )
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, i, j = best
+        groups[i] = LeafHit(
+            leaf_id=groups[i].leaf_id, services=groups[i].services + groups[j].services
+        )
+        del groups[j]
+
+
+def random_tree(seed: int, n_nodes: int) -> Taxonomy:
+    rng = random.Random(seed)
+    tax = Taxonomy()
+    ids = ["root"]
+    for i in range(n_nodes):
+        node = tax.add_child(rng.choice(ids), f"n{i}")
+        ids.append(node.node_id)
+    return tax
+
+
+@st.composite
+def merge_cases(draw):
+    tax = random_tree(draw(st.integers(0, 10_000)), draw(st.integers(0, 80)))
+    leaves = tax.leaves()
+    rng = draw(st.randoms(use_true_random=False))
+    hit_leaves = rng.sample(leaves, draw(st.integers(0, len(leaves))))
+    # sizes come from a small pool so that equal-size pairs, and with them
+    # the leaf-id tie-break, are common
+    pool = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    hits = [
+        LeafHit(leaf_id, [f"{leaf_id}#{n}" for n in range(draw(st.sampled_from(pool)))])
+        for leaf_id in hit_leaves
+    ]
+    return tax, hits, draw(st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_cases())
+def test_merge_matches_reference(case):
+    tax, hits, threshold = case
+    out = merge_small_groups(hits, threshold, tax)
+    expected = reference_merge_small_groups(hits, threshold, tax)
+    assert [(h.leaf_id, h.services) for h in out] == [(h.leaf_id, h.services) for h in expected]
+
+
+@pytest.mark.parametrize(
+    "sizes, threshold, parent_maps",
+    [
+        ([], 30, 0),
+        ([5], 30, 0),
+        ([5, 40, 30], 30, 0),
+        ([5, 5, 40], 30, 1),
+        ([1] * 40, 2, 1),
+        ([1] * 40, 41, 1),
+    ],
+)
+def test_merge_builds_at_most_one_parent_map(monkeypatch, sizes, threshold, parent_maps):
+    tax = random_tree(3, 120)
+    hits = [
+        LeafHit(leaf_id, [f"{leaf_id}#{n}" for n in range(size)])
+        for leaf_id, size in zip(tax.leaves(), sizes)
+    ]
+    assert len(hits) == len(sizes)
+    calls = []
+    original = Taxonomy.parent_map
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Taxonomy, "parent_map", counted)
+    merge_small_groups(hits, threshold, tax)
+    assert len(calls) == parent_maps
 
 
 # -- full retrieval ------------------------------------------------------------

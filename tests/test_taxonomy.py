@@ -14,6 +14,7 @@ from taxonav.errors import DataError, SchemaError
 from taxonav.registry import Registry, Service
 from taxonav.taxonomy import (
     Taxonomy,
+    TaxonomyNode,
     load,
     save,
     stats,
@@ -108,6 +109,41 @@ def test_lca_distance_matches_bfs_oracle(seed, n_nodes, data):
 def test_lca_distance_unknown_node():
     with pytest.raises(DataError):
         small_tree().lca_distance("root", "root/missing")
+
+
+@given(seed=st.integers(0, 10_000), n_nodes=st.integers(0, 25), data=st.data())
+def test_distances_match_lca_and_bfs_oracle(seed, n_nodes, data):
+    tax = random_tree(seed, n_nodes)
+    ids = data.draw(st.lists(st.sampled_from(sorted(tax.nodes)), max_size=12))
+    dist = tax.distances(ids)
+    assert set(dist) == {(a, b) for a in ids for b in ids}
+    for (a, b), d in dist.items():
+        assert d == tax.lca_distance(a, b) == bfs_distance(tax, a, b)
+        assert d == dist[b, a]
+        assert (d == 0) == (a == b)
+
+
+def detached_tree() -> Taxonomy:
+    """small_tree plus a node with no parent and a two-node cycle off the root."""
+    tax = small_tree()
+    tax.nodes["lone"] = TaxonomyNode(node_id="lone", name="lone")
+    tax.nodes["x"] = TaxonomyNode(node_id="x", name="x", children=["y"])
+    tax.nodes["y"] = TaxonomyNode(node_id="y", name="y", children=["x"])
+    return tax
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [("root/missing", "unknown node"), ("lone", "not reachable"), ("x", "not reachable")],
+)
+def test_distances_reject_unknown_and_unreachable_nodes(bad, match):
+    tax = detached_tree()
+    with pytest.raises(DataError, match=match):
+        tax.distances(["root/b", bad])
+    with pytest.raises(DataError, match=match):
+        tax.lca_distance(bad, "root/b")
+    with pytest.raises(DataError, match=match):
+        tax.top_level_of(bad)
 
 
 def test_rebuild_assignment_primary_first():
