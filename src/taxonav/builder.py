@@ -4,10 +4,12 @@ Two builders live here. The main one grows the tree breadth-first: any node
 holding more services than the leaf threshold (and above the depth cap) is
 split by an LLM-designed set of sibling categories, with a classification /
 refinement loop that tightens boundaries until every service lands cleanly
-or the iteration budget runs out. Oversized nodes are first compressed into
-a keyword frequency table so the designer prompt stays small. After the
-tree settles, a cross-domain pass lets services surface under additional
-top-level domains, which is where the multi-parent structure comes from.
+or the iteration budget runs out. All nodes of one level are split
+together, each LLM phase as one bounded parallel map over the level.
+Oversized nodes are first compressed into a keyword frequency table so the
+designer prompt stays small. After the tree settles, a cross-domain pass
+lets services surface under additional top-level domains, which is where
+the multi-parent structure comes from.
 
 The second builder produces the whole tree from one design call plus one
 classification call per service. It exists as a baseline and deliberately
@@ -20,8 +22,9 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import prompts
@@ -52,7 +55,6 @@ class BuildConfig:
     max_refine_iterations: int = 3
     keyword_batch_size: int = 50
     tiny_merge_threshold: int = 2
-    workers: int = 20
 
     def __post_init__(self) -> None:
         if self.keyword_threshold < 1 or self.leaf_threshold < 1:
@@ -63,8 +65,8 @@ class BuildConfig:
             raise ConfigError("generic_ratio must be in (0, 1]")
         if self.max_categories < 2:
             raise ConfigError("max_categories must allow at least 2 drafts")
-        if self.keyword_batch_size < 1 or self.workers < 1:
-            raise ConfigError("batch size and workers must be positive")
+        if self.keyword_batch_size < 1:
+            raise ConfigError("keyword_batch_size must be positive")
         if self.tiny_merge_threshold < 0:
             raise ConfigError("tiny_merge_threshold must be non-negative")
 
@@ -144,14 +146,6 @@ def _numbered_services(services: list[Service]) -> str:
     return "\n".join(f"{i}. {s.name}: {s.description}" for i, s in enumerate(services, start=1))
 
 
-def _numbered_drafts(drafts: list[CategoryDraft]) -> str:
-    lines = []
-    for i, d in enumerate(drafts, start=1):
-        suffix = f" (NOT: {d.boundary})" if d.boundary else ""
-        lines.append(f"{i}. {d.name}: {d.description}{suffix}")
-    return "\n".join(lines)
-
-
 def _normalize_axis(raw: object) -> str | None:
     if not isinstance(raw, str) or not raw.strip():
         return None
@@ -177,6 +171,44 @@ def _fill_phases(report: BuildReport, delta: dict, prefixes: tuple[str, ...]) ->
             + bucket["prompt_tokens"]
             + bucket["output_tokens"]
         )
+
+
+@dataclass
+class _Split:
+    """One node's state while the nodes of its level are split together.
+
+    The phases write warnings and counters to ``log``, a report of the
+    node's own, which is merged into the build's report in BFS node order
+    once the level is done, so the report does not depend on call timing.
+    """
+
+    node_id: str
+    services: list[Service]
+    parent_context: str
+    log: BuildReport = field(default_factory=BuildReport)
+    table: KeywordTable | None = None
+    failure: DesignError | None = None
+    drafts: list[CategoryDraft] = field(default_factory=list)
+    outcomes: list[ClassificationOutcome] = field(default_factory=list)
+    refine_rounds: int = 0
+    buckets: list[list[Service]] = field(default_factory=list)
+    pending: list[Service] = field(default_factory=list)
+    survivors: list[int] = field(default_factory=list)
+    displaced: list[Service] = field(default_factory=list)
+    placements: list[tuple[CategoryDraft, list[Service]]] = field(default_factory=list)
+
+    def with_status(self, status: str) -> list[Service]:
+        return [s for s, o in zip(self.services, self.outcomes) if o.status == status]
+
+
+def _absorb(report: BuildReport, part: BuildReport) -> None:
+    """Adds the warnings and counters of one node's own report."""
+    report.warnings.extend(part.warnings)
+    report.oversized_leaves.extend(part.oversized_leaves)
+    report.refine_iterations.update(part.refine_iterations)
+    report.merged_tiny_categories += part.merged_tiny_categories
+    report.catchall_placements += part.catchall_placements
+    report.forced_placements += part.forced_placements
 
 
 class TaxonomyBuilder:
@@ -356,7 +388,7 @@ class TaxonomyBuilder:
         system, user = prompts.render(
             "validate_root",
             axis_rules=prompts.snippet("axis_rules"),
-            categories=_numbered_drafts(drafts),
+            categories=prompts.category_options(drafts),
             payload_header=payload_header,
             payload=payload,
         )
@@ -391,7 +423,13 @@ class TaxonomyBuilder:
         re-ask) is unmatched; matching strictly more than generic_ratio *
         len(drafts) categories is generic; anything else is ok.
         """
-        options = _numbered_drafts(drafts)
+        return self.gateway.run_parallel(self._classifier(drafts, label), services)
+
+    def _classifier(
+        self, drafts: list[CategoryDraft], label: str = "build.classify"
+    ) -> Callable[[Service], ClassificationOutcome]:
+        """The single-service call of classify_services, with its status rules."""
+        options = prompts.category_options(drafts)
         template = prompts.load("classify_service")
         threshold = self.cfg.generic_ratio * len(drafts)
 
@@ -408,7 +446,7 @@ class TaxonomyBuilder:
                 status = "ok"
             return ClassificationOutcome(service_id=svc.id, matched=sel.indices, status=status)
 
-        return self.gateway.run_parallel(call, services)
+        return call
 
     def classify_single_best(self, service: Service, drafts: list[CategoryDraft]) -> int | None:
         """Forced-choice placement for generic services; smallest in-range
@@ -417,7 +455,7 @@ class TaxonomyBuilder:
             "classify_single_best",
             service_name=service.name,
             service_description=service.description,
-            options=_numbered_drafts(drafts),
+            options=prompts.category_options(drafts),
         )
         sel = self.gateway.select_indices(
             system, user, label="build.classify", n_options=len(drafts)
@@ -441,7 +479,7 @@ class TaxonomyBuilder:
         values = {
             "parent_context": parent_context,
             "axis_rules": prompts.snippet("axis_rules"),
-            "options": _numbered_drafts(drafts),
+            "options": prompts.category_options(drafts),
             "generic_services": listing(generic),
             "unmatched_services": listing(unmatched),
             "max_categories": str(self.cfg.max_categories),
@@ -461,127 +499,210 @@ class TaxonomyBuilder:
         services: list[Service],
         report: BuildReport,
     ) -> list[tuple[str, list[Service]]]:
-        """Splits one node into LLM-designed children.
+        """Splits one node into LLM-designed children, as a level of one node.
 
-        Returns (child_id, child_services) pairs in draft order, or an empty
-        list when the node collapses back into a leaf (fewer than two
-        children survived the tiny merge). Raises DesignError when even the
-        design re-ask fails; the caller decides what that means.
+        Returns (child_id, child_services) pairs in draft order with any
+        catch-all last, or an empty list when the node stays a leaf (the
+        report says why). Raises DesignError when the root's design fails.
         """
-        cfg = self.cfg
-        node = taxonomy.node(node_id)
+        return self._split_level(taxonomy, [(node_id, services)], report)[0]
 
-        table: KeywordTable | None = None
-        payload: KeywordTable | list[Service]
-        if len(services) > cfg.keyword_threshold:
-            table = self.extract_keywords(services)
-            payload = table
-        else:
-            payload = services
+    def _split_level(
+        self,
+        taxonomy: Taxonomy,
+        level: list[tuple[str, list[Service]]],
+        report: BuildReport,
+    ) -> list[list[tuple[str, list[Service]]]]:
+        """Splits the given (node_id, services) nodes of one level together.
 
-        if node_id == taxonomy.root_id:
-            parent_context = "These services form the root of the catalog."
-        else:
-            parent_context = f'The parent category is "{node.name}": {node.description}'
+        Keyword tables for nodes above the keyword threshold are extracted
+        first, one node after another. Then each LLM phase runs as one
+        run_parallel over every node still in it: design, each classify
+        round and its refine calls, the forced single-best placement, and
+        the tiny-merge re-classification; the root's audit runs between
+        design and classification. Every map item is one call plus its own
+        re-ask, so the gateway's workers bound the calls in flight. Tree and
+        report changes are applied afterwards in node order, so the result
+        does not depend on call timing.
 
-        drafts = self.design_categories(payload, parent_context, report=report)
-        if node_id == taxonomy.root_id:
-            drafts = self.validate_root(drafts, table, services, report)
-
-        refine_rounds = 0
-        while True:
-            outcomes = self.classify_services(services, drafts)
-            generic = [s for s, o in zip(services, outcomes) if o.status == "generic"]
-            unmatched = [s for s, o in zip(services, outcomes) if o.status == "unmatched"]
-            if not generic and not unmatched:
-                break
-            if refine_rounds >= cfg.max_refine_iterations:
-                break
-            refined = self.refine_drafts(drafts, generic, unmatched, parent_context, report=report)
-            if refined is None:
-                report.warnings.append(f"{node_id}: refinement reply unusable; boundaries kept as-is")
-                break
-            drafts = refined
-            refine_rounds += 1
-        report.refine_iterations[node_id] = refine_rounds
-
-        # Placement: ok services go to every matched child, generic services
-        # to a single forced choice, the rest to the catch-all pool.
-        buckets: list[list[Service]] = [[] for _ in drafts]
-        pending: list[Service] = []
-        generic_services = [s for s, o in zip(services, outcomes) if o.status == "generic"]
-        forced = dict(
-            zip(
-                (s.id for s in generic_services),
-                self.gateway.run_parallel(
-                    lambda s: self.classify_single_best(s, drafts), generic_services
-                ),
-            )
-        )
-        for svc, outcome in zip(services, outcomes):
-            if outcome.status == "ok":
-                for idx in outcome.matched:
-                    buckets[idx - 1].append(svc)
-            elif outcome.status == "generic":
-                choice = forced.get(svc.id)
-                if choice is None:
-                    pending.append(svc)
-                else:
-                    buckets[choice - 1].append(svc)
+        Returns, per node, (child_id, child_services) pairs in draft order
+        with any catch-all last, or an empty list when the node stays a leaf:
+        fewer than two children survived the tiny merge, or its design failed
+        even after the re-ask. The report records why. A design failure at
+        the root raises DesignError.
+        """
+        splits: list[_Split] = []
+        for node_id, services in level:
+            node = taxonomy.node(node_id)
+            if node_id == taxonomy.root_id:
+                parent_context = "These services form the root of the catalog."
             else:
-                pending.append(svc)
+                parent_context = f'The parent category is "{node.name}": {node.description}'
+            split = _Split(node_id, services, parent_context)
+            if len(services) > self.cfg.keyword_threshold:
+                split.table = self.extract_keywords(services)
+            splits.append(split)
 
-        # Tiny merge: children at or below the threshold are deleted and
-        # their services re-classified among the survivors.
-        tiny = [i for i, b in enumerate(buckets) if len(b) <= cfg.tiny_merge_threshold]
-        survivors = [i for i in range(len(buckets)) if i not in tiny]
-        if len(survivors) < 2:
-            report.warnings.append(
-                f"{node_id}: fewer than 2 children survived the tiny merge; kept as a leaf"
+        def design(split: _Split) -> list[CategoryDraft] | DesignError:
+            payload = split.table if split.table is not None else split.services
+            try:
+                return self.design_categories(payload, split.parent_context, report=split.log)
+            except DesignError as exc:
+                return exc
+
+        for split, drafts in zip(splits, self.gateway.run_parallel(design, splits)):
+            if isinstance(drafts, DesignError):
+                split.failure = drafts
+            else:
+                split.drafts = drafts
+        live = [split for split in splits if split.failure is None]
+        for split in live:
+            if split.node_id == taxonomy.root_id:
+                split.drafts = self.validate_root(
+                    split.drafts, split.table, split.services, split.log
+                )
+
+        self._classify_and_refine(live)
+        self._place(live)
+        return [self._apply_split(taxonomy, split, report) for split in splits]
+
+    def _map_nodes(self, work: list[tuple[Callable, list]]) -> list[list]:
+        """Runs fn(item) for every item of every (fn, items) pair in one
+        run_parallel; returns each pair's results in item order."""
+        jobs = [(fn, item) for fn, items in work for item in items]
+        results = iter(self.gateway.run_parallel(lambda job: job[0](job[1]), jobs))
+        return [[next(results) for _ in items] for _, items in work]
+
+    def _classify_and_refine(self, splits: list[_Split]) -> None:
+        """Classifies every node's services, then refines the drafts of the
+        nodes with generic or unmatched services, until none is left to
+        refine; each round is one map of classify calls and one of refines."""
+
+        def refine(split: _Split) -> list[CategoryDraft] | None:
+            return self.refine_drafts(
+                split.drafts,
+                split.with_status("generic"),
+                split.with_status("unmatched"),
+                split.parent_context,
+                report=split.log,
             )
-            if len(services) > cfg.leaf_threshold:
-                report.oversized_leaves.append(node_id)
-            return []
-        report.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
-        displaced = [svc for i in tiny for svc in buckets[i]]
-        if displaced:
-            survivor_drafts = [drafts[i] for i in survivors]
-            for svc, outcome in zip(displaced, self.classify_services(displaced, survivor_drafts)):
+
+        refining = splits
+        while refining:
+            rounds = self._map_nodes([(self._classifier(s.drafts), s.services) for s in refining])
+            to_refine = []
+            for split, outcomes in zip(refining, rounds):
+                split.outcomes = outcomes
+                stray = any(o.status != "ok" for o in outcomes)
+                if stray and split.refine_rounds < self.cfg.max_refine_iterations:
+                    to_refine.append(split)
+            refining = []
+            for split, drafts in zip(to_refine, self.gateway.run_parallel(refine, to_refine)):
+                if drafts is None:
+                    split.log.warnings.append(
+                        f"{split.node_id}: refinement reply unusable; boundaries kept as-is"
+                    )
+                else:
+                    split.drafts = drafts
+                    split.refine_rounds += 1
+                    refining.append(split)
+        for split in splits:
+            split.log.refine_iterations[split.node_id] = split.refine_rounds
+
+    def _place(self, splits: list[_Split]) -> None:
+        """Fills each node's placements: ok services go to every matched
+        child, generic services to a single forced choice, the rest to the
+        catch-all pool. Children at or below the tiny threshold are deleted
+        and their services re-classified among the survivors."""
+        cfg = self.cfg
+        generic = [split.with_status("generic") for split in splits]
+        choices = self._map_nodes(
+            [(partial(self.classify_single_best, drafts=s.drafts), g)
+             for s, g in zip(splits, generic)]
+        )
+        for split, forced_services, forced_choices in zip(splits, generic, choices):
+            forced = {svc.id: choice for svc, choice in zip(forced_services, forced_choices)}
+            buckets: list[list[Service]] = [[] for _ in split.drafts]
+            for svc, outcome in zip(split.services, split.outcomes):
+                if outcome.status == "ok":
+                    for idx in outcome.matched:
+                        buckets[idx - 1].append(svc)
+                elif forced.get(svc.id) is not None:
+                    buckets[forced[svc.id] - 1].append(svc)
+                else:
+                    split.pending.append(svc)
+            tiny = [i for i, b in enumerate(buckets) if len(b) <= cfg.tiny_merge_threshold]
+            survivors = [i for i in range(len(buckets)) if i not in tiny]
+            if len(survivors) < 2:
+                split.log.warnings.append(
+                    f"{split.node_id}: fewer than 2 children survived the tiny merge; "
+                    "kept as a leaf"
+                )
+                if len(split.services) > cfg.leaf_threshold:
+                    split.log.oversized_leaves.append(split.node_id)
+                continue
+            split.log.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
+            split.buckets, split.survivors = buckets, survivors
+            split.displaced = [svc for i in tiny for svc in buckets[i]]
+
+        merging = [split for split in splits if split.survivors]
+        reclassified = self._map_nodes(
+            [(self._classifier([s.drafts[i] for i in s.survivors]), s.displaced) for s in merging]
+        )
+        for split, outcomes in zip(merging, reclassified):
+            buckets, survivors = split.buckets, split.survivors
+            for svc, outcome in zip(split.displaced, outcomes):
                 if outcome.matched:
                     for idx in outcome.matched:
                         buckets[survivors[idx - 1]].append(svc)
                 else:
-                    pending.append(svc)
+                    split.pending.append(svc)
+            catchall = split.pending
+            if catchall and len(catchall) <= cfg.tiny_merge_threshold:
+                # A tiny catch-all would immediately violate the tiny rule, so
+                # force its services into the largest surviving child instead.
+                largest = max(survivors, key=lambda i: (len(buckets[i]), -i))
+                buckets[largest].extend(catchall)
+                split.log.forced_placements += len(catchall)
+                split.log.warnings.append(
+                    f"{split.node_id}: {len(catchall)} stray services forced into "
+                    f"{split.drafts[largest].name!r}"
+                )
+                catchall = []
+            split.placements = [(split.drafts[i], buckets[i]) for i in survivors]
+            if catchall:
+                split.placements.append((
+                    CategoryDraft(
+                        name=CATCHALL_NAME,
+                        description="Services that did not fit any sibling category.",
+                        boundary="Anything that clearly belongs to a named sibling.",
+                        axis="",
+                    ),
+                    catchall,
+                ))
+                split.log.catchall_placements += len(catchall)
 
-        catchall = list(pending)
-        if catchall and len(catchall) <= cfg.tiny_merge_threshold:
-            # A tiny catch-all would immediately violate the tiny rule, so
-            # force its services into the largest surviving child instead.
-            largest = max(survivors, key=lambda i: (len(buckets[i]), -i))
-            buckets[largest].extend(catchall)
-            report.forced_placements += len(catchall)
-            report.warnings.append(
-                f"{node_id}: {len(catchall)} stray services forced into {drafts[largest].name!r}"
+    def _apply_split(
+        self, taxonomy: Taxonomy, split: _Split, report: BuildReport
+    ) -> list[tuple[str, list[Service]]]:
+        """Adds one node's children to the tree and its log to the report."""
+        if split.failure is not None:
+            if split.node_id == taxonomy.root_id:
+                raise DesignError(
+                    f"unrecoverable design failure at the root: {split.failure}"
+                ) from split.failure
+            split.log.warnings.append(
+                f"{split.node_id}: design failed ({split.failure}); kept as a leaf"
             )
-            catchall = []
-
+            split.log.oversized_leaves.append(split.node_id)
         children: list[tuple[str, list[Service]]] = []
-        for i in survivors:
-            child = taxonomy.add_child(
-                node_id, drafts[i].name, drafts[i].description, drafts[i].boundary
-            )
-            child.service_ids = [s.id for s in buckets[i]]
-            children.append((child.node_id, buckets[i]))
-        if catchall:
-            child = taxonomy.add_child(
-                node_id,
-                CATCHALL_NAME,
-                "Services that did not fit any sibling category.",
-                "Anything that clearly belongs to a named sibling.",
-            )
-            child.service_ids = [s.id for s in catchall]
-            children.append((child.node_id, catchall))
-            report.catchall_placements += len(catchall)
+        for draft, members in split.placements:
+            child = taxonomy.add_child(split.node_id, draft.name, draft.description, draft.boundary)
+            child.service_ids = [s.id for s in members]
+            children.append((child.node_id, members))
+        if children:
+            taxonomy.node(split.node_id).service_ids = []
+        _absorb(report, split.log)
         return children
 
     # -- cross-domain pass -----------------------------------------------------
@@ -606,6 +727,13 @@ class TaxonomyBuilder:
         }
         domain_names = ", ".join(taxonomy.node(cid).name for cid in root.children)
         leaf_ids = taxonomy.leaves()
+        own_domain: dict[str, str] = {}
+        for domain_id in root.children:
+            stack = [domain_id]
+            while stack:
+                node = taxonomy.node(stack.pop())
+                own_domain[node.node_id] = domain_id
+                stack.extend(node.children)
         template = prompts.load("cross_domain_candidates")
         navigate = prompts.load("search_navigate")
         stats = {"proposals": 0, "accepted": 0, "duplicates": 0, "skipped": 0, "routing_failures": 0}
@@ -616,7 +744,7 @@ class TaxonomyBuilder:
             leaf_services = [registry.get(sid) for sid in leaf.service_ids]
             if not leaf_services:
                 return None
-            own = taxonomy.node(taxonomy.top_level_of(leaf_id)).name
+            own = taxonomy.node(own_domain[leaf_id]).name
             system, user = template.render(
                 own_domain=own, domains=domain_names, options=_numbered_services(leaf_services)
             )
@@ -631,7 +759,6 @@ class TaxonomyBuilder:
                 report.warnings.append(f"{leaf_id}: cross-domain reply lacked a candidate list")
                 continue
             leaf = taxonomy.node(leaf_id)
-            own_domain_id = taxonomy.top_level_of(leaf_id)
             for cand in candidates:
                 stats["proposals"] += 1
                 if not isinstance(cand, dict):
@@ -643,7 +770,7 @@ class TaxonomyBuilder:
                     not isinstance(idx, int)
                     or not 1 <= idx <= len(leaf.service_ids)
                     or target_id is None
-                    or target_id == own_domain_id
+                    or target_id == own_domain[leaf_id]
                 ):
                     stats["skipped"] += 1
                     continue
@@ -673,12 +800,10 @@ class TaxonomyBuilder:
         current = taxonomy.node(start_id)
         while not current.is_leaf():
             children = [taxonomy.node(cid) for cid in current.children]
-            options = "\n".join(
-                f"{i}. {c.name}: {c.description}" + (f" (NOT: {c.boundary})" if c.boundary else "")
-                for i, c in enumerate(children, start=1)
-            )
             system, user = navigate_template.render(
-                mode_instruction=SINGLE_BRANCH_INSTRUCTION, query=query, options=options
+                mode_instruction=SINGLE_BRANCH_INSTRUCTION,
+                query=query,
+                options=prompts.category_options(children),
             )
             sel = self.gateway.select_indices(
                 system, user, label="build.cross_domain", n_options=len(children)
@@ -691,7 +816,8 @@ class TaxonomyBuilder:
     # -- the BFS build -----------------------------------------------------------
 
     def build(self, registry: Registry) -> tuple[Taxonomy, BuildReport]:
-        """Grows the full tree breadth-first, then runs the cross-domain pass."""
+        """Grows the full tree breadth-first, one level at a time, then runs
+        the cross-domain pass."""
         cfg = self.cfg
         before = self.gateway.meter.snapshot()
         report = BuildReport(method="bfs")
@@ -699,29 +825,21 @@ class TaxonomyBuilder:
         taxonomy.root.name = "All services"
         all_services = list(registry)
         taxonomy.root.service_ids = [s.id for s in all_services]
-        node_services: dict[str, list[Service]] = {taxonomy.root_id: all_services}
 
-        queue: deque[str] = deque([taxonomy.root_id])
-        while queue:
-            node_id = queue.popleft()
-            node = taxonomy.node(node_id)
-            services = node_services[node_id]
-            if len(services) <= cfg.leaf_threshold or node.depth >= cfg.max_depth:
-                continue  # stays a leaf
-            try:
-                children = self.split_node(taxonomy, node_id, services, report)
-            except DesignError as exc:
-                if node_id == taxonomy.root_id:
-                    raise DesignError(f"unrecoverable design failure at the root: {exc}") from exc
-                report.warnings.append(f"{node_id}: design failed ({exc}); kept as a leaf")
-                report.oversized_leaves.append(node_id)
-                continue
-            if not children:
-                continue  # collapsed back into a leaf; split_node reported why
-            node.service_ids = []
-            for child_id, child_services in children:
-                node_services[child_id] = child_services
-                queue.append(child_id)
+        def splittable(node_id: str, services: list[Service]) -> bool:
+            return (
+                len(services) > cfg.leaf_threshold
+                and taxonomy.node(node_id).depth < cfg.max_depth
+            )
+
+        level = [(taxonomy.root_id, all_services)]
+        # Nodes that stay leaves drop out before their level is split.
+        while level := [entry for entry in level if splittable(*entry)]:
+            level = [
+                child
+                for children in self._split_level(taxonomy, level, report)
+                for child in children
+            ]
 
         taxonomy.rebuild_assignment()
         self.cross_domain_assign(taxonomy, registry, report)

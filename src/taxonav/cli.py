@@ -214,7 +214,7 @@ def _write_config(out_dir: Path, cfg: RuntimeConfig, extra: dict) -> None:
     eval_harness.dump_json(payload, out_dir / CONFIG_FILE)
 
 
-def _build_config(args: argparse.Namespace, workers: int) -> BuildConfig:
+def _build_config(args: argparse.Namespace) -> BuildConfig:
     return BuildConfig(
         keyword_threshold=args.theta_kw,
         leaf_threshold=args.theta_leaf,
@@ -224,7 +224,6 @@ def _build_config(args: argparse.Namespace, workers: int) -> BuildConfig:
         max_refine_iterations=args.max_refine_iterations,
         keyword_batch_size=args.keyword_batch_size,
         tiny_merge_threshold=args.tiny_merge_threshold,
-        workers=workers,
     )
 
 
@@ -233,7 +232,7 @@ def _build_config(args: argparse.Namespace, workers: int) -> BuildConfig:
 
 def cmd_build(args: argparse.Namespace) -> int:
     cfg = resolve_runtime(args)
-    build_cfg = _build_config(args, cfg.workers)
+    build_cfg = _build_config(args)
     out_dir = Path(args.out)
     _write_config(out_dir, cfg, {"command": "build", "build": dataclasses.asdict(build_cfg)})
 
@@ -253,7 +252,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_build_oneshot(args: argparse.Namespace) -> int:
     cfg = resolve_runtime(args)
-    build_cfg = _build_config(args, cfg.workers)
+    build_cfg = _build_config(args)
     out_dir = Path(args.out)
     _write_config(
         out_dir,

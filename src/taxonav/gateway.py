@@ -32,6 +32,10 @@ logger = logging.getLogger(__name__)
 
 STRICT_REPLY_SUFFIX = "\n\nReply only with comma-separated numbers."
 
+# HTTP statuses below 500 that mean "try again later": request timeout and
+# rate limiting. They raise TransportError so the gateway's backoff retries.
+RETRYABLE_STATUSES = (408, 429)
+
 # Model-id patterns whose backends enable extended thinking by default; the
 # request must carry an explicit disable flag to keep outputs deterministic.
 DEFAULT_THINKING_DISABLE_PATTERNS = ("v4",)
@@ -303,7 +307,7 @@ class HttpChatBackend:
             )
         except requests.RequestException as exc:
             raise TransportError(f"chat request failed: {exc}") from exc
-        if resp.status_code >= 500:
+        if resp.status_code >= 500 or resp.status_code in RETRYABLE_STATUSES:
             raise TransportError(f"chat endpoint returned {resp.status_code}")
         if resp.status_code != 200:
             raise MalformedReplyError(f"chat endpoint returned {resp.status_code}: {resp.text[:200]}")
@@ -370,7 +374,7 @@ class HttpEmbeddingBackend:
             )
         except requests.RequestException as exc:
             raise TransportError(f"embedding request failed: {exc}") from exc
-        if resp.status_code >= 500:
+        if resp.status_code >= 500 or resp.status_code in RETRYABLE_STATUSES:
             raise TransportError(f"embedding endpoint returned {resp.status_code}")
         if resp.status_code != 200:
             raise MalformedReplyError(

@@ -8,6 +8,7 @@ time, which is deliberate: call sites must supply every slot.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from string import Template
@@ -54,6 +55,15 @@ def load(name: str) -> PromptTemplate:
 
 def render(name: str, **values: str) -> tuple[str, str]:
     return load(name).render(**values)
+
+
+def category_options(categories: Iterable) -> str:
+    """Numbered ``i. name: description (NOT: boundary)`` lines for any objects
+    with those three attributes; the clause is left out for an empty boundary."""
+    return "\n".join(
+        f"{i}. {c.name}: {c.description}" + (f" (NOT: {c.boundary})" if c.boundary else "")
+        for i, c in enumerate(categories, start=1)
+    )
 
 
 def snippet(name: str) -> str:

@@ -125,15 +125,6 @@ class RetrievalResult:
         }
 
 
-def _category_options(taxonomy: Taxonomy, child_ids: list[str]) -> str:
-    lines = []
-    for i, child_id in enumerate(child_ids, start=1):
-        node = taxonomy.node(child_id)
-        suffix = f" (NOT: {node.boundary})" if node.boundary else ""
-        lines.append(f"{i}. {node.name}: {node.description}{suffix}")
-    return "\n".join(lines)
-
-
 def navigate(
     taxonomy: Taxonomy,
     query: str,
@@ -170,7 +161,7 @@ def navigate(
             system, user = template.render(
                 mode_instruction=instruction,
                 query=query,
-                options=_category_options(taxonomy, children),
+                options=prompts.category_options(taxonomy.node(c) for c in children),
             )
             return gateway.select_indices(
                 system, user, label="search.navigate", n_options=len(children)

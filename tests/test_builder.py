@@ -191,6 +191,27 @@ def test_classify_status_thresholds():
     assert outcomes[3].matched == ()  # unparseable even after the re-ask
 
 
+def test_classify_prompt_text_is_pinned():
+    drafts = [
+        CategoryDraft(name="Flights", description="Air travel.", boundary="Hotels.", axis="functional-domain"),
+        CategoryDraft(name="Hotels", description="Places to stay.", boundary="", axis="functional-domain"),
+    ]
+    gateway = gw(ScriptRule(pattern=".*", label="build.classify", reply="1"))
+    TaxonomyBuilder(gateway).classify_services([svc("s1", "books seats")], drafts)
+    (call,) = gateway.chat_backend.transcript
+    assert call.request.user_prompt == (
+        "Service:\n"
+        "s1: books seats\n"
+        "\n"
+        "Categories:\n"
+        "1. Flights: Air travel. (NOT: Hotels.)\n"
+        "2. Hotels: Places to stay.\n"
+        "\n"
+        "Which categories does this service belong to? Reply with comma-separated numbers "
+        "(for example: 1,3). Reply 0 if none apply."
+    )
+
+
 def test_classify_single_best_takes_min_index():
     gateway = gw(ScriptRule(pattern=".*", reply="3, 2"))
     assert TaxonomyBuilder(gateway).classify_single_best(svc("s1"), six_drafts()) == 2
@@ -489,6 +510,8 @@ def test_build_config_validation():
         BuildConfig(generic_ratio=0)
     with pytest.raises(ConfigError):
         BuildConfig(keyword_batch_size=0)
+    with pytest.raises(TypeError):  # the gateway's workers alone bound the build
+        BuildConfig(workers=4)
 
 
 # -- cross-domain pass ----------------------------------------------------------

@@ -123,6 +123,7 @@ def test_build_writes_all_artifacts(cli_world):
     assert config["command"] == "build"
     assert config["backend"] == "mock"
     assert config["build"]["leaf_threshold"] == 3
+    assert "workers" in config and "workers" not in config["build"]
     assert "api_key" not in config
 
     report = json.loads((out / "build_report.json").read_text(encoding="utf-8"))

@@ -368,12 +368,37 @@ def test_http_chat_missing_usage_falls_back_to_estimates():
 
 def test_http_chat_status_mapping():
     req = ChatRequest(system_prompt=SYS, user_prompt=USER, model="m")
-    backend = HttpChatBackend("http://x", session=StubSession(StubResponse(503)))
-    with pytest.raises(TransportError):
-        backend.complete(req, "x")
+    for status in (503, 429, 408):
+        backend = HttpChatBackend("http://x", session=StubSession(StubResponse(status)))
+        with pytest.raises(TransportError, match=str(status)):
+            backend.complete(req, "x")
     backend = HttpChatBackend("http://x", session=StubSession(StubResponse(404)))
     with pytest.raises(MalformedReplyError):
         backend.complete(req, "x")
+
+
+def test_http_embedding_status_mapping():
+    for status in (503, 429, 408):
+        backend = HttpEmbeddingBackend("http://x", session=StubSession(StubResponse(status)))
+        with pytest.raises(TransportError, match=str(status)):
+            backend.embed(["a"], "emb")
+    backend = HttpEmbeddingBackend("http://x", session=StubSession(StubResponse(404)))
+    with pytest.raises(MalformedReplyError):
+        backend.embed(["a"], "emb")
+
+
+def test_rate_limited_chat_is_retried_by_the_gateway():
+    payload = {"choices": [{"message": {"content": "2"}}]}
+
+    class Flaky(StubSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.requests.append({"url": url})
+            return StubResponse(429) if len(self.requests) == 1 else StubResponse(200, payload)
+
+    session = Flaky(None)
+    gw = LlmGateway(chat_backend=HttpChatBackend("http://x", session=session), retry_backoff=0)
+    assert gw.chat(SYS, USER, label="x").text == "2"
+    assert len(session.requests) == 2
 
 
 def test_http_embedding_backend():

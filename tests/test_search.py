@@ -19,6 +19,7 @@ from taxonav.search import (
     SearchConfig,
     dedup,
     merge_small_groups,
+    navigate,
     retrieve,
 )
 from taxonav.taxonomy import Taxonomy
@@ -463,3 +464,26 @@ def test_result_to_dict_round_trips_trace():
         "groups_visited",
         "flags",
     }
+
+
+def test_navigate_prompt_text_is_pinned():
+    tax = Taxonomy()
+    tax.add_child("root", "Travel", "Trips and bookings.", "Paying for anything.")
+    tax.add_child("root", "Finance", "Money matters.")  # no boundary: no NOT clause
+    gateway = gw(ScriptRule(pattern=".*", label="search.navigate", reply="0"))
+    navigate(tax, "book a flight", "get_all", gateway)
+    (call,) = gateway.chat_backend.transcript
+    assert call.request.system_prompt == (
+        "You route a user query through a catalog of service categories, one level at a time. "
+        "Select all categories that could contain query-relevant services."
+    )
+    assert call.request.user_prompt == (
+        "Query: book a flight\n"
+        "\n"
+        "Categories:\n"
+        "1. Travel: Trips and bookings. (NOT: Paying for anything.)\n"
+        "2. Finance: Money matters.\n"
+        "\n"
+        "Reply with comma-separated numbers of the selected categories. "
+        "Reply 0 if none are relevant."
+    )
