@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     taxonomy = taxonomy_io.load(args.taxonomy)
     out = Path(args.out)
 
-    search_cfg = SearchConfig(mode="get_all", workers=args.workers)
+    search_cfg = SearchConfig(mode="get_all")
     tax_summary, tax_records = evaluate(
         lambda case: retrieve(case.text, taxonomy, registry, gateway, search_cfg),
         queries,

@@ -283,9 +283,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     registry = _load_registry(args)
     taxonomy = taxonomy_io.load(args.taxonomy)
     gateway = make_gateway(cfg)
-    search_cfg = SearchConfig(
-        mode=args.mode, merge_threshold=args.theta_merge, workers=cfg.workers
-    )
+    search_cfg = SearchConfig(mode=args.mode, merge_threshold=args.theta_merge)
     result = search.retrieve(args.query, taxonomy, registry, gateway, search_cfg)
     payload = result.to_dict()
     if not args.trace:
@@ -316,9 +314,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     taxonomy = taxonomy_io.load(args.taxonomy)
     gateway = make_gateway(cfg)
-    search_cfg = SearchConfig(
-        mode=args.mode, merge_threshold=args.theta_merge, workers=cfg.workers
-    )
+    search_cfg = SearchConfig(mode=args.mode, merge_threshold=args.theta_merge)
     eval_cfg = eval_harness.EvalConfig(
         method="taxonomy", dataset=args.dataset, setting=args.mode, workers=cfg.workers
     )

@@ -26,7 +26,14 @@ class GatewayError(DiscoveryError):
 
 
 class TransportError(GatewayError):
-    """The backend could not be reached or returned a server-side failure."""
+    """The backend could not be reached or returned a server-side failure.
+
+    ``retry_after`` is the wait in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class MalformedReplyError(GatewayError):

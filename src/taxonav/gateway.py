@@ -1,9 +1,10 @@
 """Chat and embedding gateway: backends, retries, metering, reply parsing.
 
 Every LLM interaction in the package goes through ``LlmGateway`` so that
-usage accounting, retry policy, and determinism rules live in one place.
-Chat temperature is pinned to 0. Transport failures retry with exponential
-backoff; unparseable index-list replies get exactly one stricter re-ask and
+usage accounting, retry policy, concurrency limits and determinism rules
+live in one place. Chat temperature is pinned to 0. Transport failures retry
+with exponential backoff, or after the server's Retry-After when that is
+longer; unparseable index-list replies get exactly one stricter re-ask and
 then resolve to an empty selection so pipelines degrade instead of dying.
 
 The scripted mock backend is the test and offline workhorse: a table of
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 import threading
 import time
@@ -23,6 +25,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -36,9 +39,16 @@ STRICT_REPLY_SUFFIX = "\n\nReply only with comma-separated numbers."
 # rate limiting. They raise TransportError so the gateway's backoff retries.
 RETRYABLE_STATUSES = (408, 429)
 
+# Longest server-requested wait (Retry-After) honoured before a retry, in
+# seconds, so a hostile or broken header cannot stall a caller for hours.
+MAX_RETRY_AFTER_S = 60.0
+
 # Model-id patterns whose backends enable extended thinking by default; the
 # request must carry an explicit disable flag to keep outputs deterministic.
 DEFAULT_THINKING_DISABLE_PATTERNS = ("v4",)
+
+
+T = TypeVar("T")
 
 
 def estimate_tokens(text: str) -> int:
@@ -271,6 +281,29 @@ class MockChatBackend:
         return ChatResponse(text=reply, prompt_tokens=prompt_tokens, output_tokens=output_tokens)
 
 
+def _retry_after(headers) -> float | None:
+    """The numeric Retry-After of a reply in seconds, capped at
+    MAX_RETRY_AFTER_S; None when it is absent or not a number of seconds
+    (the HTTP-date form is ignored)."""
+    try:
+        seconds = float(headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return None
+    if not math.isfinite(seconds) or seconds < 0:
+        return None
+    return min(seconds, MAX_RETRY_AFTER_S)
+
+
+def _raise_if_retryable(resp, what: str) -> None:
+    """Raises TransportError, carrying the reply's Retry-After, for the
+    statuses worth retrying: 5xx, request timeout and rate limiting."""
+    if resp.status_code >= 500 or resp.status_code in RETRYABLE_STATUSES:
+        raise TransportError(
+            f"{what} endpoint returned {resp.status_code}",
+            retry_after=_retry_after(resp.headers),
+        )
+
+
 class HttpChatBackend:
     """OpenAI-compatible /chat/completions backend. One attempt per call;
     the gateway owns the retry loop."""
@@ -307,8 +340,7 @@ class HttpChatBackend:
             )
         except requests.RequestException as exc:
             raise TransportError(f"chat request failed: {exc}") from exc
-        if resp.status_code >= 500 or resp.status_code in RETRYABLE_STATUSES:
-            raise TransportError(f"chat endpoint returned {resp.status_code}")
+        _raise_if_retryable(resp, "chat")
         if resp.status_code != 200:
             raise MalformedReplyError(f"chat endpoint returned {resp.status_code}: {resp.text[:200]}")
         try:
@@ -374,8 +406,7 @@ class HttpEmbeddingBackend:
             )
         except requests.RequestException as exc:
             raise TransportError(f"embedding request failed: {exc}") from exc
-        if resp.status_code >= 500 or resp.status_code in RETRYABLE_STATUSES:
-            raise TransportError(f"embedding endpoint returned {resp.status_code}")
+        _raise_if_retryable(resp, "embedding")
         if resp.status_code != 200:
             raise MalformedReplyError(
                 f"embedding endpoint returned {resp.status_code}: {resp.text[:200]}"
@@ -393,8 +424,19 @@ class EmbeddingVector:
     model: str
 
 
+def _mark_pool_thread(flag: threading.local) -> None:
+    flag.active = True
+
+
 class LlmGateway:
-    """Front door for all chat and embedding traffic."""
+    """Front door for all chat and embedding traffic.
+
+    ``workers`` caps the backend calls in flight across every caller of one
+    gateway: each chat or embedding attempt holds one of ``workers`` permits,
+    and every ``run_parallel`` map shares one pool of ``workers`` threads,
+    created on first use. The pool threads hold no reference to the gateway
+    and exit once it is collected.
+    """
 
     def __init__(
         self,
@@ -422,6 +464,31 @@ class LlmGateway:
         self.workers = max(1, workers)
         self._memory_cache: dict[str, np.ndarray] = {}
         self._cache_lock = threading.Lock()
+        self._permits = threading.BoundedSemaphore(self.workers)
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+        self._pool_thread = threading.local()
+
+    def _call_backend(self, what: str, label: str, call: Callable[[], T]) -> T:
+        """One backend call, holding a permit during each attempt. Transport
+        errors retry after max(exponential backoff, Retry-After), sleeping
+        without a permit."""
+        last_error: TransportError | None = None
+        for attempt in range(self.retries):
+            try:
+                with self._permits:
+                    return call()
+            except TransportError as exc:
+                last_error = exc
+                if attempt + 1 < self.retries:
+                    delay = max(self.retry_backoff * (2**attempt), exc.retry_after or 0.0)
+                    logger.warning(
+                        "transport error on %s (attempt %d/%d): %s",
+                        label, attempt + 1, self.retries, exc,
+                    )
+                    if delay > 0:
+                        time.sleep(delay)
+        raise TransportError(f"{what} failed after {self.retries} attempts: {last_error}")
 
     # -- chat ------------------------------------------------------------
 
@@ -438,23 +505,9 @@ class LlmGateway:
             model=model,
             thinking_disabled=self._thinking_disabled(model),
         )
-        last_error: TransportError | None = None
-        for attempt in range(self.retries):
-            try:
-                response = self.chat_backend.complete(request, label)
-                break
-            except TransportError as exc:
-                last_error = exc
-                if attempt + 1 < self.retries:
-                    delay = self.retry_backoff * (2**attempt)
-                    logger.warning(
-                        "transport error on %s (attempt %d/%d): %s",
-                        label, attempt + 1, self.retries, exc,
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-        else:
-            raise TransportError(f"chat failed after {self.retries} attempts: {last_error}")
+        response = self._call_backend(
+            "chat", label, lambda: self.chat_backend.complete(request, label)
+        )
         self.meter.record(label, response.prompt_tokens, response.output_tokens)
         return response
 
@@ -546,7 +599,9 @@ class LlmGateway:
             elif text not in misses:
                 misses.append(text)
         if misses:
-            raw = self.embedding_backend.embed(misses, model)
+            raw = self._call_backend(
+                "embedding", "embed", lambda: self.embedding_backend.embed(misses, model)
+            )
             if len(raw) != len(misses):
                 raise MalformedReplyError(
                     f"embedding backend returned {len(raw)} vectors for {len(misses)} texts"
@@ -562,10 +617,52 @@ class LlmGateway:
 
     # -- concurrency -----------------------------------------------------
 
+    def _executor(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.workers,
+                    thread_name_prefix="taxonav-gateway",
+                    initializer=_mark_pool_thread,
+                    initargs=(self._pool_thread,),
+                )
+            return self._pool
+
     def run_parallel(self, fn: Callable, items: Sequence) -> list:
-        """Maps fn over items on a bounded pool; results in input order."""
+        """Maps fn over items on the gateway's pool; results in input order.
+
+        One item, one worker, or a call from one of the pool's own threads
+        (a nested map, which would otherwise wait on itself) runs inline. At
+        most 2 x workers items are submitted and unfinished at a time; a slot
+        frees as soon as any item finishes. After a failure no further item
+        starts; once the started ones finish, the exception of the earliest
+        failed item is raised.
+        """
         items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
+        if self.workers <= 1 or len(items) <= 1 or getattr(self._pool_thread, "active", False):
             return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, items))
+        pool = self._executor()
+        slots = 2 * self.workers
+        window = threading.Semaphore(slots)
+        results: list = [None] * len(items)
+        errors: dict[int, BaseException] = {}
+
+        def run(index: int) -> None:
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # raised again in the calling thread
+                errors[index] = exc
+            finally:
+                window.release()
+
+        for index in range(len(items)):
+            window.acquire()
+            if errors:
+                window.release()
+                break
+            pool.submit(run, index)
+        for _ in range(slots):  # every slot back: every started item has finished
+            window.acquire()
+        if errors:
+            raise errors[min(errors)]
+        return results

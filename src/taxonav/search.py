@@ -53,15 +53,12 @@ SELECT_INSTRUCTIONS = {
 class SearchConfig:
     mode: str = "get_all"
     merge_threshold: int = 30
-    workers: int = 20
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown search mode {self.mode!r}; expected one of {MODES}")
         if self.merge_threshold < 1:
             raise ConfigError("merge_threshold must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
 
 
 @dataclass

@@ -336,6 +336,44 @@ def save(taxonomy: Taxonomy, directory: str | Path) -> None:
     )
 
 
+def _check_tree_shape(nodes: dict[str, TaxonomyNode], root_id: str, where: Path) -> None:
+    """Raises SchemaError, naming the node, unless the child lists form one
+    tree: no parent cycle, one parent per non-root node, every node reachable
+    from the root, and each child one level deeper than its parent. Every
+    walk down from the root then ends.
+
+    One walk down from the root finds all of these. A cycle through the root
+    lists the root as a child; any other cycle reached from the root enters it
+    at a node with two parents; a cycle detached from the root is unreachable.
+    """
+    parent_of: dict[str, str] = {}
+    reached = [root_id]
+    for node_id in reached:
+        node = nodes[node_id]
+        for child_id in node.children:
+            if child_id == root_id:
+                raise SchemaError(
+                    f"{where}: parent cycle: root {root_id!r} is listed as a child of {node_id!r}"
+                )
+            if child_id in parent_of:
+                if parent_of[child_id] == node_id:
+                    raise SchemaError(f"{where}: node {child_id!r} is listed twice under {node_id!r}")
+                raise SchemaError(
+                    f"{where}: node {child_id!r} is listed under two parents, "
+                    f"{parent_of[child_id]!r} and {node_id!r}"
+                )
+            if nodes[child_id].depth != node.depth + 1:
+                raise SchemaError(
+                    f"{where}: node {child_id!r} has depth {nodes[child_id].depth}, "
+                    f"expected {node.depth + 1} (its parent {node_id!r} has depth {node.depth})"
+                )
+            parent_of[child_id] = node_id
+            reached.append(child_id)
+    if len(reached) < len(nodes):
+        stray = min(set(nodes) - set(reached))
+        raise SchemaError(f"{where}: node {stray!r} is not reachable from the root {root_id!r}")
+
+
 def load(directory: str | Path) -> Taxonomy:
     directory = Path(directory)
     tax_path = directory / TAXONOMY_FILE
@@ -386,6 +424,7 @@ def load(directory: str | Path) -> Taxonomy:
                 raise SchemaError(
                     f"{tax_path}: node {node.node_id!r} references unknown child {child_id!r}"
                 )
+    _check_tree_shape(nodes, root_id, tax_path)
 
     assignment: dict[str, list[str]] = {}
     for sid, leaf_ids in assignment_doc.items():

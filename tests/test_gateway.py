@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import gc
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -319,8 +323,11 @@ def test_embed_dimension_mismatch_raises():
 
 
 class StubResponse:
-    def __init__(self, status_code: int, payload: dict | None = None, text: str = ""):
+    def __init__(
+        self, status_code: int, payload: dict | None = None, text: str = "", headers: dict | None = None
+    ):
         self.status_code = status_code
+        self.headers = headers or {}
         self._payload = payload or {}
         self.text = text or json.dumps(self._payload)
 
@@ -401,6 +408,88 @@ def test_rate_limited_chat_is_retried_by_the_gateway():
     assert len(session.requests) == 2
 
 
+def test_http_backends_carry_numeric_retry_after():
+    chat_req = ChatRequest(system_prompt=SYS, user_prompt=USER, model="m")
+    cases = [
+        (429, {"Retry-After": "7"}, 7.0),
+        (503, {"Retry-After": "0.5"}, 0.5),
+        (408, {}, None),
+        (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+        (429, {"Retry-After": "-3"}, None),
+        (429, {"Retry-After": "86400"}, 60.0),
+    ]
+    for status, headers, expected in cases:
+        session = StubSession(StubResponse(status, headers=headers))
+        calls = (
+            lambda: HttpChatBackend("http://x", session=session).complete(chat_req, "x"),
+            lambda: HttpEmbeddingBackend("http://x", session=session).embed(["a"], "emb"),
+        )
+        for call in calls:
+            with pytest.raises(TransportError) as info:
+                call()
+            assert info.value.retry_after == expected, (status, headers)
+
+
+def _sleep_recorder(monkeypatch, gw):
+    """Replaces time.sleep with a recorder that also notes whether a
+    permit was free while the gateway slept."""
+    sleeps: list[tuple[float, bool]] = []
+
+    def record(seconds):
+        free = gw._permits.acquire(blocking=False)
+        if free:
+            gw._permits.release()
+        sleeps.append((seconds, free))
+
+    monkeypatch.setattr(time, "sleep", record)
+    return sleeps
+
+
+def test_gateway_sleeps_the_longer_of_backoff_and_retry_after(monkeypatch):
+    payload = {"choices": [{"message": {"content": "2"}}]}
+    for retry_after, backoff, expected in (("3", 0.5, 3.0), ("0.1", 0.5, 0.5), (None, 0.25, 0.25)):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+
+        class RateLimited(StubSession):
+            def post(self, url, json=None, headers=None, timeout=None, _h=headers):
+                self.requests.append({"url": url})
+                if len(self.requests) == 1:
+                    return StubResponse(429, headers=_h)
+                return StubResponse(200, payload)
+
+        session = RateLimited(None)
+        gw = LlmGateway(
+            chat_backend=HttpChatBackend("http://x", session=session),
+            retry_backoff=backoff,
+            workers=1,
+        )
+        sleeps = _sleep_recorder(monkeypatch, gw)
+        assert gw.chat(SYS, USER, label="x").text == "2"
+        assert sleeps == [(expected, True)]
+
+
+def test_gateway_retries_embedding_transport_errors(monkeypatch):
+    payload = {"data": [{"embedding": [1.0, 0.0]}]}
+
+    class Unavailable(StubSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.requests.append({"url": url})
+            if len(self.requests) == 1:
+                return StubResponse(503, headers={"Retry-After": "2"})
+            return StubResponse(200, payload)
+
+    session = Unavailable(None)
+    gw = LlmGateway(
+        embedding_backend=HttpEmbeddingBackend("http://x", session=session),
+        retry_backoff=0,
+        workers=1,
+    )
+    sleeps = _sleep_recorder(monkeypatch, gw)
+    assert gw.embed(["a"])[0].values.tolist() == [1.0, 0.0]
+    assert len(session.requests) == 2
+    assert sleeps == [(2.0, True)]
+
+
 def test_http_embedding_backend():
     payload = {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}
     session = StubSession(StubResponse(200, payload))
@@ -422,3 +511,151 @@ def test_run_parallel_preserves_order():
 def test_run_parallel_sequential_when_one_worker():
     gw = LlmGateway(workers=1)
     assert gw.run_parallel(lambda i: i + 1, [1, 2, 3]) == [2, 3, 4]
+
+
+def test_run_parallel_reuses_one_pool_across_maps():
+    gw = LlmGateway(workers=4)
+    barrier = threading.Barrier(4, timeout=10)
+
+    def whoami(_):
+        barrier.wait()  # all four items run at once, so the pool has four threads
+        return threading.current_thread()
+
+    first = gw.run_parallel(whoami, range(4))
+    second = gw.run_parallel(whoami, range(4))
+    assert threading.current_thread() not in first
+    assert len(set(first)) == 4
+    assert set(second) == set(first)
+
+
+def test_nested_run_parallel_runs_inline():
+    gw = LlmGateway(workers=2)
+    outcome: dict = {}
+
+    def inner_threads(_):
+        outer = threading.current_thread()
+        inner = gw.run_parallel(lambda _i: threading.current_thread(), range(5))
+        return all(thread is outer for thread in inner)
+
+    def run():
+        outcome["inline"] = gw.run_parallel(inner_threads, range(4))
+
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "nested map did not finish"
+    assert outcome["inline"] == [True] * 4
+
+
+class InflightBackend:
+    """Sleeps in every call and records the most calls in flight at once."""
+
+    def __init__(self, delay: float = 0.003) -> None:
+        self.delay = delay
+        self.inflight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request, label):
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            time.sleep(self.delay)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+        return ChatResponse(text="1", prompt_tokens=1, output_tokens=1)
+
+
+def test_workers_caps_calls_in_flight_across_callers():
+    backend = InflightBackend()
+    gw = LlmGateway(chat_backend=backend, workers=3)
+
+    def client():
+        for _ in range(3):
+            gw.run_parallel(lambda _i: gw.chat(SYS, USER, label="x"), range(6))
+            gw.chat(SYS, USER, label="x")
+
+    clients = [threading.Thread(target=client) for _ in range(4)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in clients)
+    assert gw.meter.snapshot()["total_calls"] == 4 * 3 * 7
+    assert backend.peak == 3
+
+
+def test_run_parallel_keeps_a_bounded_window(monkeypatch):
+    """Counts items handed to the pool and not yet finished."""
+    lock = threading.Lock()
+    state = {"open": 0, "peak": 0}
+    submit = concurrent.futures.ThreadPoolExecutor.submit
+
+    def counting_submit(pool, fn, *args, **kwargs):
+        with lock:
+            state["open"] += 1
+            state["peak"] = max(state["peak"], state["open"])
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", counting_submit)
+    gw = LlmGateway(workers=3)
+
+    def slow_square(i):
+        time.sleep(0.001)
+        with lock:
+            state["open"] -= 1
+        return i * i
+
+    assert gw.run_parallel(slow_square, range(60)) == [i * i for i in range(60)]
+    assert 3 <= state["peak"] <= 6
+
+
+def test_run_parallel_refills_when_any_item_finishes():
+    """Item 0 waits for the last item, which is only submitted if the
+    window refills behind item 0 as later items finish."""
+    gw = LlmGateway(workers=2)
+    last_started = threading.Event()
+
+    def work(i):
+        if i == 0:
+            return last_started.wait(timeout=10)
+        if i == 9:
+            last_started.set()
+        return True
+
+    assert gw.run_parallel(work, range(10)) == [True] * 10
+
+
+def test_run_parallel_stops_after_a_failure_and_raises_the_earliest():
+    gw = LlmGateway(workers=2)
+    started: list[int] = []
+
+    def work(i):
+        started.append(i)
+        if i in (1, 2):
+            raise ValueError(f"item {i}")
+        time.sleep(0.05)
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        gw.run_parallel(work, range(40))
+    assert len(started) <= 2 * gw.workers
+
+
+def test_dropped_gateway_lets_its_pool_threads_exit():
+    gw = LlmGateway(workers=3)
+    barrier = threading.Barrier(3, timeout=10)
+
+    def whoami(_):
+        barrier.wait()
+        return threading.current_thread()
+
+    threads = set(gw.run_parallel(whoami, range(3)))
+    assert all(thread.is_alive() for thread in threads)
+    del gw
+    gc.collect()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)

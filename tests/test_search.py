@@ -440,8 +440,8 @@ def test_search_config_validation():
         SearchConfig(mode="get_some")
     with pytest.raises(ConfigError):
         SearchConfig(merge_threshold=0)
-    with pytest.raises(ConfigError):
-        SearchConfig(workers=0)
+    with pytest.raises(TypeError):
+        SearchConfig(workers=20)
 
 
 def test_result_to_dict_round_trips_trace():

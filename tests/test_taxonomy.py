@@ -277,6 +277,40 @@ def test_load_rejects_unknown_leaf_reference(tmp_path):
         load(tmp_path)
 
 
+def _add_node(records: dict, node_id: str, depth: int, children=()) -> None:
+    records[node_id] = {"id": node_id, "name": node_id, "description": "", "boundary": "",
+                        "children": list(children), "depth": depth}
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # the two-node cycle root -> a -> root made retrieve descend forever
+        (lambda r: r["root/a"]["children"].append("root"), r"parent cycle: root 'root'.*'root/a'"),
+        (lambda r: (_add_node(r, "x", 1, ["y"]), _add_node(r, "y", 2, ["x"])),
+         r"node 'x' is not reachable from the root 'root'$"),
+        # a cycle below the root enters at a node with two parents
+        (lambda r: r["root/a/a1"].update(children=["root/a"]),
+         r"node 'root/a' is listed under two parents, 'root' and 'root/a/a1'$"),
+        (lambda r: r["root/b"]["children"].append("root/a/a1"),
+         r"node 'root/a/a1' is listed under two parents, 'root/a' and 'root/b'"),
+        (lambda r: r["root"]["children"].append("root/b"), r"node 'root/b' is listed twice under 'root'$"),
+        (lambda r: _add_node(r, "stray", 1), r"node 'stray' is not reachable from the root"),
+        (lambda r: r["root/a/a1"].update(depth=1), r"node 'root/a/a1' has depth 1, expected 2"),
+    ],
+    ids=["root-cycle", "detached-cycle", "inner-cycle", "two-parents", "listed-twice", "unreachable", "depth"],
+)
+def test_load_rejects_trees_that_are_not_one_tree(tmp_path, edit, match):
+    save(small_tree(), tmp_path)
+    doc = json.loads((tmp_path / "taxonomy.json").read_text())
+    records = {record["id"]: record for record in doc["nodes"]}
+    edit(records)
+    doc["nodes"] = list(records.values())
+    (tmp_path / "taxonomy.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=match):
+        load(tmp_path)
+
+
 def test_remove_child_requires_childless():
     tax = small_tree()
     with pytest.raises(DataError, match="still has children"):
