@@ -19,14 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prompts
-from .errors import ConfigError
-from .gateway import LlmGateway
+from .errors import ConfigError, ReplyParseError
+from .gateway import LlmGateway, metered
 from .registry import Registry
-from .search import RetrievalResult
+from .search import RetrievalResult, usage_fields
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_K_BY_SHAPE = {"toolret": 5, "publicmcp": 10}
+
+REWRITE_REASK_SUFFIX = "\n\nReply with the <tool_assistant> block in exactly the requested format."
 
 
 def default_k(shape: str) -> int:
@@ -47,7 +49,8 @@ def pure_llm_retrieve(query: str, registry: Registry, gateway: LlmGateway) -> Re
     unknown ones are dropped and counted, never guessed at."""
     catalog = "\n".join(f"{svc.id} | {svc.name}: {svc.description}" for svc in registry)
     system, user = prompts.render("pure_llm_retrieve", query=query, catalog=catalog)
-    response = gateway.chat(system, user, label="baseline.pure_llm")
+    with metered() as usage:
+        response = gateway.chat(system, user, label="baseline.pure_llm")
 
     returned: list[str] = []
     seen: set[str] = set()
@@ -65,13 +68,7 @@ def pure_llm_retrieve(query: str, registry: Registry, gateway: LlmGateway) -> Re
     flags = [f"dropped_unknown_ids:{dropped}"] if dropped else []
     if dropped:
         logger.warning("pure-LLM reply contained %d unknown ids", dropped)
-    return RetrievalResult(
-        service_ids=returned,
-        calls=1,
-        prompt_tokens=response.prompt_tokens,
-        output_tokens=response.output_tokens,
-        flags=flags,
-    )
+    return RetrievalResult(service_ids=returned, **usage_fields(usage.snapshot()), flags=flags)
 
 
 # -- dense embedding top-K ----------------------------------------------------
@@ -153,34 +150,28 @@ def rewrite_retrieve(
     """One chat call that rewrites the task into a tool description, whose
     embedding then drives top-K. A reply without a usable block gets one
     re-ask; after that the raw query embedding is used and flagged."""
-    template = prompts.load("rewrite_extract")
-    system, user = template.render(task=query)
-    response = gateway.chat(system, user, label="baseline.rewrite")
-    calls, ptok, otok = 1, response.prompt_tokens, response.output_tokens
-    extraction = parse_tool_assistant(response.text)
-    if extraction is None:
-        retry = gateway.chat(
-            system,
-            user + "\n\nReply with the <tool_assistant> block in exactly the requested format.",
-            label="baseline.rewrite",
-        )
-        calls += 1
-        ptok += retry.prompt_tokens
-        otok += retry.output_tokens
-        extraction = parse_tool_assistant(retry.text)
 
+    def parse(text: str) -> RewriteExtraction:
+        extraction = parse_tool_assistant(text)
+        if extraction is None:
+            raise ReplyParseError("no usable <tool_assistant> block")
+        return extraction
+
+    system, user = prompts.render("rewrite_extract", task=query)
     flags: list[str] = []
-    if extraction is None:
-        flags.append("rewrite_fallback")
-        logger.warning("rewrite reply had no usable <tool_assistant> block; using the raw query")
-        search_text = query
-    else:
-        search_text = extraction.tool_description
+    with metered() as usage:
+        try:
+            search_text = gateway.ask(
+                system, user, label="baseline.rewrite",
+                parse=parse, reask=lambda _: REWRITE_REASK_SUFFIX,
+            ).tool_description
+        except ReplyParseError:
+            flags.append("rewrite_fallback")
+            logger.warning(
+                "rewrite reply had no usable <tool_assistant> block; using the raw query"
+            )
+            search_text = query
     vector = gateway.embed([search_text], model=index.model)[0].values
     return RetrievalResult(
-        service_ids=rank_by_vector(vector, index, k),
-        calls=calls,
-        prompt_tokens=ptok,
-        output_tokens=otok,
-        flags=flags,
+        service_ids=rank_by_vector(vector, index, k), **usage_fields(usage.snapshot()), flags=flags
     )

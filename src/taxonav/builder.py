@@ -23,13 +23,13 @@ import json
 import logging
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
 from . import prompts
-from .errors import ConfigError, DataError, DesignError
-from .gateway import LlmGateway, extract_json_object, usage_delta
+from .errors import ConfigError, DataError, DesignError, ReplyParseError
+from .gateway import LlmGateway, UsageMeter, extract_json_object, metered
 from .registry import Registry, Service
 from .taxonomy import Taxonomy, TaxonomyNode
 
@@ -115,29 +115,12 @@ class BuildReport:
     def total_calls(self) -> int:
         return sum(self.calls_by_phase.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "calls_by_phase": dict(sorted(self.calls_by_phase.items())),
-            "tokens_by_phase": dict(sorted(self.tokens_by_phase.items())),
-            "total_calls": self.total_calls(),
-            "refine_iterations": self.refine_iterations,
-            "merged_tiny_categories": self.merged_tiny_categories,
-            "catchall_placements": self.catchall_placements,
-            "forced_placements": self.forced_placements,
-            "oversized_leaves": self.oversized_leaves,
-            "cross_domain": dict(sorted(self.cross_domain.items())),
-            "classification_failures": self.classification_failures,
-            "assigned_services": self.assigned_services,
-            "pruned_empty_categories": self.pruned_empty_categories,
-            "warnings": self.warnings,
-        }
-
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        payload = {**asdict(self), "total_calls": self.total_calls()}
         path.write_text(
-            json.dumps(self.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n",
+            json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
             encoding="utf-8",
         )
 
@@ -156,21 +139,15 @@ def _normalize_name(name: str) -> str:
     return re.sub(r"\s+", " ", name).strip().lower()
 
 
-def _phase_of(label: str) -> str:
-    return label.split(".", 1)[1] if "." in label else label
-
-
-def _fill_phases(report: BuildReport, delta: dict, prefixes: tuple[str, ...]) -> None:
-    for label, bucket in delta["labels"].items():
-        if not label.startswith(prefixes):
-            continue
-        phase = _phase_of(label)
-        report.calls_by_phase[phase] = report.calls_by_phase.get(phase, 0) + bucket["calls"]
-        report.tokens_by_phase[phase] = (
-            report.tokens_by_phase.get(phase, 0)
-            + bucket["prompt_tokens"]
-            + bucket["output_tokens"]
-        )
+def _fill_phases(report: BuildReport, usage: UsageMeter) -> None:
+    """Calls and tokens per phase, the label after its "build." or
+    "oneshot." prefix, from the meter of the build's metered() scope."""
+    labels = usage.snapshot()["labels"]
+    phases = {label.split(".", 1)[-1]: bucket for label, bucket in labels.items()}
+    report.calls_by_phase = {phase: b["calls"] for phase, b in phases.items()}
+    report.tokens_by_phase = {
+        phase: b["prompt_tokens"] + b["output_tokens"] for phase, b in phases.items()
+    }
 
 
 @dataclass
@@ -320,25 +297,30 @@ class TaxonomyBuilder:
         self, template_name: str, values: dict[str, str], *, label: str, report: BuildReport | None
     ) -> list[CategoryDraft]:
         """One design call with a single validation re-ask, then DesignError."""
-        system, user = prompts.render(template_name, **values)
-        response = self.gateway.chat(system, user, label=label)
-        try:
-            drafts, violation, warnings = self._parse_drafts(extract_json_object(response.text))
-        except Exception as exc:  # malformed JSON counts as a violation
-            drafts, violation, warnings = [], f"the reply was not a valid JSON object ({exc})", []
-        if violation is not None:
-            retry_user = (
-                user
-                + f"\n\nYour previous reply was invalid: {violation}."
-                + " Reply again with a single JSON object following the schema exactly."
-            )
-            retry = self.gateway.chat(system, retry_user, label=label)
+
+        def parse(text: str) -> tuple[list[CategoryDraft], list[str]]:
             try:
-                drafts, violation, warnings = self._parse_drafts(extract_json_object(retry.text))
-            except Exception as exc:
-                drafts, violation, warnings = [], f"the reply was not a valid JSON object ({exc})", []
+                obj = extract_json_object(text)
+            except ReplyParseError as exc:  # malformed JSON counts as a violation
+                raise ReplyParseError(f"the reply was not a valid JSON object ({exc})") from exc
+            drafts, violation, warnings = self._parse_drafts(obj)
             if violation is not None:
-                raise DesignError(f"category design failed after re-ask: {violation}")
+                raise ReplyParseError(violation)
+            return drafts, warnings
+
+        def reask(violation: ReplyParseError) -> str:
+            return (
+                f"\n\nYour previous reply was invalid: {violation}."
+                " Reply again with a single JSON object following the schema exactly."
+            )
+
+        system, user = prompts.render(template_name, **values)
+        try:
+            drafts, warnings = self.gateway.ask(
+                system, user, label=label, parse=parse, reask=reask
+            )
+        except ReplyParseError as exc:
+            raise DesignError(f"category design failed after re-ask: {exc}") from exc
         if report is not None:
             report.warnings.extend(warnings)
         return drafts
@@ -819,7 +801,6 @@ class TaxonomyBuilder:
         """Grows the full tree breadth-first, one level at a time, then runs
         the cross-domain pass."""
         cfg = self.cfg
-        before = self.gateway.meter.snapshot()
         report = BuildReport(method="bfs")
         taxonomy = Taxonomy()
         taxonomy.root.name = "All services"
@@ -833,18 +814,18 @@ class TaxonomyBuilder:
             )
 
         level = [(taxonomy.root_id, all_services)]
-        # Nodes that stay leaves drop out before their level is split.
-        while level := [entry for entry in level if splittable(*entry)]:
-            level = [
-                child
-                for children in self._split_level(taxonomy, level, report)
-                for child in children
-            ]
-
-        taxonomy.rebuild_assignment()
-        self.cross_domain_assign(taxonomy, registry, report)
+        with metered() as usage:
+            # Nodes that stay leaves drop out before their level is split.
+            while level := [entry for entry in level if splittable(*entry)]:
+                level = [
+                    child
+                    for children in self._split_level(taxonomy, level, report)
+                    for child in children
+                ]
+            taxonomy.rebuild_assignment()
+            self.cross_domain_assign(taxonomy, registry, report)
         report.assigned_services = len(taxonomy.assignment)
-        _fill_phases(report, usage_delta(before, self.gateway.meter.snapshot()), ("build.",))
+        _fill_phases(report, usage)
         return taxonomy, report
 
 
@@ -965,77 +946,77 @@ def build_oneshot(
     if variant not in ONESHOT_VARIANTS:
         raise DataError(f"unknown one-shot variant {variant!r}; expected one of {ONESHOT_VARIANTS}")
     builder = TaxonomyBuilder(gateway, cfg)
-    before = gateway.meter.snapshot()
     report = BuildReport(method=f"oneshot-{variant}")
     services = list(registry)
     if not services:
         raise DataError("cannot build a taxonomy over an empty registry")
 
-    if variant == "freq":
-        table = builder.extract_keywords(services, label="oneshot.keyword")
-        payload_header = "Keyword frequencies (keyword, number of services mentioning it):"
-        payload = table.render()
-    else:
-        payload_header = "Services:"
-        payload = _numbered_services(services)
-    axis_prefix = prompts.snippet("axis_rules") + "\n\n" if variant == "axis" else ""
+    with metered() as usage:
+        if variant == "freq":
+            table = builder.extract_keywords(services, label="oneshot.keyword")
+            payload_header = "Keyword frequencies (keyword, number of services mentioning it):"
+            payload = table.render()
+        else:
+            payload_header = "Services:"
+            payload = _numbered_services(services)
+        axis_prefix = prompts.snippet("axis_rules") + "\n\n" if variant == "axis" else ""
 
-    system, user = prompts.render(
-        "oneshot_design", axis_prefix=axis_prefix, payload_header=payload_header, payload=payload
-    )
-    design = gateway.chat_json(system, user, label="oneshot.design")
-    if design is None:
-        raise DesignError("one-shot design produced no parsable JSON tree")
-    taxonomy = _tree_from_design(design, report)
+        system, user = prompts.render(
+            "oneshot_design", axis_prefix=axis_prefix, payload_header=payload_header, payload=payload
+        )
+        design = gateway.chat_json(system, user, label="oneshot.design")
+        if design is None:
+            raise DesignError("one-shot design produced no parsable JSON tree")
+        taxonomy = _tree_from_design(design, report)
 
-    classify_template = prompts.load("oneshot_classify")
+        classify_template = prompts.load("oneshot_classify")
 
-    def classify_all() -> list[dict]:
-        outline = _render_outline(taxonomy)
+        def classify_all() -> list[dict]:
+            outline = _render_outline(taxonomy)
 
-        def call(svc: Service) -> tuple[str | None, str]:
-            sys_p, user_p = classify_template.render(
-                tree=outline, service_name=svc.name, service_description=svc.description
-            )
-            reply = gateway.chat(sys_p, user_p, label="oneshot.classify").text
-            return _resolve_path(taxonomy, reply), reply
+            def call(svc: Service) -> tuple[str | None, str]:
+                sys_p, user_p = classify_template.render(
+                    tree=outline, service_name=svc.name, service_description=svc.description
+                )
+                reply = gateway.chat(sys_p, user_p, label="oneshot.classify").text
+                return _resolve_path(taxonomy, reply), reply
 
-        failures: list[dict] = []
-        for leaf in taxonomy.nodes.values():
-            leaf.service_ids = []
-        for svc, (leaf_id, reply) in zip(services, gateway.run_parallel(call, services)):
-            if leaf_id is None:
-                failures.append({"service_id": svc.id, "reply": reply.strip()[:200]})
-            else:
-                taxonomy.node(leaf_id).service_ids.append(svc.id)
-        return failures
+            failures: list[dict] = []
+            for leaf in taxonomy.nodes.values():
+                leaf.service_ids = []
+            for svc, (leaf_id, reply) in zip(services, gateway.run_parallel(call, services)):
+                if leaf_id is None:
+                    failures.append({"service_id": svc.id, "reply": reply.strip()[:200]})
+                else:
+                    taxonomy.node(leaf_id).service_ids.append(svc.id)
+            return failures
 
-    failures = classify_all()
-    if variant == "refine":
-        cycles = 0
-        while failures and cycles < cfg.max_refine_iterations:
-            failed_services = [registry.get(f["service_id"]) for f in failures]
-            sys_p, user_p = prompts.render(
-                "oneshot_refine",
-                tree=_render_outline(taxonomy),
-                failure_count=str(len(failures)),
-                failures=_numbered_services(failed_services[:20]),
-            )
-            refined = gateway.chat_json(sys_p, user_p, label="oneshot.refine")
-            if refined is None:
-                report.warnings.append("one-shot refinement reply unusable; stopping early")
-                break
-            try:
-                taxonomy = _tree_from_design(refined, report)
-            except DesignError as exc:
-                report.warnings.append(f"one-shot refinement rejected: {exc}")
-                break
-            failures = classify_all()
-            cycles += 1
+        failures = classify_all()
+        if variant == "refine":
+            cycles = 0
+            while failures and cycles < cfg.max_refine_iterations:
+                failed_services = [registry.get(f["service_id"]) for f in failures]
+                sys_p, user_p = prompts.render(
+                    "oneshot_refine",
+                    tree=_render_outline(taxonomy),
+                    failure_count=str(len(failures)),
+                    failures=_numbered_services(failed_services[:20]),
+                )
+                refined = gateway.chat_json(sys_p, user_p, label="oneshot.refine")
+                if refined is None:
+                    report.warnings.append("one-shot refinement reply unusable; stopping early")
+                    break
+                try:
+                    taxonomy = _tree_from_design(refined, report)
+                except DesignError as exc:
+                    report.warnings.append(f"one-shot refinement rejected: {exc}")
+                    break
+                failures = classify_all()
+                cycles += 1
 
     report.classification_failures = failures
     _prune_empty(taxonomy, report)
     taxonomy.rebuild_assignment()
     report.assigned_services = len(taxonomy.assignment)
-    _fill_phases(report, usage_delta(before, gateway.meter.snapshot()), ("oneshot.",))
+    _fill_phases(report, usage)
     return taxonomy, report

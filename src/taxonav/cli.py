@@ -394,7 +394,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "mean_ground_truth_size": mean_ground_truth_size(queries),
         }
     if args.taxonomy:
-        payload["taxonomy"] = taxonomy_io.stats(taxonomy_io.load(args.taxonomy)).to_dict()
+        tax_stats = taxonomy_io.stats(taxonomy_io.load(args.taxonomy))
+        payload["taxonomy"] = dataclasses.asdict(tax_stats)
     print(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True))
     return 0
 

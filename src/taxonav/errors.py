@@ -40,7 +40,15 @@ class MalformedReplyError(GatewayError):
     """The backend answered, but the reply is structurally unusable."""
 
 
-class IndexParseError(GatewayError):
+class ReplyParseError(MalformedReplyError):
+    """A reply that does not parse into what the caller asked for.
+
+    ``LlmGateway.ask`` re-asks once on this error only, so a backend failure
+    (a plain MalformedReplyError) is never mistaken for a bad answer.
+    """
+
+
+class IndexParseError(ReplyParseError):
     """A reply that should contain list indices contains no digits at all."""
 
 

@@ -18,7 +18,7 @@ import json
 import logging
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import fmean
 
@@ -91,22 +91,6 @@ class PerQueryRecord:
     flags: list[str] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "returned": self.returned,
-            "truth": self.truth,
-            "hit": self.hit,
-            "recall": self.recall,
-            "precision": self.precision,
-            "calls": self.calls,
-            "prompt_tokens": self.prompt_tokens,
-            "output_tokens": self.output_tokens,
-            "error": self.error,
-            "flags": self.flags,
-            "trace": self.trace,
-        }
-
     @classmethod
     def from_dict(cls, record: dict) -> "PerQueryRecord":
         try:
@@ -142,19 +126,7 @@ class Summary:
     calls_per_query: float
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "setting": self.setting,
-            "query_count": self.query_count,
-            "failure_count": self.failure_count,
-            "hit_rate": self.hit_rate,
-            "recall": self.recall,
-            "precision": self.precision,
-            "precision_is_secondary": True,
-            "tokens_per_query": self.tokens_per_query,
-            "calls_per_query": self.calls_per_query,
-        }
+        return {**asdict(self), "precision_is_secondary": True}
 
 
 def summarize(records: Sequence[PerQueryRecord], cfg: EvalConfig) -> Summary:
@@ -209,7 +181,9 @@ def evaluate(
             output_tokens=result.output_tokens,
             error=error,
             flags=list(result.flags),
-            trace=[step.to_dict() for step in result.trace],
+            # vars(), not asdict(), here and in write_run: asdict deep-copies
+            # every field, tens of times slower, for every step and record.
+            trace=[dict(vars(step)) for step in result.trace],
         )
 
     if cfg.workers <= 1 or len(queries) <= 1:
@@ -236,7 +210,7 @@ def write_run(run_dir: str | Path, summary: Summary, records: Sequence[PerQueryR
     dump_json(summary.to_dict(), run_dir / SUMMARY_FILE)
     with (run_dir / PER_QUERY_FILE).open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(record), ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def load_summary(run_dir: str | Path) -> dict:

@@ -4,8 +4,17 @@ Every LLM interaction in the package goes through ``LlmGateway`` so that
 usage accounting, retry policy, concurrency limits and determinism rules
 live in one place. Chat temperature is pinned to 0. Transport failures retry
 with exponential backoff, or after the server's Retry-After when that is
-longer; unparseable index-list replies get exactly one stricter re-ask and
-then resolve to an empty selection so pipelines degrade instead of dying.
+longer.
+
+``LlmGateway.ask`` is the one call-parse-re-ask path: a reply whose parser
+raises ReplyParseError gets exactly one re-ask with a stricter suffix, and a
+second parse failure propagates for the caller to degrade on (an empty
+selection, None, a DesignError, a flagged fallback).
+
+Every chat call is counted in the gateway's ``meter`` and in the meter of
+each enclosing ``metered()`` scope. The scope lives in a context variable
+that ``run_parallel`` carries onto its pool threads, so a query or a build
+counts exactly its own calls even when others share the gateway.
 
 The scripted mock backend is the test and offline workhorse: a table of
 (label pattern, prompt regex) -> reply rules, optionally fronted by a
@@ -14,26 +23,37 @@ programmable oracle callable that inspects the full request.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import logging
 import math
+import os
 import re
+import tempfile
 import threading
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
 
-from .errors import GatewayError, IndexParseError, MalformedReplyError, TransportError
+from .errors import (
+    GatewayError,
+    IndexParseError,
+    MalformedReplyError,
+    ReplyParseError,
+    TransportError,
+)
 
 logger = logging.getLogger(__name__)
 
 STRICT_REPLY_SUFFIX = "\n\nReply only with comma-separated numbers."
+JSON_REPLY_SUFFIX = "\n\nReply with a single valid JSON object and nothing else."
 
 # HTTP statuses below 500 that mean "try again later": request timeout and
 # rate limiting. They raise TransportError so the gateway's backoff retries.
@@ -61,17 +81,21 @@ def parse_index_list(text: str, n_options: int) -> tuple[set[int], int]:
 
     Tolerates prose, brackets, and repeats. Returns the in-range index set
     plus a count of out-of-range tokens that were dropped. A reply with no
-    digits at all raises IndexParseError so the caller can re-ask.
+    digits at all raises IndexParseError so the caller can re-ask. A token
+    with more significant digits than n_options is dropped unconverted, so a
+    huge number cannot trip the interpreter's int-string digit limit.
     """
     if n_options < 1:
         raise ValueError("n_options must be >= 1")
     tokens = re.findall(r"\d+", text)
     if not tokens:
         raise IndexParseError(f"no indices found in reply {text[:120]!r}")
+    max_digits = len(str(n_options))
     chosen: set[int] = set()
     dropped = 0
     for token in tokens:
-        idx = int(token)
+        token = token.lstrip("0")
+        idx = int(token) if token and len(token) <= max_digits else 0
         if 1 <= idx <= n_options:
             chosen.add(idx)
         else:
@@ -85,13 +109,15 @@ def extract_json_object(text: str) -> dict:
     start = cleaned.find("{")
     end = cleaned.rfind("}")
     if start < 0 or end <= start:
-        raise MalformedReplyError(f"no JSON object in reply {text[:120]!r}")
+        raise ReplyParseError(f"no JSON object in reply {text[:120]!r}")
     try:
         obj = json.loads(cleaned[start : end + 1])
     except json.JSONDecodeError as exc:
-        raise MalformedReplyError(f"invalid JSON in reply: {exc.msg}") from exc
+        raise ReplyParseError(f"invalid JSON in reply: {exc.msg}") from exc
+    except RecursionError:
+        raise ReplyParseError("reply JSON nests too deeply") from None
     if not isinstance(obj, dict):
-        raise MalformedReplyError("reply JSON is not an object")
+        raise ReplyParseError("reply JSON is not an object")
     return obj
 
 
@@ -128,14 +154,12 @@ class ChatResponse:
 
 @dataclass
 class SelectionResult:
-    """Outcome of an index-list chat, including the re-ask if one happened."""
+    """Outcome of an index-list chat; parse_failed means the reply and its
+    re-ask were both unparseable, so nothing was selected."""
 
     indices: tuple[int, ...]
     dropped: int
     parse_failed: bool
-    calls: int
-    prompt_tokens: int
-    output_tokens: int
 
 
 class UsageMeter:
@@ -165,20 +189,23 @@ class UsageMeter:
         }
 
 
-def usage_delta(before: dict, after: dict) -> dict:
-    """Per-label difference between two UsageMeter snapshots."""
-    labels = {}
-    for name, bucket in after["labels"].items():
-        prev = before["labels"].get(name, {"calls": 0, "prompt_tokens": 0, "output_tokens": 0})
-        diff = {key: bucket[key] - prev[key] for key in bucket}
-        if any(diff.values()):
-            labels[name] = diff
-    return {
-        "total_calls": after["total_calls"] - before["total_calls"],
-        "total_prompt_tokens": after["total_prompt_tokens"] - before["total_prompt_tokens"],
-        "total_output_tokens": after["total_output_tokens"] - before["total_output_tokens"],
-        "labels": labels,
-    }
+# The meters of the metered() scopes the current context is inside.
+_SCOPES: contextvars.ContextVar[tuple[UsageMeter, ...]] = contextvars.ContextVar(
+    "taxonav_usage_scopes", default=()
+)
+
+
+@contextmanager
+def metered() -> Iterator[UsageMeter]:
+    """Yields a fresh UsageMeter that counts every chat call made inside the
+    block: on this thread, and on the pool threads of the run_parallel maps
+    it starts. Scopes nest; a call counts toward every enclosing scope."""
+    meter = UsageMeter()
+    token = _SCOPES.set((*_SCOPES.get(), meter))
+    try:
+        yield meter
+    finally:
+        _SCOPES.reset(token)
 
 
 @dataclass
@@ -445,7 +472,6 @@ class LlmGateway:
         *,
         chat_model: str = "mock-chat",
         embedding_model: str = "mock-embed",
-        meter: UsageMeter | None = None,
         retries: int = 3,
         retry_backoff: float = 1.0,
         thinking_disable_patterns: Sequence[str] = DEFAULT_THINKING_DISABLE_PATTERNS,
@@ -456,7 +482,7 @@ class LlmGateway:
         self.embedding_backend = embedding_backend
         self.chat_model = chat_model
         self.embedding_model = embedding_model
-        self.meter = meter or UsageMeter()
+        self.meter = UsageMeter()
         self.retries = max(1, retries)
         self.retry_backoff = retry_backoff
         self.thinking_disable_patterns = tuple(thinking_disable_patterns)
@@ -508,54 +534,62 @@ class LlmGateway:
         response = self._call_backend(
             "chat", label, lambda: self.chat_backend.complete(request, label)
         )
-        self.meter.record(label, response.prompt_tokens, response.output_tokens)
+        for meter in (self.meter, *_SCOPES.get()):
+            meter.record(label, response.prompt_tokens, response.output_tokens)
         return response
+
+    def ask(
+        self,
+        system_prompt: str,
+        user_prompt: str,
+        *,
+        label: str,
+        parse: Callable[[str], T],
+        reask: Callable[[ReplyParseError], str],
+    ) -> T:
+        """One chat call whose reply text goes through parse.
+
+        When parse raises ReplyParseError, the same prompt is asked once more
+        with reask(error) appended. If that reply fails to parse too, its
+        ReplyParseError propagates, with the first reply's error as its
+        __cause__. Errors of the chat calls themselves propagate unchanged.
+        """
+        reply = self.chat(system_prompt, user_prompt, label=label).text
+        try:
+            return parse(reply)
+        except ReplyParseError as exc:
+            first = exc
+        retry = self.chat(system_prompt, user_prompt + reask(first), label=label).text
+        try:
+            return parse(retry)
+        except ReplyParseError as exc:
+            raise exc from first
 
     def select_indices(
         self, system_prompt: str, user_prompt: str, *, label: str, n_options: int
     ) -> SelectionResult:
         """Index-list chat with the one-re-ask-then-empty degradation policy."""
-        response = self.chat(system_prompt, user_prompt, label=label)
-        calls, ptok, otok = 1, response.prompt_tokens, response.output_tokens
         try:
-            indices, dropped = parse_index_list(response.text, n_options)
-            parse_failed = False
+            indices, dropped = self.ask(
+                system_prompt, user_prompt, label=label,
+                parse=lambda text: parse_index_list(text, n_options),
+                reask=lambda _: STRICT_REPLY_SUFFIX,
+            )
         except IndexParseError:
-            retry = self.chat(system_prompt, user_prompt + STRICT_REPLY_SUFFIX, label=label)
-            calls += 1
-            ptok += retry.prompt_tokens
-            otok += retry.output_tokens
-            try:
-                indices, dropped = parse_index_list(retry.text, n_options)
-                parse_failed = False
-            except IndexParseError:
-                logger.warning("index reply unparseable after re-ask (%s); selecting nothing", label)
-                indices, dropped, parse_failed = set(), 0, True
-        return SelectionResult(
-            indices=tuple(sorted(indices)),
-            dropped=dropped,
-            parse_failed=parse_failed,
-            calls=calls,
-            prompt_tokens=ptok,
-            output_tokens=otok,
-        )
+            logger.warning("index reply unparseable after re-ask (%s); selecting nothing", label)
+            return SelectionResult(indices=(), dropped=0, parse_failed=True)
+        return SelectionResult(indices=tuple(sorted(indices)), dropped=dropped, parse_failed=False)
 
     def chat_json(self, system_prompt: str, user_prompt: str, *, label: str) -> dict | None:
         """JSON-object chat with one re-ask; None when both replies are junk."""
-        response = self.chat(system_prompt, user_prompt, label=label)
         try:
-            return extract_json_object(response.text)
-        except MalformedReplyError as exc:
-            retry = self.chat(
-                system_prompt,
-                user_prompt + "\n\nReply with a single valid JSON object and nothing else.",
-                label=label,
+            return self.ask(
+                system_prompt, user_prompt, label=label,
+                parse=extract_json_object, reask=lambda _: JSON_REPLY_SUFFIX,
             )
-            try:
-                return extract_json_object(retry.text)
-            except MalformedReplyError:
-                logger.warning("JSON reply unparseable after re-ask (%s): %s", label, exc)
-                return None
+        except ReplyParseError as exc:
+            logger.warning("JSON reply unparseable after re-ask (%s): %s", label, exc.__cause__)
+            return None
 
     # -- embeddings ------------------------------------------------------
 
@@ -569,18 +603,32 @@ class LlmGateway:
         if self.cache_dir is not None:
             path = self.cache_dir / f"{key}.npy"
             if path.exists():
-                vec = np.load(path)
+                try:
+                    vec = np.load(path)
+                except (OSError, ValueError, EOFError) as exc:
+                    logger.warning("unreadable embedding cache entry %s (%s)", path, exc)
+                    return None
                 with self._cache_lock:
                     self._memory_cache[key] = vec
                 return vec
         return None
 
     def _cache_store(self, key: str, vec: np.ndarray) -> None:
+        """Writes to a temporary file in the cache directory and renames it
+        into place, so a reader never sees a partly written entry."""
         with self._cache_lock:
             self._memory_cache[key] = vec
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            np.save(self.cache_dir / f"{key}.npy", vec)
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    np.save(fh, vec)
+                os.replace(tmp, self.cache_dir / f"{key}.npy")
+            except BaseException:
+                with suppress(OSError):
+                    os.unlink(tmp)
+                raise
 
     def embed(self, texts: Sequence[str], *, model: str | None = None) -> list[EmbeddingVector]:
         """Embeds texts with content-hash caching; vectors come back unit-norm."""
@@ -632,9 +680,11 @@ class LlmGateway:
         """Maps fn over items on the gateway's pool; results in input order.
 
         One item, one worker, or a call from one of the pool's own threads
-        (a nested map, which would otherwise wait on itself) runs inline. At
-        most 2 x workers items are submitted and unfinished at a time; a slot
-        frees as soon as any item finishes. After a failure no further item
+        (a nested map, which would otherwise wait on itself) runs inline. A
+        pooled item runs in a copy of the caller's context, so the caller's
+        metered() scopes count its calls. At most 2 x workers items are
+        submitted and unfinished at a time; a slot frees as soon as any item
+        finishes. After a failure no further item
         starts; once the started ones finish, the exception of the earliest
         failed item is raised.
         """
@@ -660,7 +710,7 @@ class LlmGateway:
             if errors:
                 window.release()
                 break
-            pool.submit(run, index)
+            pool.submit(contextvars.copy_context().run, run, index)
         for _ in range(slots):  # every slot back: every started item has finished
             window.acquire()
         if errors:

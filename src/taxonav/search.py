@@ -16,13 +16,13 @@ order, so retrieval is deterministic for a fixed backend script.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from statistics import fmean
 
 from . import prompts
 from .errors import ConfigError
-from .gateway import LlmGateway
+from .gateway import LlmGateway, metered
 from .registry import Registry
 from .taxonomy import Taxonomy
 
@@ -80,17 +80,6 @@ class TraceStep:
     parse_failed: bool = False
     depth: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "node_id": self.node_id,
-            "options_shown": self.options_shown,
-            "chosen": self.chosen,
-            "dropped": self.dropped,
-            "parse_failed": self.parse_failed,
-            "depth": self.depth,
-        }
-
 
 @dataclass
 class RetrievalResult:
@@ -107,19 +96,17 @@ class RetrievalResult:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "service_ids": self.service_ids,
-            "calls": self.calls,
-            "navigation_calls": self.navigation_calls,
-            "selection_calls": self.selection_calls,
-            "prompt_tokens": self.prompt_tokens,
-            "output_tokens": self.output_tokens,
-            "depth_reached": self.depth_reached,
-            "branches_per_level": self.branches_per_level,
-            "groups_visited": self.groups_visited,
-            "flags": self.flags,
-            "trace": [step.to_dict() for step in self.trace],
-        }
+        return asdict(self)
+
+
+def usage_fields(snap: dict) -> dict[str, int]:
+    """The calls and token fields of a RetrievalResult, from a snapshot of
+    the meter of the metered() scope that the retrieval ran in."""
+    return {
+        "calls": snap["total_calls"],
+        "prompt_tokens": snap["total_prompt_tokens"],
+        "output_tokens": snap["total_output_tokens"],
+    }
 
 
 def navigate(
@@ -127,7 +114,7 @@ def navigate(
     query: str,
     mode: str,
     gateway: LlmGateway,
-) -> tuple[list[LeafHit], list[TraceStep], dict]:
+) -> tuple[list[LeafHit], list[TraceStep]]:
     """Descends from the root, one chat call per visited internal node.
 
     Fan-out is processed level by level with parallel calls; hits and trace
@@ -138,7 +125,6 @@ def navigate(
     instruction = NAVIGATE_INSTRUCTIONS[mode]
     hits: list[tuple[tuple[int, ...], LeafHit]] = []
     steps: list[tuple[tuple[int, ...], TraceStep]] = []
-    counters = {"calls": 0, "prompt_tokens": 0, "output_tokens": 0}
 
     frontier: list[tuple[tuple[int, ...], str]] = [((), taxonomy.root_id)]
     while frontier:
@@ -168,9 +154,6 @@ def navigate(
         next_frontier: list[tuple[tuple[int, ...], str]] = []
         for (path, node_id), sel in zip(internal, selections):
             node = taxonomy.node(node_id)
-            counters["calls"] += sel.calls
-            counters["prompt_tokens"] += sel.prompt_tokens
-            counters["output_tokens"] += sel.output_tokens
             steps.append(
                 (
                     path,
@@ -191,7 +174,7 @@ def navigate(
 
     hits.sort(key=lambda item: item[0])
     steps.sort(key=lambda item: item[0])
-    return [hit for _, hit in hits], [step for _, step in steps], counters
+    return [hit for _, hit in hits], [step for _, step in steps]
 
 
 def dedup(hits: list[LeafHit]) -> list[LeafHit]:
@@ -262,7 +245,7 @@ def select_services(
     mode: str,
     registry: Registry,
     gateway: LlmGateway,
-) -> tuple[list[str], TraceStep, dict]:
+) -> tuple[list[str], TraceStep]:
     """One chat call choosing services from a merged group."""
     services = [registry.get(sid) for sid in group.services]
     options = "\n".join(
@@ -286,8 +269,7 @@ def select_services(
         dropped=sel.dropped,
         parse_failed=sel.parse_failed,
     )
-    counters = {"calls": sel.calls, "prompt_tokens": sel.prompt_tokens, "output_tokens": sel.output_tokens}
-    return chosen, step, counters
+    return chosen, step
 
 
 def retrieve(
@@ -304,23 +286,19 @@ def retrieve(
     """
     cfg = cfg or SearchConfig()
 
-    hits, nav_steps, nav_counters = navigate(taxonomy, query, cfg.mode, gateway)
-    groups = merge_small_groups(dedup(hits), cfg.merge_threshold, taxonomy)
-    groups = [g for g in groups if g.services]
-
-    selections = gateway.run_parallel(
-        lambda g: select_services(g, query, cfg.mode, registry, gateway), groups
-    )
+    with metered() as usage:
+        hits, nav_steps = navigate(taxonomy, query, cfg.mode, gateway)
+        groups = merge_small_groups(dedup(hits), cfg.merge_threshold, taxonomy)
+        groups = [g for g in groups if g.services]
+        selections = gateway.run_parallel(
+            lambda g: select_services(g, query, cfg.mode, registry, gateway), groups
+        )
 
     service_ids: list[str] = []
     steps = list(nav_steps)
-    sel_calls = sel_ptok = sel_otok = 0
-    for chosen, step, counters in selections:
+    for chosen, step in selections:
         service_ids.extend(chosen)
         steps.append(step)
-        sel_calls += counters["calls"]
-        sel_ptok += counters["prompt_tokens"]
-        sel_otok += counters["output_tokens"]
     if cfg.mode == "get_one":
         service_ids = service_ids[:1]
 
@@ -331,15 +309,14 @@ def retrieve(
     leaf_depths = [
         taxonomy.node(h.leaf_id).depth for h in hits
     ]
+    snap = usage.snapshot()
 
     return RetrievalResult(
         service_ids=service_ids,
         trace=steps,
-        calls=nav_counters["calls"] + sel_calls,
-        navigation_calls=nav_counters["calls"],
-        selection_calls=sel_calls,
-        prompt_tokens=nav_counters["prompt_tokens"] + sel_ptok,
-        output_tokens=nav_counters["output_tokens"] + sel_otok,
+        **usage_fields(snap),
+        navigation_calls=snap["labels"].get("search.navigate", {}).get("calls", 0),
+        selection_calls=snap["labels"].get("search.select", {}).get("calls", 0),
         depth_reached=max(leaf_depths) if leaf_depths else 0,
         branches_per_level=branches,
         groups_visited=len(groups),

@@ -210,17 +210,6 @@ class TaxonomyStats:
     branching_mean: float
     branching_max: int
 
-    def to_dict(self) -> dict:
-        return {
-            "total_categories": self.total_categories,
-            "leaf_categories": self.leaf_categories,
-            "max_depth": self.max_depth,
-            "avg_services_per_leaf": self.avg_services_per_leaf,
-            "branching_min": self.branching_min,
-            "branching_mean": self.branching_mean,
-            "branching_max": self.branching_max,
-        }
-
 
 def stats(taxonomy: Taxonomy) -> TaxonomyStats:
     """Structure statistics. Services sitting in several leaves count once

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import gc
 import json
+import sys
 import threading
 import time
 
@@ -17,6 +18,7 @@ from taxonav.errors import (
     GatewayError,
     IndexParseError,
     MalformedReplyError,
+    ReplyParseError,
     TransportError,
 )
 from taxonav.gateway import (
@@ -33,8 +35,8 @@ from taxonav.gateway import (
     estimate_tokens,
     extract_json_object,
     l2_normalize,
+    metered,
     parse_index_list,
-    usage_delta,
 )
 
 SYS = "You are a router."
@@ -101,6 +103,55 @@ def test_extract_json_object_rejects_junk():
         extract_json_object("[1, 2]")
 
 
+def test_parse_index_list_drops_huge_numbers_unconverted():
+    # int() of a 5,000-digit string would hit the int-string digit limit
+    assert parse_index_list("pick " + "9" * 5000, 5) == (set(), 1)
+    assert parse_index_list("0" * 5000 + "3, 12", 5) == ({3}, 1)
+
+
+def test_extract_json_object_deep_nesting_is_a_malformed_reply():
+    with pytest.raises(MalformedReplyError, match="nests too deeply"):
+        extract_json_object('{"a": ' + "[" * 100000 + "]" * 100000 + "}")
+
+
+DIGIT_HEAVY = st.text(alphabet=st.sampled_from("0123456789 ,[]x\u0663"))
+
+
+@given(st.one_of(st.text(), DIGIT_HEAVY), st.integers(min_value=1, max_value=50))
+def test_parse_index_list_returns_in_range_indices_or_raises(text, n):
+    try:
+        chosen, dropped = parse_index_list(text, n)
+    except IndexParseError:
+        return
+    assert all(1 <= idx <= n for idx in chosen)
+    assert dropped >= 0
+
+
+@given(st.one_of(st.text(), st.text(alphabet=st.sampled_from('{}[]":,0123456789ab \n`'))))
+def test_extract_json_object_returns_a_dict_or_raises_malformed(text):
+    try:
+        obj = extract_json_object(text)
+    except MalformedReplyError:
+        return
+    assert isinstance(obj, dict)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=5))
+def test_fenced_json_object_round_trips(obj):
+    assert extract_json_object(f"```json\n{json.dumps(obj)}\n```") == obj
+
+
 def test_l2_normalize():
     vec = l2_normalize([3.0, 4.0])
     assert np.allclose(vec, [0.6, 0.8])
@@ -128,11 +179,15 @@ def test_usage_meter_and_delta():
     assert snap["total_prompt_tokens"] == 22
     assert snap["labels"]["a"] == {"calls": 2, "prompt_tokens": 15, "output_tokens": 3}
 
-    before = snap
-    meter.record("b", 1, 1)
-    delta = usage_delta(before, meter.snapshot())
+    # a metered() scope counts only the calls made inside it
+    gw = LlmGateway(chat_backend=MockChatBackend(default_reply="1"))
+    gw.chat(SYS, USER, label="a")
+    with metered() as usage:
+        gw.chat(SYS, USER, label="b")
+    delta = usage.snapshot()
     assert delta["total_calls"] == 1
     assert list(delta["labels"]) == ["b"]
+    assert gw.meter.snapshot()["total_calls"] == 2
 
 
 def test_meter_counts_every_mock_call(oracle_gateway, world200):
@@ -229,7 +284,7 @@ def test_select_indices_reasks_once_with_strict_suffix():
     backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply=["garbage", "2"])])
     gw = LlmGateway(chat_backend=backend)
     sel = gw.select_indices(SYS, USER, label="x", n_options=3)
-    assert sel.indices == (2,) and sel.calls == 2 and not sel.parse_failed
+    assert sel.indices == (2,) and len(backend.transcript) == 2 and not sel.parse_failed
     assert backend.transcript[1].request.user_prompt.endswith(STRICT_REPLY_SUFFIX)
 
 
@@ -237,14 +292,14 @@ def test_select_indices_degrades_to_empty():
     backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply="still garbage")])
     gw = LlmGateway(chat_backend=backend)
     sel = gw.select_indices(SYS, USER, label="x", n_options=3)
-    assert sel.indices == () and sel.parse_failed and sel.calls == 2
+    assert sel.indices == () and sel.parse_failed and len(backend.transcript) == 2
 
 
 def test_select_indices_single_call_on_success():
     backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply="1, 2")])
     gw = LlmGateway(chat_backend=backend)
     sel = gw.select_indices(SYS, USER, label="x", n_options=3)
-    assert sel.indices == (1, 2) and sel.calls == 1
+    assert sel.indices == (1, 2) and len(backend.transcript) == 1
 
 
 def test_chat_json_reask_then_none():
@@ -256,6 +311,96 @@ def test_chat_json_reask_then_none():
     gw = LlmGateway(chat_backend=backend)
     assert gw.chat_json(SYS, USER, label="x") is None
     assert len(backend.transcript) == 2
+
+
+def test_ask_reasks_once_with_the_reask_suffix():
+    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply=["bad", "good"])])
+    gw = LlmGateway(chat_backend=backend)
+    errors = []
+
+    def parse(text):
+        if text != "good":
+            raise ReplyParseError(f"not good: {text}")
+        return text.upper()
+
+    def reask(exc):
+        errors.append(str(exc))
+        return "\n\nSay good."
+
+    assert gw.ask(SYS, USER, label="x", parse=parse, reask=reask) == "GOOD"
+    assert errors == ["not good: bad"]
+    assert [c.request.user_prompt for c in backend.transcript] == [USER, USER + "\n\nSay good."]
+
+
+def test_ask_raises_the_second_parse_error_caused_by_the_first():
+    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply=["one", "two", "three"])])
+    gw = LlmGateway(chat_backend=backend)
+
+    def parse(text):
+        raise ReplyParseError(text)
+
+    with pytest.raises(ReplyParseError, match="two") as info:
+        gw.ask(SYS, USER, label="x", parse=parse, reask=lambda _: "!")
+    assert str(info.value.__cause__) == "one"
+    assert len(backend.transcript) == 2
+
+
+def test_backend_errors_are_neither_reasked_nor_swallowed():
+    # a backend that cannot answer is not a bad reply: no re-ask, no fallback
+    gw = LlmGateway(chat_backend=MockChatBackend())
+    with pytest.raises(MalformedReplyError, match="no scripted reply"):
+        gw.chat_json(SYS, USER, label="x")
+    with pytest.raises(MalformedReplyError, match="no scripted reply"):
+        gw.select_indices(SYS, USER, label="x", n_options=3)
+
+    backend = MockChatBackend(default_reply="1")
+    gw = LlmGateway(chat_backend=backend)
+    with pytest.raises(ValueError, match="n_options"):  # not a reply error
+        gw.select_indices(SYS, USER, label="x", n_options=0)
+    assert len(backend.transcript) == 1
+
+
+def test_meter_is_not_a_constructor_option():
+    with pytest.raises(TypeError):
+        LlmGateway(meter=UsageMeter())
+
+
+def test_metered_scopes_nest_and_follow_pool_threads():
+    gw = LlmGateway(chat_backend=MockChatBackend(default_reply="1"), workers=4)
+    with metered() as outer:
+        gw.chat(SYS, USER, label="a")
+        with metered() as inner:
+            gw.run_parallel(lambda _: gw.chat(SYS, USER, label="b"), range(10))
+    gw.chat(SYS, USER, label="c")
+    assert {k: b["calls"] for k, b in outer.snapshot()["labels"].items()} == {"a": 1, "b": 10}
+    assert {k: b["calls"] for k, b in inner.snapshot()["labels"].items()} == {"b": 10}
+    assert gw.meter.snapshot()["total_calls"] == 12
+
+
+def test_concurrent_scopes_on_one_gateway_count_their_own_calls():
+    gw = LlmGateway(chat_backend=MockChatBackend(default_reply="1"), workers=3)
+    start = threading.Barrier(4)
+    totals = {}
+
+    def work(n):
+        with metered() as usage:
+            start.wait()
+            gw.run_parallel(lambda _: gw.chat(SYS, USER, label="x"), range(5 * n))
+            gw.chat(SYS, USER, label="x")
+        totals[n] = usage.snapshot()["total_calls"]
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in (1, 2, 3, 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert totals == {1: 6, 2: 11, 3: 16, 4: 21}
 
 
 def test_thinking_disable_flag_follows_model_pattern():
@@ -293,6 +438,21 @@ def test_embed_memory_and_disk_cache(tmp_path):
     out = gw2.embed(["a"])
     assert fresh_backend.batches == []
     assert np.isclose(np.linalg.norm(out[0].values), 1.0)
+
+
+@pytest.mark.parametrize("keep_bytes", [0, 60, 130])
+def test_truncated_cache_entry_is_a_cache_miss(tmp_path, keep_bytes):
+    gw = LlmGateway(embedding_backend=MockEmbeddingBackend(), cache_dir=tmp_path)
+    expected = gw.embed(["a"])[0].values
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(entry.read_bytes()[:keep_bytes])  # an interrupted write
+
+    backend = MockEmbeddingBackend()
+    out = LlmGateway(embedding_backend=backend, cache_dir=tmp_path).embed(["a"])
+    assert backend.batches == [["a"]]
+    assert np.allclose(out[0].values, expected)
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # rewritten, no temp file
+    assert np.allclose(np.load(entry), expected)
 
 
 def test_embed_vectors_are_unit_norm():

@@ -292,3 +292,29 @@ def test_no_run_parallel_starts_inside_another(world200, monkeypatch):
     build(scripted_registry(), SCRIPTED_CONFIG,
           LlmGateway(chat_backend=MockChatBackend(oracle=scripted_oracle), workers=4))
     assert maps and nested == []
+
+
+def test_concurrent_builds_on_one_gateway_each_count_their_own_calls(
+    world200, tmp_path, fast_thread_switching
+):
+    (_, alone), _ = _world200_build(world200)
+    gateway = LlmGateway(chat_backend=MockChatBackend(oracle=LatentOracle(world200)), workers=8)
+    start = threading.Barrier(2)
+    builds: list = [None, None]
+
+    def run(index: int) -> None:
+        start.wait()
+        builds[index] = build(world200.registry, BuildConfig(), gateway)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for index, (taxonomy, report) in enumerate(builds):
+        assert report.total_calls() == alone.total_calls()
+        assert report.calls_by_phase == alone.calls_by_phase
+        assert report.tokens_by_phase == alone.tokens_by_phase
+        assert digests(taxonomy, report, tmp_path / str(index)) == WORLD200_DIGESTS
+    assert gateway.meter.snapshot()["total_calls"] == 2 * alone.total_calls()
