@@ -9,7 +9,9 @@ together, each LLM phase as one bounded parallel map over the level.
 Oversized nodes are first compressed into a keyword frequency table so the
 designer prompt stays small. After the tree settles, a cross-domain pass
 lets services surface under additional top-level domains, which is where
-the multi-parent structure comes from.
+the multi-parent structure comes from. Its candidates are routed to a leaf
+by search's own walker (``search.navigate``), all of them one level at a
+time, with the single-branch rule.
 
 The second builder produces the whole tree from one design call plus one
 classification call per service. It exists as a baseline and deliberately
@@ -31,6 +33,7 @@ from . import prompts
 from .errors import ConfigError, DataError, DesignError, ReplyParseError
 from .gateway import LlmGateway, UsageMeter, extract_json_object, metered
 from .registry import Registry, Service
+from .search import navigate
 from .taxonomy import Taxonomy, TaxonomyNode
 
 logger = logging.getLogger(__name__)
@@ -38,9 +41,6 @@ logger = logging.getLogger(__name__)
 AXIS_TAGS = ("functional-domain", "operation-object", "operation-type", "technical-approach")
 
 CATCHALL_NAME = "Other"
-
-# Mode instruction reused from search for cross-domain routing descents.
-SINGLE_BRANCH_INSTRUCTION = "Always select the single most relevant branch."
 
 ONESHOT_VARIANTS = ("base", "freq", "refine", "axis")
 
@@ -377,7 +377,7 @@ class TaxonomyBuilder:
         response = self.gateway.chat(system, user, label="build.design")
         try:
             obj = extract_json_object(response.text)
-        except Exception:
+        except ReplyParseError:
             report.warnings.append("root validation reply unparseable; keeping unvalidated drafts")
             return drafts
         if obj.get("ok") is True:
@@ -690,9 +690,11 @@ class TaxonomyBuilder:
     # -- cross-domain pass -----------------------------------------------------
 
     def cross_domain_assign(self, taxonomy: Taxonomy, registry: Registry, report: BuildReport) -> None:
-        """One proposal call per leaf; accepted candidates are routed to the
-        best leaf under the named top-level domain by a single-branch
-        descent. Re-proposing an existing placement changes nothing."""
+        """One proposal call per leaf; each valid candidate is then routed to
+        a leaf under the named top-level domain by a single-branch search
+        walk, all candidates together, one map of calls per level. Results
+        apply in (leaf, candidate) order; re-proposing an existing placement
+        changes nothing."""
         root = taxonomy.root
         if len(root.children) < 2:
             report.cross_domain = {
@@ -717,7 +719,6 @@ class TaxonomyBuilder:
                 own_domain[node.node_id] = domain_id
                 stack.extend(node.children)
         template = prompts.load("cross_domain_candidates")
-        navigate = prompts.load("search_navigate")
         stats = {"proposals": 0, "accepted": 0, "duplicates": 0, "skipped": 0, "routing_failures": 0}
         extra_counts: dict[str, int] = {}
 
@@ -732,6 +733,9 @@ class TaxonomyBuilder:
             )
             return self.gateway.chat_json(system, user, label="build.cross_domain")
 
+        # Every candidate is resolved before any is applied, so an index
+        # refers to the services the leaf's prompt listed.
+        routed: list[tuple[Service, str]] = []
         replies = self.gateway.run_parallel(propose, leaf_ids)
         for leaf_id, obj in zip(leaf_ids, replies):
             if obj is None:
@@ -749,51 +753,36 @@ class TaxonomyBuilder:
                 idx = cand.get("index")
                 target_id = domain_by_name.get(_normalize_name(str(cand.get("domain") or "")))
                 if (
-                    not isinstance(idx, int)
+                    type(idx) is not int  # JSON true is a bool, an int subclass
                     or not 1 <= idx <= len(leaf.service_ids)
                     or target_id is None
                     or target_id == own_domain[leaf_id]
                 ):
                     stats["skipped"] += 1
                     continue
-                svc = registry.get(leaf.service_ids[idx - 1])
-                target_leaf = self._route_to_leaf(taxonomy, target_id, svc, navigate)
-                if target_leaf is None:
-                    stats["routing_failures"] += 1
-                    continue
-                target = taxonomy.node(target_leaf)
-                if svc.id in target.service_ids:
-                    stats["duplicates"] += 1
-                    continue
-                target.service_ids.append(svc.id)
-                taxonomy.assignment.setdefault(svc.id, []).append(target_leaf)
-                stats["accepted"] += 1
-                extra_counts[svc.id] = extra_counts.get(svc.id, 0) + 1
+                routed.append((registry.get(leaf.service_ids[idx - 1]), target_id))
+
+        walks = [(f"{svc.name}: {svc.description}", target_id) for svc, target_id in routed]
+        results = navigate(
+            taxonomy, walks, "get_one", self.gateway, label="build.cross_domain", single_branch=True
+        )
+        for (svc, _), (hits, _) in zip(routed, results):
+            if not hits:
+                stats["routing_failures"] += 1
+                continue
+            target = taxonomy.node(hits[0].leaf_id)
+            if svc.id in target.service_ids:
+                stats["duplicates"] += 1
+                continue
+            target.service_ids.append(svc.id)
+            taxonomy.assignment.setdefault(svc.id, []).append(target.node_id)
+            stats["accepted"] += 1
+            extra_counts[svc.id] = extra_counts.get(svc.id, 0) + 1
 
         distribution: dict[str, int] = {}
         for count in extra_counts.values():
             distribution[str(count)] = distribution.get(str(count), 0) + 1
         report.cross_domain = {**stats, "extra_assignments_distribution": distribution}
-
-    def _route_to_leaf(
-        self, taxonomy: Taxonomy, start_id: str, service: Service, navigate_template
-    ) -> str | None:
-        query = f"{service.name}: {service.description}"
-        current = taxonomy.node(start_id)
-        while not current.is_leaf():
-            children = [taxonomy.node(cid) for cid in current.children]
-            system, user = navigate_template.render(
-                mode_instruction=SINGLE_BRANCH_INSTRUCTION,
-                query=query,
-                options=prompts.category_options(children),
-            )
-            sel = self.gateway.select_indices(
-                system, user, label="build.cross_domain", n_options=len(children)
-            )
-            if not sel.indices:
-                return None
-            current = children[min(sel.indices) - 1]
-        return current.node_id
 
     # -- the BFS build -----------------------------------------------------------
 

@@ -114,6 +114,8 @@ def extract_json_object(text: str) -> dict:
         obj = json.loads(cleaned[start : end + 1])
     except json.JSONDecodeError as exc:
         raise ReplyParseError(f"invalid JSON in reply: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise ReplyParseError(f"unreadable JSON in reply: {exc}") from exc
     except RecursionError:
         raise ReplyParseError("reply JSON nests too deeply") from None
     if not isinstance(obj, dict):

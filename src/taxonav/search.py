@@ -10,21 +10,26 @@ The three modes (get_all, get_important, get_one) share all machinery and
 differ only in the instruction sentence injected into the two prompts.
 
 Parallel fan-out is level-synchronous with results merged in child-index
-order, so retrieval is deterministic for a fixed backend script.
+order, so retrieval is deterministic for a fixed backend script. The walker,
+``navigate``, takes many (query, start node) walks and advances all of them
+one level per parallel map; a retrieval is one walk from the root, and the
+builder's cross-domain pass routes all its candidates as single-branch walks
+from their target domains.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from statistics import fmean
 
 from . import prompts
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .gateway import LlmGateway, metered
 from .registry import Registry
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, TaxonomyNode
 
 logger = logging.getLogger(__name__)
 
@@ -111,55 +116,63 @@ def usage_fields(snap: dict) -> dict[str, int]:
 
 def navigate(
     taxonomy: Taxonomy,
-    query: str,
+    walks: Sequence[tuple[str, str]],
     mode: str,
     gateway: LlmGateway,
-) -> tuple[list[LeafHit], list[TraceStep]]:
-    """Descends from the root, one chat call per visited internal node.
+    *,
+    label: str = "search.navigate",
+    single_branch: bool = False,
+) -> list[tuple[list[LeafHit], list[TraceStep]]]:
+    """Walks each (query, start node id) pair down the tree, one chat call
+    per visited internal node; returns each walk's hits and trace steps.
 
-    Fan-out is processed level by level with parallel calls; hits and trace
-    steps come back in depth-first child-index order regardless of thread
-    scheduling. An empty or unparseable selection prunes that subtree.
+    All walks still descending advance one level together, as one parallel
+    map of calls; hits and trace steps come back in depth-first child-index
+    order regardless of thread scheduling. An empty or unparseable selection
+    prunes that subtree. With single_branch a walk follows only the smallest
+    chosen index. A walk that reaches a node it has already expanded raises
+    DataError, so a cyclic node table cannot loop forever.
     """
     template = prompts.load("search_navigate")
     instruction = NAVIGATE_INSTRUCTIONS[mode]
-    hits: list[tuple[tuple[int, ...], LeafHit]] = []
-    steps: list[tuple[tuple[int, ...], TraceStep]] = []
+    hits: list[list[tuple[tuple[int, ...], LeafHit]]] = [[] for _ in walks]
+    steps: list[list[tuple[tuple[int, ...], TraceStep]]] = [[] for _ in walks]
+    expanded: list[set[str]] = [set() for _ in walks]
 
-    frontier: list[tuple[tuple[int, ...], str]] = [((), taxonomy.root_id)]
+    # (walk index, child-index path from the walk's start, node id)
+    frontier = [(w, (), start_id) for w, (_, start_id) in enumerate(walks)]
     while frontier:
-        internal: list[tuple[tuple[int, ...], str]] = []
-        for path, node_id in frontier:
+        internal: list[tuple[int, tuple[int, ...], TaxonomyNode]] = []
+        for w, path, node_id in frontier:
             node = taxonomy.node(node_id)
             if node.is_leaf():
-                hits.append((path, LeafHit(leaf_id=node_id, services=list(node.service_ids))))
+                hits[w].append((path, LeafHit(leaf_id=node_id, services=list(node.service_ids))))
+            elif node_id in expanded[w]:
+                raise DataError(f"navigation reached node {node_id!r} twice; the tree has a cycle")
             else:
-                internal.append((path, node_id))
+                expanded[w].add(node_id)
+                internal.append((w, path, node))
         if not internal:
             break
 
-        def call(entry: tuple[tuple[int, ...], str]):
-            _, node_id = entry
-            children = taxonomy.node(node_id).children
+        def call(entry: tuple[int, tuple[int, ...], TaxonomyNode]):
+            w, _, node = entry
             system, user = template.render(
                 mode_instruction=instruction,
-                query=query,
-                options=prompts.category_options(taxonomy.node(c) for c in children),
+                query=walks[w][0],
+                options=prompts.category_options(taxonomy.node(c) for c in node.children),
             )
-            return gateway.select_indices(
-                system, user, label="search.navigate", n_options=len(children)
-            )
+            return gateway.select_indices(system, user, label=label, n_options=len(node.children))
 
         selections = gateway.run_parallel(call, internal)
-        next_frontier: list[tuple[tuple[int, ...], str]] = []
-        for (path, node_id), sel in zip(internal, selections):
-            node = taxonomy.node(node_id)
-            steps.append(
+        frontier = []
+        for (w, path, node), sel in zip(internal, selections):
+            steps[w].append(
                 (
                     path,
                     TraceStep(
                         kind="navigate",
-                        node_id=node_id,
+                        node_id=node.node_id,
                         options_shown=len(node.children),
                         chosen=list(sel.indices),
                         dropped=sel.dropped,
@@ -168,13 +181,13 @@ def navigate(
                     ),
                 )
             )
-            for idx in sel.indices:
-                next_frontier.append((path + (idx,), node.children[idx - 1]))
-        frontier = next_frontier
+            followed = sel.indices[:1] if single_branch else sel.indices
+            frontier.extend((w, path + (idx,), node.children[idx - 1]) for idx in followed)
 
-    hits.sort(key=lambda item: item[0])
-    steps.sort(key=lambda item: item[0])
-    return [hit for _, hit in hits], [step for _, step in steps]
+    def in_path_order(entries: list[tuple[tuple[int, ...], object]]) -> list:
+        return [item for _, item in sorted(entries, key=lambda entry: entry[0])]
+
+    return [(in_path_order(h), in_path_order(s)) for h, s in zip(hits, steps)]
 
 
 def dedup(hits: list[LeafHit]) -> list[LeafHit]:
@@ -287,7 +300,7 @@ def retrieve(
     cfg = cfg or SearchConfig()
 
     with metered() as usage:
-        hits, nav_steps = navigate(taxonomy, query, cfg.mode, gateway)
+        [(hits, nav_steps)] = navigate(taxonomy, [(query, taxonomy.root_id)], cfg.mode, gateway)
         groups = merge_small_groups(dedup(hits), cfg.merge_threshold, taxonomy)
         groups = [g for g in groups if g.services]
         selections = gateway.run_parallel(

@@ -530,11 +530,12 @@ def two_domain_taxonomy() -> tuple[Taxonomy, Registry]:
     return tax, registry
 
 
-def cross_rules(travel_reply: str, nav_reply: str = "1") -> list[ScriptRule]:
+def cross_rules(
+    travel_reply: str, nav_reply: str = "1", finance_reply: str = '{"candidates": []}'
+) -> list[ScriptRule]:
     return [
         ScriptRule(pattern='domain "Travel"', label="build.cross_domain", reply=travel_reply),
-        ScriptRule(pattern='domain "Finance"', label="build.cross_domain",
-                   reply='{"candidates": []}'),
+        ScriptRule(pattern='domain "Finance"', label="build.cross_domain", reply=finance_reply),
         ScriptRule(pattern="Query:", label="build.cross_domain", reply=nav_reply),
     ]
 
@@ -586,6 +587,27 @@ def test_cross_domain_skips_bad_candidates_and_routing_failures():
     assert report.cross_domain["skipped"] == 3
     assert report.cross_domain["routing_failures"] == 1
     assert report.cross_domain["accepted"] == 0
+
+
+def test_cross_domain_index_refers_to_the_services_the_prompt_listed():
+    # Finance's prompt listed 3 services; the copy of f1 that Travel's
+    # candidate adds to it is not a 4th, and JSON true is not index 1.
+    tax, registry = two_domain_taxonomy()
+    finance = '{"candidates": [{"index": 4, "domain": "Travel"}, {"index": true, "domain": "Travel"}]}'
+    gateway = gw(*cross_rules(
+        '{"candidates": [{"index": 1, "domain": "Finance"}]}', finance_reply=finance
+    ))
+    report = BuildReport()
+    TaxonomyBuilder(gateway).cross_domain_assign(tax, registry, report)
+    assert report.cross_domain == {
+        "proposals": 3,
+        "accepted": 1,
+        "duplicates": 0,
+        "skipped": 2,
+        "routing_failures": 0,
+        "extra_assignments_distribution": {"1": 1},
+    }
+    assert tax.node("root/travel/flights").service_ids == ["f1", "f2", "f3"]
 
 
 # -- one-shot builder ---------------------------------------------------------

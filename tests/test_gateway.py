@@ -109,6 +109,12 @@ def test_parse_index_list_drops_huge_numbers_unconverted():
     assert parse_index_list("0" * 5000 + "3, 12", 5) == ({3}, 1)
 
 
+def test_extract_json_object_huge_integer_is_a_parse_error():
+    # json.loads raises a plain ValueError past the int-string digit limit
+    with pytest.raises(ReplyParseError, match="unreadable JSON"):
+        extract_json_object('{"a": ' + "1" * 5000 + "}")
+
+
 def test_extract_json_object_deep_nesting_is_a_malformed_reply():
     with pytest.raises(MalformedReplyError, match="nests too deeply"):
         extract_json_object('{"a": ' + "[" * 100000 + "]" * 100000 + "}")

@@ -1,13 +1,15 @@
 """The BFS build splits every node of a level together.
 
-Golden digests pin the artifacts of two builds: the latent ``world200``
-oracle build and a scripted world whose level-1 siblings each go through a
+Golden digests pin the artifacts of three builds: the latent ``world200``
+oracle build; a scripted world whose level-1 siblings each go through a
 refine round, a forced single-best placement, a tiny-merge
-re-classification and a catch-all, next to a sibling whose design fails.
-The digests were taken from the node-by-node builder that preceded the
-level-wide one, so they also prove the two produce the same bytes. The
-other tests check that calls in flight stay within the gateway's
-``workers`` and that no ``run_parallel`` runs inside another.
+re-classification and a catch-all, next to a sibling whose design fails;
+and ``world200`` with two cross-domain candidates per leaf. The first two
+digests were taken from the node-by-node builder that preceded the
+level-wide one, the third from the builder that routed each candidate by
+its own serial descent, so they also prove the old and new code produce
+the same bytes. The other tests check that calls in flight stay within the
+gateway's ``workers`` and that no ``run_parallel`` runs inside another.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ SCRIPTED_DIGESTS = {
     "taxonomy.json": "207c046d00cf082e9516fcadd577bbe09cc9a0dedfb6de7da5d23a39c3ac4157",
     "class.json": "3791c1c15db9fdfe4a6fcf76025e483536e3d30c505b8611da52d481fe31b039",
     "build_report.json": "83822e10081a40d99fb87b814213886289615a5527d52e24f81bc2b178785e7b",
+}
+# sha256 of each artifact as written with one serial descent per candidate.
+CROSS_DOMAIN_DIGESTS = {
+    "taxonomy.json": "cb9450bfd862f000e66b5be61b60756c38362a4bdb1d784f818237a66804afed",
+    "class.json": "553fe63131e0e35f6b48600ee98be1aa33052211ee9db618b4b22682c26bbceb",
+    "build_report.json": "a4950b9d6b1be0abf9a65702a88a1d143aca40c199929f22f0fe1a38c6e05feb",
 }
 
 # -- the scripted world ---------------------------------------------------------
@@ -137,6 +145,45 @@ def scripted_oracle(label: str, request) -> str | None:
     return None
 
 
+# -- the cross-domain world ------------------------------------------------------
+#
+# world200 with two cross-domain candidates per leaf. Each leaf proposes its
+# first service for the next domain (in name order). Leaves listing an odd
+# number of services propose that service a second time, a duplicate; the
+# others propose their second service for the domain after that. Routing
+# follows the candidate's own subdomain position p in its domain: option 1
+# for p=0, "3, 2" for p=1 (the smallest index wins), 3 for p=2, and "0", a
+# routing failure, for p=3. Every reply depends on its prompt alone.
+
+_QUERY_NAME_RE = re.compile(r"^Query: (\S+):", re.MULTILINE)
+_OWN_DOMAIN_RE = re.compile(r'top-level domain "(\w+)"')
+
+
+class CrossDomainOracle:
+    def __init__(self, world) -> None:
+        self.world = world
+        self.latent = LatentOracle(world)
+        self.domains = sorted(world.domains)
+
+    def __call__(self, label: str, request) -> str | None:
+        if label != "build.cross_domain":
+            return self.latent(label, request)
+        user = request.user_prompt
+        query = _QUERY_NAME_RE.search(user)
+        if query:
+            sid = query.group(1)
+            domain = self.world.domain_of[sid]
+            position = self.world.domains[domain].index(self.world.subdomain_of[sid])
+            return ("1", "3, 2", "3", "0")[position]
+        own = self.domains.index(_OWN_DOMAIN_RE.search(user).group(1))
+        first = {"index": 1, "domain": self.domains[(own + 1) % len(self.domains)]}
+        if len(parse_options(user)) % 2:
+            second = dict(first)
+        else:
+            second = {"index": 2, "domain": self.domains[(own + 2) % len(self.domains)]}
+        return json.dumps({"candidates": [first, second]})
+
+
 # -- helpers ---------------------------------------------------------------------
 
 
@@ -172,8 +219,8 @@ class CountingBackend:
                 self.spans.append((label, request.user_prompt, start, end))
 
 
-def _world200_build(world, workers: int | None = None, backend_wrapper=None):
-    backend = MockChatBackend(oracle=LatentOracle(world))
+def _world200_build(world, workers: int | None = None, backend_wrapper=None, oracle=LatentOracle):
+    backend = MockChatBackend(oracle=oracle(world))
     if backend_wrapper is not None:
         backend = backend_wrapper(backend)
     kwargs = {} if workers is None else {"workers": workers}
@@ -212,6 +259,22 @@ def fast_thread_switching():
 def test_scripted_artifacts_match_golden_digests(tmp_path, workers, fast_thread_switching):
     taxonomy, report = _scripted_build(workers)
     assert digests(taxonomy, report, tmp_path) == SCRIPTED_DIGESTS
+
+
+@pytest.mark.parametrize("workers", [None, 1, 8])
+def test_cross_domain_artifacts_match_golden_digests(
+    world200, tmp_path, workers, fast_thread_switching
+):
+    (taxonomy, report), _ = _world200_build(world200, workers, oracle=CrossDomainOracle)
+    assert report.cross_domain == {
+        "proposals": 32,
+        "accepted": 18,
+        "duplicates": 6,
+        "skipped": 0,
+        "routing_failures": 8,
+        "extra_assignments_distribution": {"1": 18},
+    }
+    assert digests(taxonomy, report, tmp_path) == CROSS_DOMAIN_DIGESTS
 
 
 def test_scripted_world_exercises_every_level_phase():
@@ -266,6 +329,19 @@ def test_sibling_designs_overlap_and_inflight_stays_within_workers(world200):
     assert report.total_calls() == len(backend.spans)
 
 
+def test_cross_domain_routing_calls_overlap_within_workers(world200):
+    (_, report), backend = _world200_build(world200, 4, CountingBackend, oracle=CrossDomainOracle)
+    routes = [
+        (start, end)
+        for label, user, start, end in backend.spans
+        if label == "build.cross_domain" and user.startswith("Query:")
+    ]
+    assert len(routes) == 32
+    peak = max(sum(1 for s, e in routes if s <= start < e) for start, _ in routes)
+    assert 1 < peak <= 4
+    assert report.total_calls() == len(backend.spans)
+
+
 def test_no_run_parallel_starts_inside_another(world200, monkeypatch):
     original = LlmGateway.run_parallel
     inside = threading.local()
@@ -289,6 +365,7 @@ def test_no_run_parallel_starts_inside_another(world200, monkeypatch):
 
     monkeypatch.setattr(LlmGateway, "run_parallel", guarded)
     _world200_build(world200, 4)
+    _world200_build(world200, 4, oracle=CrossDomainOracle)
     build(scripted_registry(), SCRIPTED_CONFIG,
           LlmGateway(chat_backend=MockChatBackend(oracle=scripted_oracle), workers=4))
     assert maps and nested == []

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxonav.errors import ConfigError
+from taxonav.errors import ConfigError, DataError
+from taxonav.eval_harness import EvalConfig, evaluate
 from taxonav.gateway import LlmGateway, MockChatBackend, ScriptRule
-from taxonav.registry import Registry, Service
+from taxonav.registry import QueryCase, Registry, Service
 from taxonav.search import (
     NAVIGATE_INSTRUCTIONS,
     SELECT_INSTRUCTIONS,
@@ -22,7 +23,8 @@ from taxonav.search import (
     navigate,
     retrieve,
 )
-from taxonav.taxonomy import Taxonomy
+from taxonav.synthetic import make_balanced_taxonomy, parse_options
+from taxonav.taxonomy import Taxonomy, TaxonomyNode
 
 
 def gw(*rules: ScriptRule, oracle=None) -> LlmGateway:
@@ -471,7 +473,7 @@ def test_navigate_prompt_text_is_pinned():
     tax.add_child("root", "Travel", "Trips and bookings.", "Paying for anything.")
     tax.add_child("root", "Finance", "Money matters.")  # no boundary: no NOT clause
     gateway = gw(ScriptRule(pattern=".*", label="search.navigate", reply="0"))
-    navigate(tax, "book a flight", "get_all", gateway)
+    navigate(tax, [("book a flight", tax.root_id)], "get_all", gateway)
     (call,) = gateway.chat_backend.transcript
     assert call.request.system_prompt == (
         "You route a user query through a catalog of service categories, one level at a time. "
@@ -487,3 +489,77 @@ def test_navigate_prompt_text_is_pinned():
         "Reply with comma-separated numbers of the selected categories. "
         "Reply 0 if none are relevant."
     )
+
+
+# -- many walks ----------------------------------------------------------------
+
+
+def subset_oracle(label, request):
+    """Picks a subset of the options from the query and the option names
+    alone, so a reply does not depend on which walk asked or when."""
+    user = request.user_prompt
+    query = user.split("\n", 1)[0]
+    names = [name for _, name in parse_options(user)]
+    seed = sum(map(ord, query + names[0]))
+    chosen = [str(i) for i in range(1, len(names) + 1) if (seed >> i) & 1]
+    return ", ".join(chosen) or "0"
+
+
+@pytest.mark.parametrize("single_branch", [False, True])
+def test_many_walks_match_one_walk_each(monkeypatch, single_branch):
+    tax, _ = make_balanced_taxonomy(branching=3, depth=3, leaf_size=2)
+    walks = [
+        ("find alpha", tax.root_id),
+        ("find beta", tax.root_id),
+        ("find gamma", tax.root.children[1]),
+        ("find delta", tax.leaves()[5]),
+        ("find alpha", tax.root_id),
+    ]
+    alone = [
+        navigate(tax, [walk], "get_all", gw(oracle=subset_oracle), single_branch=single_branch)[0]
+        for walk in walks
+    ]
+    maps = []
+    original = LlmGateway.run_parallel
+
+    def counted(self, fn, items):
+        maps.append(len(items))
+        return original(self, fn, items)
+
+    monkeypatch.setattr(LlmGateway, "run_parallel", counted)
+    together = navigate(
+        tax, walks, "get_all", gw(oracle=subset_oracle), single_branch=single_branch
+    )
+    assert together == alone
+    hit_counts = [len(hits) for hits, _ in together]
+    if single_branch:
+        assert max(hit_counts) == 1
+    else:
+        assert sum(hit_counts) > len(walks)  # the walks fan out
+    assert len(maps) == 3  # one map per level of the tree
+
+
+def test_a_walk_that_revisits_a_node_raises_data_error():
+    tax = Taxonomy(nodes={
+        "root": TaxonomyNode("root", "root", children=["root/a"]),
+        "root/a": TaxonomyNode("root/a", "A", "a things", children=["root"], depth=1),
+    })
+    calls = []
+
+    def oracle(label, request):
+        calls.append(label)
+        if len(calls) > 10:
+            raise RuntimeError("the walk did not end")
+        return "1"
+
+    gateway = gw(oracle=oracle)
+    with pytest.raises(DataError, match="node 'root' twice"):
+        retrieve("anything", tax, make_registry([]), gateway)
+    assert len(calls) == 2
+    query = QueryCase(id="q1", text="anything", ground_truth=frozenset({"s1"}))
+    _, records = evaluate(
+        lambda q: retrieve(q.text, tax, make_registry([]), gateway),
+        [query],
+        EvalConfig(method="taxonomy", workers=1),
+    )
+    assert "node 'root' twice" in records[0].error
