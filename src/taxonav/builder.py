@@ -696,6 +696,7 @@ class TaxonomyBuilder:
         apply in (leaf, candidate) order; re-proposing an existing placement
         changes nothing."""
         root = taxonomy.root
+        order = taxonomy.walk()  # DataError unless the child lists form one tree
         if len(root.children) < 2:
             report.cross_domain = {
                 "proposals": 0,
@@ -706,18 +707,20 @@ class TaxonomyBuilder:
                 "extra_assignments_distribution": {},
             }
             return
+        domain_ids = set(root.children)
         domain_by_name = {
             _normalize_name(taxonomy.node(cid).name): cid for cid in root.children
         }
         domain_names = ", ".join(taxonomy.node(cid).name for cid in root.children)
-        leaf_ids = taxonomy.leaves()
+        # In preorder a node's domain is the last depth-1 node seen before it.
+        leaf_ids: list[str] = []
         own_domain: dict[str, str] = {}
-        for domain_id in root.children:
-            stack = [domain_id]
-            while stack:
-                node = taxonomy.node(stack.pop())
-                own_domain[node.node_id] = domain_id
-                stack.extend(node.children)
+        for node_id in order[1:]:
+            if node_id in domain_ids:
+                domain_id = node_id
+            if taxonomy.nodes[node_id].is_leaf():
+                leaf_ids.append(node_id)
+                own_domain[node_id] = domain_id
         template = prompts.load("cross_domain_candidates")
         stats = {"proposals": 0, "accepted": 0, "duplicates": 0, "skipped": 0, "routing_failures": 0}
         extra_counts: dict[str, int] = {}
@@ -862,17 +865,10 @@ def _tree_from_design(obj: dict, report: BuildReport) -> Taxonomy:
 
 def _render_outline(taxonomy: Taxonomy) -> str:
     lines: list[str] = []
-
-    def walk(node_id: str) -> None:
-        node = taxonomy.node(node_id)
-        if node_id != taxonomy.root_id:
-            indent = "  " * (node.depth - 1)
-            desc = f": {node.description}" if node.description else ""
-            lines.append(f"{indent}- {node.name}{desc}")
-        for child_id in node.children:
-            walk(child_id)
-
-    walk(taxonomy.root_id)
+    for node_id in taxonomy.walk()[1:]:
+        node = taxonomy.nodes[node_id]
+        desc = f": {node.description}" if node.description else ""
+        lines.append(f"{'  ' * (node.depth - 1)}- {node.name}{desc}")
     return "\n".join(lines)
 
 
@@ -903,22 +899,15 @@ def _resolve_path(taxonomy: Taxonomy, reply: str) -> str | None:
 
 
 def _prune_empty(taxonomy: Taxonomy, report: BuildReport) -> None:
-    """Removes leaves that absorbed nothing, then any childless ancestors."""
-    removed = True
+    """Removes leaves that absorbed nothing, then any childless ancestors:
+    one pass in reverse preorder, where every node comes after all of its
+    descendants."""
     parents = taxonomy.parent_map()
-    while removed:
-        removed = False
-        for node_id in list(taxonomy.nodes):
-            if node_id == taxonomy.root_id:
-                continue
-            node = taxonomy.nodes.get(node_id)
-            if node is None or node.children or node.service_ids:
-                continue
+    for node_id in reversed(taxonomy.walk()[1:]):
+        node = taxonomy.nodes[node_id]
+        if not node.children and not node.service_ids:
             taxonomy.remove_child(parents[node_id], node_id)
             report.pruned_empty_categories += 1
-            removed = True
-        if removed:
-            parents = taxonomy.parent_map()
 
 
 def build_oneshot(

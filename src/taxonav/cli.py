@@ -156,11 +156,18 @@ def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
                 raise ConfigError(f"cannot read mock script {path}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"mock script {path} is not valid JSON: {exc.msg}") from exc
-        chat_backend = MockChatBackend.from_script(script_doc) if script_doc else MockChatBackend()
-        embedding_backend = MockEmbeddingBackend(
-            vectors=script_doc.get("embeddings"),
-            dim=int(script_doc.get("embedding_dim", 8)),
-        )
+            if not isinstance(script_doc, dict):
+                raise ConfigError(f"mock script {path} must hold a JSON object")
+        chat_backend = MockChatBackend.from_script(script_doc)
+        dim, vectors = script_doc.get("embedding_dim", 8), script_doc.get("embeddings", {})
+        if type(dim) is not int or dim < 1:
+            raise ConfigError("mock script 'embedding_dim' must be a positive integer")
+        if not isinstance(vectors, dict) or not all(
+            isinstance(vec, list) and len(vec) == dim and all(type(x) in (int, float) for x in vec)
+            for vec in vectors.values()
+        ):
+            raise ConfigError(f"mock script 'embeddings' must map texts to lists of {dim} numbers")
+        embedding_backend = MockEmbeddingBackend(vectors=vectors, dim=dim)
     else:
         chat_backend = HttpChatBackend(cfg.endpoint, api_key=cfg.api_key)
         embedding_backend = HttpEmbeddingBackend(cfg.endpoint, api_key=cfg.api_key)
@@ -446,25 +453,29 @@ def _dataset_parent(require_registry: bool = True) -> argparse.ArgumentParser:
 def _build_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("build thresholds")
-    g.add_argument("--theta-kw", dest="theta_kw", type=int, default=500,
+    d = BuildConfig
+    g.add_argument("--theta-kw", dest="theta_kw", type=int, default=d.keyword_threshold,
                    help="switch to keyword compression above this node size")
-    g.add_argument("--theta-leaf", dest="theta_leaf", type=int, default=40,
+    g.add_argument("--theta-leaf", dest="theta_leaf", type=int, default=d.leaf_threshold,
                    help="stop splitting nodes at or below this size")
-    g.add_argument("--max-depth", dest="max_depth", type=int, default=3)
-    g.add_argument("--generic-ratio", dest="generic_ratio", type=float, default=1 / 3)
-    g.add_argument("--max-categories", dest="max_categories", type=int, default=20)
-    g.add_argument("--max-refine-iterations", dest="max_refine_iterations", type=int, default=3)
-    g.add_argument("--keyword-batch-size", dest="keyword_batch_size", type=int, default=50)
-    g.add_argument("--tiny-merge-threshold", dest="tiny_merge_threshold", type=int, default=2)
+    g.add_argument("--max-depth", dest="max_depth", type=int, default=d.max_depth)
+    g.add_argument("--generic-ratio", dest="generic_ratio", type=float, default=d.generic_ratio)
+    g.add_argument("--max-categories", dest="max_categories", type=int, default=d.max_categories)
+    g.add_argument("--max-refine-iterations", dest="max_refine_iterations", type=int,
+                   default=d.max_refine_iterations)
+    g.add_argument("--keyword-batch-size", dest="keyword_batch_size", type=int,
+                   default=d.keyword_batch_size)
+    g.add_argument("--tiny-merge-threshold", dest="tiny_merge_threshold", type=int,
+                   default=d.tiny_merge_threshold)
     return p
 
 
 def _search_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("search")
-    g.add_argument("--mode", choices=MODES, default="get_all")
-    g.add_argument("--theta-merge", dest="theta_merge", type=int, default=30,
-                   help="merge result groups smaller than this")
+    g.add_argument("--mode", choices=MODES, default=SearchConfig.mode)
+    g.add_argument("--theta-merge", dest="theta_merge", type=int,
+                   default=SearchConfig.merge_threshold, help="merge result groups smaller than this")
     return p
 
 

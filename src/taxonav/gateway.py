@@ -43,6 +43,7 @@ from typing import TypeVar
 import numpy as np
 
 from .errors import (
+    ConfigError,
     GatewayError,
     IndexParseError,
     MalformedReplyError,
@@ -234,6 +235,35 @@ class ScriptRule:
         return self.reply[idx]
 
 
+def _script_rule(rule: object, where: str) -> ScriptRule:
+    """One mock-script rule, checked field by field."""
+    if not isinstance(rule, dict):
+        raise ConfigError(f"mock script {where} is not an object")
+    for key, value in (("pattern", rule.get("pattern")), ("label", rule.get("label") or "")):
+        if not isinstance(value, str):
+            raise ConfigError(f"mock script {where} needs a string {key!r}")
+        try:
+            re.compile(value)
+        except re.error as exc:
+            raise ConfigError(f"mock script {where} {key!r} is not a valid regex: {exc}") from None
+    reply = rule.get("reply")
+    if not isinstance(reply, str) and not (
+        isinstance(reply, list) and reply and all(isinstance(r, str) for r in reply)
+    ):
+        raise ConfigError(f"mock script {where} needs a 'reply' string or non-empty list of strings")
+    for key in ("prompt_tokens", "output_tokens"):
+        value = rule.get(key)
+        if value is not None and (type(value) is not int or value < 0):
+            raise ConfigError(f"mock script {where} {key!r} must be a non-negative integer")
+    return ScriptRule(
+        pattern=rule["pattern"],
+        reply=reply,
+        label=rule.get("label"),
+        prompt_tokens=rule.get("prompt_tokens"),
+        output_tokens=rule.get("output_tokens"),
+    )
+
+
 @dataclass
 class MockCall:
     label: str
@@ -263,24 +293,17 @@ class MockChatBackend:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_script(cls, script: dict | str | Path) -> "MockChatBackend":
-        if not isinstance(script, dict):
-            path = Path(script)
-            try:
-                script = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise MalformedReplyError(f"cannot load mock script {path}: {exc}") from exc
-        rules = [
-            ScriptRule(
-                pattern=rule["pattern"],
-                reply=rule["reply"],
-                label=rule.get("label"),
-                prompt_tokens=rule.get("prompt_tokens"),
-                output_tokens=rule.get("output_tokens"),
-            )
-            for rule in script.get("rules", [])
-        ]
-        return cls(rules=rules, default_reply=script.get("default_reply"))
+    def from_script(cls, script: dict) -> "MockChatBackend":
+        """A backend answering from the "rules" and "default_reply" of a
+        parsed mock script. Raises ConfigError naming the first bad entry."""
+        rules = script.get("rules", [])
+        if not isinstance(rules, list):
+            raise ConfigError("mock script 'rules' must be a list")
+        parsed = [_script_rule(rule, f"rules[{i}]") for i, rule in enumerate(rules)]
+        default_reply = script.get("default_reply")
+        if default_reply is not None and not isinstance(default_reply, str):
+            raise ConfigError("mock script 'default_reply' must be a string")
+        return cls(rules=parsed, default_reply=default_reply)
 
     def complete(self, request: ChatRequest, label: str) -> ChatResponse:
         with self._lock:

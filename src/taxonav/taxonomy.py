@@ -6,9 +6,17 @@ lists: one service id may appear under several leaves. Node ids are
 path-derived slugs ("root/travel/flights") so diffs stay readable;
 collisions within a parent are resolved by numeric suffixes.
 
+The downward traversals here and in the builder share one walk, ``_walk``:
+depth-first, child-index order, each node once. It records each way the
+child lists fail to form one tree: an unknown child, the root listed as a
+child, a node listed twice or under two parents, a wrong depth, an
+unreachable node. ``load`` raises the first such fault as SchemaError,
+``validate`` reports them all, and ``Taxonomy.walk`` (under leaves, the
+assignment rebuild and statistics) raises the first as DataError.
+
 Persistence splits into two files: taxonomy.json (nodes, child order,
 boundaries, leaf service lists) and class.json (service id -> ordered leaf
-ids, primary placement first).
+ids, primary placement first). ``load`` checks the type of every field.
 """
 
 from __future__ import annotations
@@ -43,6 +51,57 @@ class TaxonomyNode:
 
     def is_leaf(self) -> bool:
         return not self.children
+
+
+def _walk(nodes: dict[str, TaxonomyNode], root_id: str) -> tuple[list[str], list[Violation]]:
+    """The ids reachable from the root, depth-first in child-index order and
+    each once, plus every fault that keeps the child lists from forming one
+    tree, in the order met; unreachable nodes come last, in id order.
+
+    A cycle through the root lists the root as a child; any other cycle
+    reached from the root enters it at a node with two parents; a cycle
+    detached from the root is unreachable. A faulty child entry is not
+    followed, so the walk always ends.
+    """
+    faults: list[Violation] = []
+    parent_of: dict[str, str] = {}
+    order: list[str] = []
+    stack = [root_id]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        node = nodes[node_id]
+        fresh: list[str] = []
+        for child_id in node.children:
+            if child_id not in nodes:
+                fault = ("dangling-child", node_id,
+                         f"node {node_id!r} references unknown child {child_id!r}")
+            elif child_id == root_id:
+                fault = ("cycle", node_id,
+                         f"parent cycle: root {root_id!r} is listed as a child of {node_id!r}")
+            elif parent_of.get(child_id) == node_id:
+                fault = ("duplicate-child", node_id,
+                         f"node {child_id!r} is listed twice under {node_id!r}")
+            elif child_id in parent_of:
+                fault = ("two-parents", child_id, f"node {child_id!r} is listed under two "
+                         f"parents, {parent_of[child_id]!r} and {node_id!r}")
+            else:
+                parent_of[child_id] = node_id
+                fresh.append(child_id)
+                depth = nodes[child_id].depth
+                if depth == node.depth + 1:
+                    continue
+                fault = ("wrong-depth", child_id, f"node {child_id!r} has depth {depth}, expected "
+                         f"{node.depth + 1} (its parent {node_id!r} has depth {node.depth})")
+            faults.append(Violation(*fault))
+        stack.extend(reversed(fresh))
+    if len(order) < len(nodes):
+        reached = set(order)
+        faults += [
+            Violation("unreachable", node_id, f"node {node_id!r} is not reachable from the root {root_id!r}")
+            for node_id in sorted(nodes) if node_id not in reached
+        ]
+    return order, faults
 
 
 class Taxonomy:
@@ -113,20 +172,17 @@ class Taxonomy:
                 parents[child_id] = node.node_id
         return parents
 
+    def walk(self) -> list[str]:
+        """Every node id once, depth-first in child-index order. Raises
+        DataError naming the first fault if the child lists are not one tree."""
+        order, faults = _walk(self.nodes, self.root_id)
+        if faults:
+            raise DataError(faults[0].detail)
+        return order
+
     def leaves(self) -> list[str]:
         """Leaf ids in depth-first, child-index order. Deterministic."""
-        order: list[str] = []
-
-        def walk(node_id: str) -> None:
-            node = self.node(node_id)
-            if node.is_leaf():
-                order.append(node_id)
-                return
-            for child_id in node.children:
-                walk(child_id)
-
-        walk(self.root_id)
-        return order
+        return [node_id for node_id in self.walk() if self.nodes[node_id].is_leaf()]
 
     def _ancestors(self, node_id: str, parents: dict[str, str]) -> list[str]:
         """The chain node_id, its parent, ..., the root.
@@ -237,35 +293,18 @@ class Violation:
 
 
 def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list[Violation]:
-    """Reports structural violations instead of raising: uncovered services,
-    over-depth nodes, dangling ids, duplicates, unreachable nodes."""
-    violations: list[Violation] = []
-    reachable: set[str] = set()
-    queue = [taxonomy.root_id]
-    while queue:
-        node_id = queue.pop()
-        if node_id in reachable:
-            continue
-        reachable.add(node_id)
-        node = taxonomy.nodes.get(node_id)
-        if node is None:
-            continue
-        queue.extend(node.children)
-
+    """Reports violations instead of raising: every tree-shape fault of
+    ``_walk``, then over-depth nodes, duplicate and dangling services,
+    uncovered services and assignment entries that no leaf backs."""
+    order, violations = _walk(taxonomy.nodes, taxonomy.root_id)
+    held: dict[str, set[str]] = {}
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]
-        if node_id not in reachable:
-            violations.append(Violation("unreachable", node_id, "not reachable from the root"))
         if node.depth > max_depth:
             violations.append(
                 Violation("over-depth", node_id, f"depth {node.depth} exceeds cap {max_depth}")
             )
-        for child_id in node.children:
-            if child_id not in taxonomy.nodes:
-                violations.append(
-                    Violation("dangling-child", node_id, f"child {child_id!r} has no node")
-                )
-        seen: set[str] = set()
+        seen = held[node_id] = set()
         for sid in node.service_ids:
             if sid in seen:
                 violations.append(
@@ -278,10 +317,9 @@ def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list
                 )
 
     covered: set[str] = set()
-    for node_id in reachable:
-        node = taxonomy.nodes.get(node_id)
-        if node is not None and node.is_leaf():
-            covered.update(node.service_ids)
+    for node_id in order:
+        if taxonomy.nodes[node_id].is_leaf():
+            covered |= held[node_id]
     for svc in registry:
         if svc.id not in covered:
             violations.append(Violation("uncovered", svc.id, "service appears in no leaf"))
@@ -289,7 +327,7 @@ def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list
     for sid, leaf_ids in taxonomy.assignment.items():
         for leaf_id in leaf_ids:
             node = taxonomy.nodes.get(leaf_id)
-            if node is None or not node.is_leaf() or sid not in node.service_ids:
+            if node is None or not node.is_leaf() or sid not in held[leaf_id]:
                 violations.append(
                     Violation("assignment-mismatch", sid, f"assignment names leaf {leaf_id!r}")
                 )
@@ -325,42 +363,24 @@ def save(taxonomy: Taxonomy, directory: str | Path) -> None:
     )
 
 
-def _check_tree_shape(nodes: dict[str, TaxonomyNode], root_id: str, where: Path) -> None:
-    """Raises SchemaError, naming the node, unless the child lists form one
-    tree: no parent cycle, one parent per non-root node, every node reachable
-    from the root, and each child one level deeper than its parent. Every
-    walk down from the root then ends.
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
-    One walk down from the root finds all of these. A cycle through the root
-    lists the root as a child; any other cycle reached from the root enters it
-    at a node with two parents; a cycle detached from the root is unreachable.
-    """
-    parent_of: dict[str, str] = {}
-    reached = [root_id]
-    for node_id in reached:
-        node = nodes[node_id]
-        for child_id in node.children:
-            if child_id == root_id:
-                raise SchemaError(
-                    f"{where}: parent cycle: root {root_id!r} is listed as a child of {node_id!r}"
-                )
-            if child_id in parent_of:
-                if parent_of[child_id] == node_id:
-                    raise SchemaError(f"{where}: node {child_id!r} is listed twice under {node_id!r}")
-                raise SchemaError(
-                    f"{where}: node {child_id!r} is listed under two parents, "
-                    f"{parent_of[child_id]!r} and {node_id!r}"
-                )
-            if nodes[child_id].depth != node.depth + 1:
-                raise SchemaError(
-                    f"{where}: node {child_id!r} has depth {nodes[child_id].depth}, "
-                    f"expected {node.depth + 1} (its parent {node_id!r} has depth {node.depth})"
-                )
-            parent_of[child_id] = node_id
-            reached.append(child_id)
-    if len(reached) < len(nodes):
-        stray = min(set(nodes) - set(reached))
-        raise SchemaError(f"{where}: node {stray!r} is not reachable from the root {root_id!r}")
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_STRINGS = (_is_strings, "a list of strings")
+
+# field of a taxonomy.json node record -> (type test, what it must be); only
+# "services" may be absent
+_NODE_FIELDS = {
+    "id": _STRING,
+    "name": _STRING,
+    "description": _STRING,
+    "boundary": _STRING,
+    "children": _STRINGS,
+    "depth": (lambda v: type(v) is int, "an integer"),  # JSON true is a bool, an int subclass
+    "services": _STRINGS,
+}
 
 
 def load(directory: str | Path) -> Taxonomy:
@@ -381,6 +401,8 @@ def load(directory: str | Path) -> Taxonomy:
 
     if not isinstance(doc, dict) or "root" not in doc or "nodes" not in doc:
         raise SchemaError(f"{tax_path}: expected an object with 'root' and 'nodes'")
+    if not isinstance(doc["root"], str) or not isinstance(doc["nodes"], list):
+        raise SchemaError(f"{tax_path}: 'root' must be a string and 'nodes' a list")
     if not isinstance(assignment_doc, dict):
         raise SchemaError(f"{class_path}: expected an object mapping service id to leaf ids")
 
@@ -388,9 +410,11 @@ def load(directory: str | Path) -> Taxonomy:
     for idx, record in enumerate(doc["nodes"]):
         if not isinstance(record, dict):
             raise SchemaError(f"{tax_path}: nodes[{idx}] is not an object")
-        for key in ("id", "name", "description", "boundary", "children", "depth"):
-            if key not in record:
+        for key, (ok, what) in _NODE_FIELDS.items():
+            if key not in record and key != "services":
                 raise SchemaError(f"{tax_path}: nodes[{idx}] missing field {key!r}")
+            if not ok(record.get(key, [])):
+                raise SchemaError(f"{tax_path}: nodes[{idx}] field {key!r} must be {what}")
         node = TaxonomyNode(
             node_id=record["id"],
             name=record["name"],
@@ -398,7 +422,7 @@ def load(directory: str | Path) -> Taxonomy:
             boundary=record["boundary"],
             children=list(record["children"]),
             service_ids=list(record.get("services", [])),
-            depth=int(record["depth"]),
+            depth=record["depth"],
         )
         if node.node_id in nodes:
             raise SchemaError(f"{tax_path}: duplicate node id {node.node_id!r}")
@@ -407,25 +431,22 @@ def load(directory: str | Path) -> Taxonomy:
     root_id = doc["root"]
     if root_id not in nodes:
         raise SchemaError(f"{tax_path}: root {root_id!r} has no node record")
-    for node in nodes.values():
-        for child_id in node.children:
-            if child_id not in nodes:
-                raise SchemaError(
-                    f"{tax_path}: node {node.node_id!r} references unknown child {child_id!r}"
-                )
-    _check_tree_shape(nodes, root_id, tax_path)
+    _, faults = _walk(nodes, root_id)
+    if faults:
+        raise SchemaError(f"{tax_path}: {faults[0].detail}")
 
+    held = {node_id: set(node.service_ids) for node_id, node in nodes.items() if node.is_leaf()}
     assignment: dict[str, list[str]] = {}
     for sid, leaf_ids in assignment_doc.items():
         if not isinstance(leaf_ids, list) or not leaf_ids:
             raise SchemaError(f"{class_path}: service {sid!r} must map to a non-empty list")
         for leaf_id in leaf_ids:
-            leaf = nodes.get(leaf_id)
+            leaf = nodes.get(leaf_id) if isinstance(leaf_id, str) else None
             if leaf is None:
                 raise SchemaError(f"{class_path}: service {sid!r} references unknown leaf {leaf_id!r}")
             if leaf.children:
                 raise SchemaError(f"{class_path}: service {sid!r} references non-leaf {leaf_id!r}")
-            if sid not in leaf.service_ids:
+            if sid not in held[leaf_id]:
                 raise SchemaError(
                     f"{class_path}: service {sid!r} assigned to leaf {leaf_id!r} "
                     "but missing from its service list"

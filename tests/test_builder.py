@@ -666,6 +666,86 @@ def test_oneshot_base_call_law_and_failures():
     assert taxonomy.node("root/work/docs/editors").service_ids == ["e1", "e2"]
 
 
+PRUNE_TREE = json.dumps(
+    {
+        "categories": [
+            {
+                "name": "Work",
+                "description": "work tools",
+                "children": [
+                    {
+                        "name": "Docs",
+                        "description": "documents",
+                        "children": [
+                            {"name": "Editors", "description": "edit"},
+                            {"name": "Viewers", "description": "view"},
+                        ],
+                    },
+                    {
+                        "name": "Archive",
+                        "description": "old files",
+                        "children": [{"name": "Vault", "description": "cold storage"}],
+                    },
+                ],
+            },
+            {"name": "Media", "children": [{"name": "Players", "description": "play"}]},
+            {
+                "name": "Legacy",
+                "description": "retired",
+                "children": [{"name": "Old", "children": [{"name": "Oldest", "description": "gone"}]}],
+            },
+        ]
+    }
+)
+
+
+def test_oneshot_prunes_leaves_left_empty_and_their_childless_parents():
+    """Vault empties Archive, and Oldest empties Old and then Legacy."""
+    gateway = gw(
+        ScriptRule(pattern=".*", label="oneshot.design", reply=PRUNE_TREE),
+        ScriptRule(pattern=r"Service:\ne[12]:", label="oneshot.classify",
+                   reply="Work > Docs > Editors"),
+        ScriptRule(pattern=r"Service:\nv1:", label="oneshot.classify", reply="Work > Docs > Viewers"),
+        ScriptRule(pattern=r"Service:\np1:", label="oneshot.classify", reply="Media > Players"),
+    )
+    registry = Registry([svc("e1"), svc("e2"), svc("v1"), svc("p1")])
+    taxonomy, report = build_oneshot(registry, "base", BuildConfig(), gateway)
+    # count, nodes and child lists as the fixed-point pruning loop left them
+    assert report.pruned_empty_categories == 5
+    assert {nid: node.children for nid, node in taxonomy.nodes.items()} == {
+        "root": ["root/work", "root/media"],
+        "root/work": ["root/work/docs"],
+        "root/work/docs": ["root/work/docs/editors", "root/work/docs/viewers"],
+        "root/work/docs/editors": [],
+        "root/work/docs/viewers": [],
+        "root/media": ["root/media/players"],
+        "root/media/players": [],
+    }
+    assert taxonomy.assignment == {
+        "e1": ["root/work/docs/editors"],
+        "e2": ["root/work/docs/editors"],
+        "v1": ["root/work/docs/viewers"],
+        "p1": ["root/media/players"],
+    }
+    # the outline every classify prompt shows, as the recursive renderer wrote it
+    outline = (
+        "- Work: work tools\n"
+        "  - Docs: documents\n"
+        "    - Editors: edit\n"
+        "    - Viewers: view\n"
+        "  - Archive: old files\n"
+        "    - Vault: cold storage\n"
+        "- Media\n"
+        "  - Players: play\n"
+        "- Legacy: retired\n"
+        "  - Old\n"
+        "    - Oldest: gone"
+    )
+    prompts = [c.request.user_prompt for c in calls(gateway, "oneshot.classify")]
+    assert len(prompts) == 4
+    assert all(outline + "\n" in prompt for prompt in prompts)
+
+
 def test_oneshot_plus_refine_fixes_failures():
     gateway = gw(*oneshot_rules(["Nonsense > Path", "Work > Docs > Viewers"]))
     taxonomy, report = build_oneshot(oneshot_registry(), "+refine", BuildConfig(), gateway)

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from taxonav import cli
+from taxonav.builder import BuildConfig
+from taxonav.search import SearchConfig
 
 # -- fixtures ----------------------------------------------------------------
 
@@ -398,6 +400,17 @@ def test_stats_reports_registry_queries_taxonomy(cli_world, capsys):
     assert payload["taxonomy"]["leaf_categories"] == 3
 
 
+def test_stats_taxonomy_with_a_bad_field_type_exits_3(cli_world, tmp_path, capsys):
+    tax_dir = tmp_path / "tax"
+    tax_dir.mkdir()
+    (tax_dir / "class.json").write_bytes((cli_world["out"] / "class.json").read_bytes())
+    doc = json.loads((cli_world["out"] / "taxonomy.json").read_text())
+    doc["nodes"][1]["depth"] = "x"
+    (tax_dir / "taxonomy.json").write_text(json.dumps(doc))
+    assert cli.main(["stats", "--taxonomy", str(tax_dir)]) == 3
+    assert "nodes[1] field 'depth' must be an integer" in capsys.readouterr().err
+
+
 def test_stats_requires_some_input(capsys):
     assert cli.main(["stats"]) == 3
     assert "nothing to report" in capsys.readouterr().err
@@ -524,6 +537,43 @@ def test_http_backend_requires_endpoint(tmp_path, capsys):
     )
     assert code == 3
     assert "needs an endpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ({"rules": [{"pattern": "x", "reply": "1"}, {"reply": "1"}]},
+         "mock script rules[1] needs a string 'pattern'"),
+        ([{"pattern": "x", "reply": "1"}], "must hold a JSON object"),
+        ({"embedding_dim": "x"}, "'embedding_dim' must be a positive integer"),
+        ({"rules": [{"pattern": "(", "reply": "1"}]}, "mock script rules[0] 'pattern' is not a valid regex"),
+        ({"rules": [{"pattern": "x", "label": 3, "reply": "1"}]}, "rules[0] needs a string 'label'"),
+        ({"rules": [{"pattern": "x", "reply": []}]}, "rules[0] needs a 'reply' string or non-empty list"),
+        ({"rules": [{"pattern": "x", "reply": "1", "output_tokens": -1}]},
+         "rules[0] 'output_tokens' must be a non-negative integer"),
+        ({"rules": {"pattern": "x"}}, "'rules' must be a list"),
+        ({"embeddings": {"a": [0.1, 0.9]}}, "'embeddings' must map texts to lists of 8 numbers"),
+    ],
+    ids=["no-pattern", "top-level-list", "dim-str", "bad-regex", "label-int", "empty-reply",
+         "negative-tokens", "rules-object", "short-vector"],
+)
+def test_malformed_mock_script_exits_3(cli_world, tmp_path, capsys, script, message):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    code = cli.main(
+        ["build", "--registry", str(cli_world["registry"]), "--script", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_build_and_search_flag_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["eval", "--registry", "r", "--queries", "q",
+                                          "--taxonomy", "t", "--run-dir", "d"])
+    assert SearchConfig(mode=args.mode, merge_threshold=args.theta_merge) == SearchConfig()
+    args = cli.build_parser().parse_args(["build", "--registry", "r", "--out", "o"])
+    assert cli._build_config(args) == BuildConfig()
 
 
 # -- exit codes -------------------------------------------------------------------

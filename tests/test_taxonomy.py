@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import tempfile
 from collections import deque
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taxonav.builder import BuildReport, TaxonomyBuilder
 from taxonav.errors import DataError, SchemaError
+from taxonav.gateway import LlmGateway
 from taxonav.registry import Registry, Service
 from taxonav.taxonomy import (
     Taxonomy,
@@ -283,24 +287,28 @@ def _add_node(records: dict, node_id: str, depth: int, children=()) -> None:
 
 
 @pytest.mark.parametrize(
-    "edit, match",
+    "edit, match, kind",
     [
         # the two-node cycle root -> a -> root made retrieve descend forever
-        (lambda r: r["root/a"]["children"].append("root"), r"parent cycle: root 'root'.*'root/a'"),
+        (lambda r: r["root/a"]["children"].append("root"), r"parent cycle: root 'root'.*'root/a'",
+         "cycle"),
         (lambda r: (_add_node(r, "x", 1, ["y"]), _add_node(r, "y", 2, ["x"])),
-         r"node 'x' is not reachable from the root 'root'$"),
+         r"node 'x' is not reachable from the root 'root'$", "unreachable"),
         # a cycle below the root enters at a node with two parents
         (lambda r: r["root/a/a1"].update(children=["root/a"]),
-         r"node 'root/a' is listed under two parents, 'root' and 'root/a/a1'$"),
+         r"node 'root/a' is listed under two parents, 'root' and 'root/a/a1'$", "two-parents"),
         (lambda r: r["root/b"]["children"].append("root/a/a1"),
-         r"node 'root/a/a1' is listed under two parents, 'root/a' and 'root/b'"),
-        (lambda r: r["root"]["children"].append("root/b"), r"node 'root/b' is listed twice under 'root'$"),
-        (lambda r: _add_node(r, "stray", 1), r"node 'stray' is not reachable from the root"),
-        (lambda r: r["root/a/a1"].update(depth=1), r"node 'root/a/a1' has depth 1, expected 2"),
+         r"node 'root/a/a1' is listed under two parents, 'root/a' and 'root/b'", "two-parents"),
+        (lambda r: r["root"]["children"].append("root/b"), r"node 'root/b' is listed twice under 'root'$",
+         "duplicate-child"),
+        (lambda r: _add_node(r, "stray", 1), r"node 'stray' is not reachable from the root",
+         "unreachable"),
+        (lambda r: r["root/a/a1"].update(depth=1), r"node 'root/a/a1' has depth 1, expected 2",
+         "wrong-depth"),
     ],
     ids=["root-cycle", "detached-cycle", "inner-cycle", "two-parents", "listed-twice", "unreachable", "depth"],
 )
-def test_load_rejects_trees_that_are_not_one_tree(tmp_path, edit, match):
+def test_load_rejects_trees_that_are_not_one_tree(tmp_path, edit, match, kind):
     save(small_tree(), tmp_path)
     doc = json.loads((tmp_path / "taxonomy.json").read_text())
     records = {record["id"]: record for record in doc["nodes"]}
@@ -310,6 +318,48 @@ def test_load_rejects_trees_that_are_not_one_tree(tmp_path, edit, match):
     with pytest.raises(SchemaError, match=match):
         load(tmp_path)
 
+    # the same edit made in memory: validate reports it, walk raises it
+    tax = Taxonomy(nodes={
+        r["id"]: TaxonomyNode(r["id"], r["name"], children=r["children"],
+                              service_ids=r.get("services", []), depth=r["depth"])
+        for r in records.values()
+    })
+    violations = validate(tax, registry_for(small_tree()))
+    assert kind in {v.kind for v in violations}
+    assert any(re.search(match, v.detail) for v in violations if v.kind == kind)
+    with pytest.raises(DataError, match=match):
+        tax.walk()
+
+
+def cyclic_tree() -> Taxonomy:
+    """root -> a -> root, with a leaf b under a."""
+    tax = Taxonomy()
+    a = tax.add_child("root", "A")
+    tax.add_child(a.node_id, "B").service_ids = ["s1"]
+    a.children.append("root")
+    return tax
+
+
+def test_a_cycle_built_in_memory_is_reported_not_recursed():
+    tax = cyclic_tree()
+    reg = Registry([Service(id="s1", name="s1", description="d")])
+    assert [v.kind for v in validate(tax, reg)] == ["cycle"]
+    for call in (tax.walk, tax.leaves, tax.rebuild_assignment, lambda: stats(tax),
+                 lambda: TaxonomyBuilder(LlmGateway()).cross_domain_assign(tax, reg, BuildReport())):
+        with pytest.raises(DataError, match="parent cycle: root 'root' is listed as a child of 'root/a'"):
+            call()
+
+
+def test_walk_is_preorder_and_validate_reports_every_fault():
+    tax = small_tree()
+    assert tax.walk() == ["root", "root/a", "root/a/a1", "root/b"]
+    tax.node("root/a").children += ["root/zz", "root/b"]
+    tax.nodes["lone"] = TaxonomyNode("lone", "lone", depth=1)
+    faults = [(v.kind, v.subject) for v in validate(tax, registry_for(small_tree()))]
+    assert faults == [
+        ("dangling-child", "root/a"), ("two-parents", "root/b"), ("unreachable", "lone"),
+    ]
+
 
 def test_remove_child_requires_childless():
     tax = small_tree()
@@ -317,3 +367,98 @@ def test_remove_child_requires_childless():
         tax.remove_child("root", "root/a")
     tax.remove_child("root/a", "root/a/a1")
     assert "root/a/a1" not in tax.nodes
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda d: d["nodes"][0].update(depth="x"), r"nodes\[0\] field 'depth' must be an integer"),
+        (lambda d: d["nodes"][1].update(depth=None), r"nodes\[1\] field 'depth' must be an integer"),
+        (lambda d: d["nodes"][1].update(depth=[1]), r"nodes\[1\] field 'depth' must be an integer"),
+        (lambda d: d["nodes"][2].update(depth=True), r"nodes\[2\] field 'depth' must be an integer"),
+        (lambda d: d["nodes"][0].update(name=5), r"nodes\[0\] field 'name' must be a string"),
+        (lambda d: d["nodes"][3].update(id=["root/b"]), r"nodes\[3\] field 'id' must be a string"),
+        (lambda d: d["nodes"][1].update(boundary=None), r"nodes\[1\] field 'boundary' must be a string"),
+        (lambda d: d["nodes"][0].update(children="root/a"),
+         r"nodes\[0\] field 'children' must be a list of strings"),
+        (lambda d: d["nodes"][0].update(children=[{}]),
+         r"nodes\[0\] field 'children' must be a list of strings"),
+        (lambda d: d["nodes"][3].update(services=[1]),
+         r"nodes\[3\] field 'services' must be a list of strings"),
+        (lambda d: d.update(root=["root"]), r"'root' must be a string and 'nodes' a list"),
+        (lambda d: d.update(nodes={}), r"'root' must be a string and 'nodes' a list"),
+    ],
+    ids=["depth-str", "depth-null", "depth-list", "depth-bool", "name-int", "id-list",
+         "boundary-null", "children-str", "children-obj", "services-int", "root-list", "nodes-obj"],
+)
+def test_load_checks_field_types(tmp_path, edit, match):
+    save(small_tree(), tmp_path)
+    doc = json.loads((tmp_path / "taxonomy.json").read_text())
+    assert [n["id"] for n in doc["nodes"]] == ["root", "root/a", "root/a/a1", "root/b"]
+    edit(doc)
+    (tmp_path / "taxonomy.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=match):
+        load(tmp_path)
+
+
+def test_load_rejects_non_string_leaf_ids_in_class_file(tmp_path):
+    save(small_tree(), tmp_path)
+    (tmp_path / "class.json").write_text(json.dumps({"s1": [["root/a/a1"]]}))
+    with pytest.raises(SchemaError, match=r"'s1' references unknown leaf \['root/a/a1'\]"):
+        load(tmp_path)
+
+
+TREE_FAULTS = {"dangling-child", "cycle", "duplicate-child", "two-parents", "wrong-depth", "unreachable"}
+NODE_IDS = ["root", "a", "b", "c", "d"]
+odd_values = st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.text(max_size=2),
+                       st.sampled_from(NODE_IDS + ["zz"]),
+                       st.lists(st.sampled_from(NODE_IDS + ["zz", 1]), max_size=3), st.just({}))
+
+
+@st.composite
+def node_tables(draw) -> tuple[object, list[dict]]:
+    """(root, node records): a random tree over the first few NODE_IDS, then
+    up to three fields of random nodes set to random values."""
+    ids = NODE_IDS[: draw(st.integers(1, len(NODE_IDS)))]
+    records = {nid: {"id": nid, "name": nid, "description": "", "boundary": "",
+                     "children": [], "depth": 0} for nid in ids}
+    for i, nid in enumerate(ids[1:], start=1):
+        parent = records[draw(st.sampled_from(ids[:i]))]
+        parent["children"].append(nid)
+        records[nid]["depth"] = parent["depth"] + 1
+    for record in records.values():
+        if not record["children"]:
+            record["services"] = draw(st.lists(st.sampled_from(["s1", "s2"]), max_size=2))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["id", "name", "boundary", "children", "depth", "services"]))
+        records[draw(st.sampled_from(ids))][key] = draw(odd_values)
+    return draw(st.sampled_from(["root", "root", "a", None])), list(records.values())
+
+
+@given(table=node_tables())
+def test_load_either_rejects_or_returns_one_tree(table):
+    """load raises SchemaError, or the tree it returns walks cleanly and
+    validate finds no tree-shape fault in it."""
+    root, records = table
+    # class.json backs every leaf service, so the tree's shape decides
+    assignment: dict = {}
+    for record in records:
+        services, children = record.get("services", []), record["children"]
+        if isinstance(services, list) and children == [] and isinstance(record["id"], str):
+            for sid in services:
+                if isinstance(sid, str) and record["id"] not in assignment.get(sid, []):
+                    assignment.setdefault(sid, []).append(record["id"])
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/taxonomy.json", "w") as fh:
+            json.dump({"root": root, "nodes": records}, fh)
+        with open(f"{tmp}/class.json", "w") as fh:
+            json.dump(assignment, fh)
+        try:
+            tax = load(tmp)
+        except SchemaError:
+            return
+    order = tax.walk()
+    assert sorted(order) == sorted(tax.nodes)
+    assert tax.leaves() == [n for n in order if not tax.nodes[n].children]
+    kinds = {v.kind for v in validate(tax, registry_for(tax))}
+    assert not kinds & TREE_FAULTS
