@@ -64,6 +64,14 @@ RETRYABLE_STATUSES = (408, 429)
 # seconds, so a hostile or broken header cannot stall a caller for hours.
 MAX_RETRY_AFTER_S = 60.0
 
+# Most texts sent in one /embeddings request. OpenAI's API reference caps a
+# request at 2,048 inputs and at 300,000 tokens summed over its inputs. 256
+# is an eighth of the input cap and keeps a request under the token cap for
+# texts of up to about 1,170 tokens each, far above a service description.
+# These are the published limits of that one API, not checked against a live
+# endpoint; other OpenAI-compatible servers may set their own.
+EMBED_BATCH_SIZE = 256
+
 # Model-id patterns whose backends enable extended thinking by default; the
 # request must carry an explicit disable flag to keep outputs deterministic.
 DEFAULT_THINKING_DISABLE_PATTERNS = ("v4",)
@@ -656,36 +664,44 @@ class LlmGateway:
                 raise
 
     def embed(self, texts: Sequence[str], *, model: str | None = None) -> list[EmbeddingVector]:
-        """Embeds texts with content-hash caching; vectors come back unit-norm."""
+        """Embeds texts with content-hash caching; vectors come back unit-norm.
+
+        Cache misses go to the backend EMBED_BATCH_SIZE texts per request,
+        the batches in parallel on the gateway's pool. Each batch is cached
+        as it returns, so a failed batch does not discard the others. The
+        vectors returned, cached or new, must all have one dimension."""
         if self.embedding_backend is None:
             raise GatewayError("no embedding backend configured")
         model = model or self.embedding_model
         texts = list(texts)
         resolved: dict[str, np.ndarray] = {}
         misses: list[str] = []
-        for text in texts:
-            if text in resolved:
-                continue
+        for text in dict.fromkeys(texts):  # each distinct text once, in order
             cached = self._cache_load(self._cache_key(model, text))
             if cached is not None:
                 resolved[text] = cached
-            elif text not in misses:
+            else:
                 misses.append(text)
-        if misses:
+
+        def embed_batch(batch: list[str]) -> list[np.ndarray]:
             raw = self._call_backend(
-                "embedding", "embed", lambda: self.embedding_backend.embed(misses, model)
+                "embedding", "embed", lambda: self.embedding_backend.embed(batch, model)
             )
-            if len(raw) != len(misses):
+            if len(raw) != len(batch):
                 raise MalformedReplyError(
-                    f"embedding backend returned {len(raw)} vectors for {len(misses)} texts"
+                    f"embedding backend returned {len(raw)} vectors for {len(batch)} texts"
                 )
-            dims = {len(vec) for vec in raw}
-            if len(dims) > 1:
-                raise MalformedReplyError(f"inconsistent embedding dimensions {sorted(dims)}")
-            for text, values in zip(misses, raw):
-                vec = l2_normalize(values)
+            vectors = [l2_normalize(values) for values in raw]
+            for text, vec in zip(batch, vectors):
                 self._cache_store(self._cache_key(model, text), vec)
-                resolved[text] = vec
+            return vectors
+
+        batches = [misses[i : i + EMBED_BATCH_SIZE] for i in range(0, len(misses), EMBED_BATCH_SIZE)]
+        for batch, vectors in zip(batches, self.run_parallel(embed_batch, batches)):
+            resolved.update(zip(batch, vectors))
+        dims = {len(vec) for vec in resolved.values()}
+        if len(dims) > 1:
+            raise MalformedReplyError(f"inconsistent embedding dimensions {sorted(dims)}")
         return [EmbeddingVector(values=resolved[t], model=model) for t in texts]
 
     # -- concurrency -----------------------------------------------------

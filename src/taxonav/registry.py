@@ -93,23 +93,42 @@ class Registry:
         return [svc.id for svc in self._services]
 
 
-def _iter_records(path: Path, format: str) -> Iterator[tuple[str, dict]]:
-    """Yields (locator, record) pairs; locator names the line or index."""
+# json.dumps(..., ensure_ascii=False) writes a string through this function
+_encode = json.encoder.encode_basestring
+# The scanner json.loads runs, without its per-call set-up. A line it takes
+# whole is what json.loads would return; any other line goes to json.loads
+# itself, so every error message stays json.loads's own.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
+    """Yields (number, record) pairs: the 1-based line of a jsonl file or the
+    index in a json array. ``_where`` turns the number into an error locator.
+
+    A jsonl record is one line: lines end at a newline (CRLF and CR too),
+    never at the other Unicode line breaks, such as U+2028, that json.dumps
+    writes unescaped inside strings.
+    """
     if format not in FORMATS:
         raise DataError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     text = path.read_text(encoding="utf-8")
     if format == "jsonl":
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            yield f"line {lineno}", record
+                record, end = _scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):  # not one JSON value: json.loads raises the error
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            yield lineno, record
     else:
         try:
             records = json.loads(text)
@@ -117,14 +136,17 @@ def _iter_records(path: Path, format: str) -> Iterator[tuple[str, dict]]:
             raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
         if not isinstance(records, list):
             raise DataError(f"{path}: expected a JSON array of records")
-        for idx, record in enumerate(records):
-            yield f"record {idx}", record
+        yield from enumerate(records)
 
 
-def _required(record: dict, key: str, locator: str, path: Path) -> str:
+def _where(path: Path, format: str, number: int) -> str:
+    return f"{path}: line {number}" if format == "jsonl" else f"{path}: record {number}"
+
+
+def _required(record: dict, key: str, where: str) -> str:
     value = record.get(key)
     if not isinstance(value, str) or not value.strip():
-        raise DataError(f"{path}: {locator}: missing or empty field {key!r}")
+        raise DataError(f"{where}: missing or empty field {key!r}")
     return value
 
 
@@ -135,33 +157,47 @@ def load_registry(
 ) -> Registry:
     path = Path(path)
     fm = field_map or FieldMap()
+    id_key, name_key, description_key, source_key = fm.id, fm.name, fm.description, fm.source
     services = []
-    for locator, record in _iter_records(path, format):
+    for number, record in _iter_records(path, format):
         if not isinstance(record, dict):
-            raise DataError(f"{path}: {locator}: expected a JSON object")
-        source = record.get(fm.source)
+            raise DataError(f"{_where(path, format, number)}: expected a JSON object")
+        sid = record.get(id_key)
+        name = record.get(name_key)
+        description = record.get(description_key)
+        # _required's test, inlined for the common case; _required names the fault
+        if not (
+            isinstance(sid, str) and isinstance(name, str) and isinstance(description, str)
+            and sid.strip() and name.strip() and description.strip()
+        ):
+            where = _where(path, format, number)
+            for key in (id_key, name_key, description_key):
+                _required(record, key, where)
+        source = record.get(source_key)
         services.append(
-            Service(
-                id=_required(record, fm.id, locator, path),
-                name=_required(record, fm.name, locator, path),
-                description=_required(record, fm.description, locator, path),
-                source=source if isinstance(source, str) and source else None,
-            )
+            Service(sid, name, description, source if isinstance(source, str) and source else None)
         )
     registry = Registry(services)
     logger.info("loaded %d services from %s", len(registry), path)
     return registry
 
 
+def _service_line(svc: Service) -> str:
+    """json.dumps of the service's record with ensure_ascii=False, plus a newline."""
+    line = (
+        f'{{"id": {_encode(svc.id)}, "name": {_encode(svc.name)}, '
+        f'"description": {_encode(svc.description)}'
+    )
+    if svc.source is not None:
+        line += f', "source": {_encode(svc.source)}'
+    return line + "}\n"
+
+
 def save_registry(registry: Registry, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for svc in registry:
-            record = {"id": svc.id, "name": svc.name, "description": svc.description}
-            if svc.source is not None:
-                record["source"] = svc.source
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.writelines(map(_service_line, registry))
 
 
 def load_queries(
@@ -174,31 +210,34 @@ def load_queries(
     path = Path(path)
     fm = field_map or FieldMap()
     queries = []
-    for locator, record in _iter_records(path, format):
+    for number, record in _iter_records(path, format):
+        where = _where(path, format, number)
         if not isinstance(record, dict):
-            raise DataError(f"{path}: {locator}: expected a JSON object")
-        qid = _required(record, fm.query_id, locator, path)
-        text = _required(record, fm.query_text, locator, path)
+            raise DataError(f"{where}: expected a JSON object")
+        qid = _required(record, fm.query_id, where)
+        text = _required(record, fm.query_text, where)
         truth = record.get(fm.ground_truth)
         if not isinstance(truth, list) or not truth:
-            raise DataError(f"{path}: {locator}: query {qid!r} has no ground-truth ids")
+            raise DataError(f"{where}: query {qid!r} has no ground-truth ids")
         for sid in truth:
-            if sid not in registry:
-                raise DataError(
-                    f"{path}: {locator}: query {qid!r} references unknown service {sid!r}"
-                )
-        queries.append(QueryCase(id=qid, text=text, ground_truth=frozenset(truth)))
+            if not isinstance(sid, str) or sid not in registry:
+                raise DataError(f"{where}: query {qid!r} references unknown service {sid!r}")
+        queries.append(QueryCase(qid, text, frozenset(truth)))
     logger.info("loaded %d queries from %s", len(queries), path)
     return queries
+
+
+def _query_line(query: QueryCase) -> str:
+    """json.dumps of the query's record with ensure_ascii=False, plus a newline."""
+    truth = ", ".join(map(_encode, sorted(query.ground_truth)))
+    return f'{{"id": {_encode(query.id)}, "text": {_encode(query.text)}, "ground_truth": [{truth}]}}\n'
 
 
 def save_queries(queries: Iterable[QueryCase], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for q in queries:
-            record = {"id": q.id, "text": q.text, "ground_truth": sorted(q.ground_truth)}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.writelines(map(_query_line, queries))
 
 
 def registry_stats(registry: Registry) -> dict:

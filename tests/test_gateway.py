@@ -21,7 +21,9 @@ from taxonav.errors import (
     ReplyParseError,
     TransportError,
 )
+from taxonav import gateway as gateway_module
 from taxonav.gateway import (
+    EMBED_BATCH_SIZE,
     STRICT_REPLY_SUFFIX,
     ChatRequest,
     ChatResponse,
@@ -430,6 +432,63 @@ def test_embed_dedupes_within_batch():
     assert len(out) == 3
     assert backend.batches == [["a", "b"]]
     assert np.allclose(out[0].values, out[2].values)
+
+
+def test_embed_sends_misses_in_fixed_size_batches(monkeypatch):
+    texts = [f"text {i}" for i in range(600)]
+    backend = MockEmbeddingBackend()
+    out = LlmGateway(embedding_backend=backend).embed(texts + texts[:5])
+    chunks = [texts[i : i + EMBED_BATCH_SIZE] for i in range(0, 600, EMBED_BATCH_SIZE)]
+    assert len(chunks) > 1
+    assert sorted(backend.batches) == sorted(chunks)  # the batches may finish in any order
+
+    monkeypatch.setattr(gateway_module, "EMBED_BATCH_SIZE", 10_000)
+    single = MockEmbeddingBackend()
+    expected = LlmGateway(embedding_backend=single).embed(texts + texts[:5])
+    assert single.batches == [texts]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(out, expected, strict=True))
+
+
+def test_embed_batches_are_in_flight_together():
+    texts = [f"text {i}" for i in range(2 * EMBED_BATCH_SIZE + 1)]
+    all_batches_waiting = threading.Barrier(3, timeout=5)  # broken if the batches run in turn
+
+    class Meeting(MockEmbeddingBackend):
+        def embed(self, texts, model):
+            all_batches_waiting.wait()
+            return super().embed(texts, model)
+
+    backend = Meeting()
+    gw = LlmGateway(embedding_backend=backend, workers=3)
+    assert len(gw.embed(texts)) == len(texts)
+    assert len(backend.batches) == 3
+
+
+def test_embed_caches_the_batches_that_succeed_when_one_fails():
+    texts = [f"text {i}" for i in range(2 * EMBED_BATCH_SIZE)]
+
+    class FailsOnTheLast(MockEmbeddingBackend):
+        def embed(self, texts_, model):
+            if texts[-1] in texts_:
+                raise MalformedReplyError("bad batch")
+            return super().embed(texts_, model)
+
+    gw = LlmGateway(embedding_backend=FailsOnTheLast())
+    with pytest.raises(MalformedReplyError, match="bad batch"):
+        gw.embed(texts)
+    gw.embedding_backend = backend = MockEmbeddingBackend()
+    gw.embed(texts)
+    assert backend.batches == [texts[EMBED_BATCH_SIZE:]]
+
+
+def test_embed_checks_dimensions_across_batches():
+    texts = [f"text {i}" for i in range(EMBED_BATCH_SIZE + 1)]
+    backend = MockEmbeddingBackend(vectors={texts[-1]: [1.0, 2.0]})  # the rest get 8 numbers
+    gw = LlmGateway(embedding_backend=backend)
+    for _ in range(2):  # the second call finds every vector cached and still refuses
+        with pytest.raises(MalformedReplyError, match=r"inconsistent embedding dimensions \[2, 8\]"):
+            gw.embed(texts)
+    assert len(backend.batches) == 2
 
 
 def test_embed_memory_and_disk_cache(tmp_path):

@@ -153,3 +153,180 @@ def test_save_load_round_trip_property(tmp_path_factory, ids):
     path = tmp_path_factory.mktemp("prop") / "reg.jsonl"
     save_registry(reg, path)
     assert load_registry(path) == reg
+
+
+# -- loader errors, pinned word for word ------------------------------------
+
+A = '{"id": "a", "name": "A", "description": "d"}'
+B = '{"id": "b", "name": "B", "description": "e"}'
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (A + "\n" + A + " " + B + "\n", "line 2: invalid JSON (Extra data)"),
+        (A + "\n" + '{"id": "b", "name": "B",\n"description": "e"}\n',
+         "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ('{"id": "a",\n "name": "A", "description": "d"}\n',
+         "line 1: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ('{"id": "a", "name": "A"\n, "description": "d"}\n',
+         "line 1: invalid JSON (Expecting ',' delimiter)"),
+        (A + "\n" + '["a", "A", "d"]\n', "line 2: expected a JSON object"),
+        (A + "\n" + '"a"\n', "line 2: expected a JSON object"),
+        (A + "\n" + B + "\n" + '{"id": "c", "description": "f"}\n',
+         "line 3: missing or empty field 'name'"),
+        (A + "\n" + '{"id": "b", "name": " \\t", "description": "e"}\n',
+         "line 2: missing or empty field 'name'"),
+        (A + "\n" + '{"id": "b", "name": "B", "description": 7}\n',
+         "line 2: missing or empty field 'description'"),
+        ('{"id": "", "name": "", "description": ""}\n', "line 1: missing or empty field 'id'"),
+        ("\n\n" + A + "\n  \n" + '{"id": "b", "name": "B"}\n',
+         "line 5: missing or empty field 'description'"),
+        (A + "\r\n\r\n" + B + "\r\n" + '{"name": "C", "description": "f"}\r\n',
+         "line 4: missing or empty field 'id'"),
+        (A + "\r\n" + B + "\r\n" + A + "\r\n", "duplicate service id 'a'"),
+        (A + "\n" + "{'id': 'b'}\n",
+         "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        (A + "\n" + B + "}\n", "line 2: invalid JSON (Extra data)"),
+        (A + "\n" + '{"id": "b", "name": "B", "description": "e\n"}\n',
+         "line 2: invalid JSON (Unterminated string starting at)"),
+        (A + "\n" + "nul\n", "line 2: invalid JSON (Expecting value)"),
+        ("﻿" + A + "\n", "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        (A + "\n" + '{"id": "b", "name": "B", "description": "tab\there"}\n',
+         "line 2: invalid JSON (Invalid control character at)"),
+    ],
+    ids=[
+        "two-objects-on-one-line", "object-split-over-two-lines", "split-first-line",
+        "split-before-comma", "array-line", "string-line", "missing-field-line-3",
+        "blank-field", "non-string-field", "all-blank-names-id-first", "blank-lines-count",
+        "crlf-and-blank-lines", "duplicate-id", "single-quotes", "trailing-brace",
+        "newline-in-string", "bad-literal", "bom", "raw-tab-in-string",
+    ],
+)
+def test_load_registry_error_messages(tmp_path, text, error):
+    path = tmp_path / "services.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError) as exc:
+        load_registry(path)
+    prefix = "" if error.startswith("duplicate") else f"{path}: "
+    assert str(exc.value) == prefix + error
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[" + A + ", 3]", "record 1: expected a JSON object"),
+        ("[" + A + ', {"id": "b", "name": "B"}]', "record 1: missing or empty field 'description'"),
+        ("[" + A + "] " + A, "invalid JSON (Extra data)"),
+        (A, "expected a JSON array of records"),
+    ],
+    ids=["non-object", "missing-field", "extra-data", "not-an-array"],
+)
+def test_load_registry_json_array_error_messages(tmp_path, text, error):
+    path = tmp_path / "services.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_registry(path, format="json")
+    assert str(exc.value) == f"{path}: {error}"
+
+
+Q1 = '{"id": "q1", "text": "find a", "ground_truth": ["s1"]}'
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (Q1 + " " + Q1 + "\n", "line 1: invalid JSON (Extra data)"),
+        (Q1 + '\n{"id": "q2",\n"text": "t", "ground_truth": ["s1"]}\n',
+         "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        (Q1 + "\n" + "[1, 2]\n", "line 2: expected a JSON object"),
+        (Q1 + "\n" + '{"id": "q2", "ground_truth": ["s1"]}\n', "line 2: missing or empty field 'text'"),
+        (Q1 + "\n" + '{"id": " ", "text": "t", "ground_truth": ["s1"]}\n',
+         "line 2: missing or empty field 'id'"),
+        ("\n" + Q1 + "\r\n\r\n" + '{"id": "q2", "text": "t", "ground_truth": ["s1", "s9"]}\r\n',
+         "line 4: query 'q2' references unknown service 's9'"),
+        (Q1 + "\n" + '{"id": "q2", "text": "t", "ground_truth": ["s1", 7]}\n',
+         "line 2: query 'q2' references unknown service 7"),
+        (Q1 + "\n" + '{"id": "q2", "text": "t", "ground_truth": []}\n',
+         "line 2: query 'q2' has no ground-truth ids"),
+        (Q1 + "\n" + '{"id": "q2", "text": "t", "ground_truth": "s1"}\n',
+         "line 2: query 'q2' has no ground-truth ids"),
+        (Q1 + "\n" + '{"id": "q2", "text": "t"}\n', "line 2: query 'q2' has no ground-truth ids"),
+    ],
+    ids=[
+        "two-objects-on-one-line", "object-split-over-two-lines", "array-line", "missing-field",
+        "blank-id", "crlf-blank-lines-bad-ground-truth", "non-string-ground-truth",
+        "empty-ground-truth", "string-ground-truth", "missing-ground-truth",
+    ],
+)
+def test_load_queries_error_messages(tmp_path, text, error):
+    reg = Registry([svc(1), svc(2)])
+    path = tmp_path / "queries.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError) as exc:
+        load_queries(path, reg)
+    assert str(exc.value) == f"{path}: {error}"
+
+
+def test_a_non_string_ground_truth_id_is_a_data_error(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_text('{"id": "q1", "text": "t", "ground_truth": [["s1"]]}\n', encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_queries(path, Registry([svc(1)]))
+    assert str(exc.value) == f"{path}: line 1: query 'q1' references unknown service ['s1']"
+
+
+def test_line_breaks_inside_strings_round_trip(tmp_path):
+    """json.dumps leaves U+0085, U+2028 and U+2029 raw; only a newline ends a record."""
+    reg = Registry([Service(id="a\u2028b", name="n\x85", description="d\u2029e", source="\u2028")])
+    path = tmp_path / "services.jsonl"
+    save_registry(reg, path)
+    assert path.read_text(encoding="utf-8").count("\n") == 1
+    assert load_registry(path) == reg
+
+
+# -- writers, byte for byte against json.dumps ------------------------------
+
+# any text, weighted towards what JSON must escape and what json.dumps leaves raw
+unicode_text = st.text(
+    st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\x85\u2028\u2029é€😀')),
+    max_size=8,
+)
+field_text = unicode_text.filter(str.strip)  # the loaders reject blank fields
+
+services = st.lists(
+    st.builds(Service, id=field_text, name=field_text, description=field_text,
+              source=st.none() | unicode_text.filter(bool)),
+    max_size=8,
+    unique_by=lambda s: s.id,
+)
+
+
+@given(services=services, data=st.data())
+def test_writers_match_json_dumps_and_round_trip(tmp_path_factory, services, data):
+    reg = Registry(services)
+    queries = [
+        QueryCase(id=data.draw(field_text), text=data.draw(field_text),
+                  ground_truth=frozenset(data.draw(st.lists(st.sampled_from(reg.ids), min_size=1))))
+        for _ in range(data.draw(st.integers(0, 3) if services else st.just(0)))
+    ]
+    registry_text = "".join(
+        json.dumps(
+            {"id": s.id, "name": s.name, "description": s.description}
+            | ({"source": s.source} if s.source is not None else {}),
+            ensure_ascii=False,
+        ) + "\n"
+        for s in services
+    )
+    queries_text = "".join(
+        json.dumps({"id": q.id, "text": q.text, "ground_truth": sorted(q.ground_truth)},
+                   ensure_ascii=False) + "\n"
+        for q in queries
+    )
+    tmp = tmp_path_factory.mktemp("writers")
+    save_registry(reg, tmp / "services.jsonl")
+    save_queries(queries, tmp / "queries.jsonl")
+    assert (tmp / "services.jsonl").read_bytes() == registry_text.encode("utf-8")
+    assert (tmp / "queries.jsonl").read_bytes() == queries_text.encode("utf-8")
+    assert load_registry(tmp / "services.jsonl") == reg
+    assert load_queries(tmp / "queries.jsonl", reg) == queries

@@ -233,6 +233,69 @@ def test_class_file_preserves_primary_first_order(tmp_path):
     assert load(tmp_path).node("root/b").service_ids == ["s2", "s3"]
 
 
+def test_save_refuses_a_table_that_is_not_one_tree(tmp_path):
+    with pytest.raises(DataError, match="parent cycle: root 'root' is listed as a child of 'root/a'"):
+        save(cyclic_tree(), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+# any text, weighted towards what JSON must escape and what json.dumps leaves raw
+unicode_text = st.text(
+    st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\x85\u2028\u2029é€😀')),
+    max_size=8,
+)
+
+
+def json_dumps_save(tax: Taxonomy) -> tuple[str, str]:
+    """The taxonomy.json and class.json texts as json.dumps writes them."""
+    nodes = []
+    for node_id in sorted(tax.nodes):
+        node = tax.nodes[node_id]
+        record = {"id": node.node_id, "name": node.name, "description": node.description,
+                  "boundary": node.boundary, "children": list(node.children), "depth": node.depth}
+        if node.is_leaf():
+            record["services"] = list(node.service_ids)
+        nodes.append(record)
+    doc = {"root": tax.root_id, "nodes": nodes}
+    return (
+        json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
+        json.dumps(tax.assignment, indent=2, ensure_ascii=False) + "\n",
+    )
+
+
+@st.composite
+def unicode_trees(draw) -> Taxonomy:
+    """A random tree whose ids, texts and service ids are any Unicode, with
+    services shared between leaves and each assignment list in random order."""
+    ids = draw(st.lists(unicode_text, min_size=1, max_size=8, unique=True))
+    nodes = {ids[0]: TaxonomyNode(ids[0], draw(unicode_text))}
+    for i, node_id in enumerate(ids[1:], start=1):
+        parent = nodes[ids[draw(st.integers(0, i - 1))]]
+        parent.children.append(node_id)
+        nodes[node_id] = TaxonomyNode(node_id, draw(unicode_text), draw(unicode_text),
+                                      draw(unicode_text), depth=parent.depth + 1)
+    pool = draw(st.lists(unicode_text, max_size=6, unique=True))
+    for node in nodes.values():
+        if node.is_leaf() and pool:
+            node.service_ids = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    tax = Taxonomy(nodes=nodes, root_id=ids[0])
+    tax.rebuild_assignment()
+    tax.assignment = {sid: draw(st.permutations(leaf_ids)) for sid, leaf_ids in tax.assignment.items()}
+    return tax
+
+
+@given(tax=unicode_trees())
+def test_save_writes_the_json_dumps_bytes_and_load_reads_them_back(tax):
+    taxonomy_text, class_text = json_dumps_save(tax)
+    with tempfile.TemporaryDirectory() as tmp:
+        save(tax, tmp)
+        with open(f"{tmp}/taxonomy.json", "rb") as fh:
+            assert fh.read() == taxonomy_text.encode("utf-8")
+        with open(f"{tmp}/class.json", "rb") as fh:
+            assert fh.read() == class_text.encode("utf-8")
+        assert load(tmp) == tax
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing taxonomy file"):
         load(tmp_path)
