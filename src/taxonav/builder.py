@@ -32,7 +32,7 @@ from pathlib import Path
 from . import prompts
 from .errors import ConfigError, DataError, DesignError, ReplyParseError
 from .gateway import LlmGateway, UsageMeter, extract_json_object, metered
-from .registry import Registry, Service
+from .registry import Registry, Service, write_atomic
 from .search import navigate
 from .taxonomy import Taxonomy, TaxonomyNode
 
@@ -116,13 +116,9 @@ class BuildReport:
         return sum(self.calls_by_phase.values())
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {**asdict(self), "total_calls": self.total_calls()}
-        path.write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+        write_atomic({Path(path): [text]})
 
 
 def _numbered_services(services: list[Service]) -> str:

@@ -23,7 +23,7 @@ from pathlib import Path
 from statistics import fmean
 
 from .errors import ConfigError, DiscoveryError, SchemaError
-from .registry import QueryCase
+from .registry import QueryCase, iter_jsonl, write_atomic
 from .search import RetrievalResult
 
 logger = logging.getLogger(__name__)
@@ -197,20 +197,24 @@ def evaluate(
 # -- run artifacts ------------------------------------------------------------
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
 def dump_json(payload: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_atomic({path: [_json_text(payload)]})
 
 
 def write_run(run_dir: str | Path, summary: Summary, records: Sequence[PerQueryRecord]) -> None:
+    """Writes summary.json and per_query.jsonl. Raises DataError, before
+    either file is replaced, if a string cannot be written as UTF-8."""
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(summary.to_dict(), run_dir / SUMMARY_FILE)
-    with (run_dir / PER_QUERY_FILE).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(vars(record), ensure_ascii=False, sort_keys=True) + "\n")
+    write_atomic({
+        run_dir / SUMMARY_FILE: [_json_text(summary.to_dict())],
+        run_dir / PER_QUERY_FILE: (
+            json.dumps(vars(record), ensure_ascii=False, sort_keys=True) + "\n" for record in records
+        ),
+    })
 
 
 def load_summary(run_dir: str | Path) -> dict:
@@ -231,15 +235,7 @@ def load_records(run_dir: str | Path) -> list[PerQueryRecord]:
     path = Path(run_dir) / PER_QUERY_FILE
     if not path.exists():
         raise SchemaError(f"run {run_dir} has no {PER_QUERY_FILE}")
-    records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(PerQueryRecord.from_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-    return records
+    return [PerQueryRecord.from_dict(record) for _, record in iter_jsonl(path, SchemaError)]
 
 
 def recompute_summary(run_dir: str | Path) -> Summary:

@@ -272,13 +272,6 @@ def _script_rule(rule: object, where: str) -> ScriptRule:
     )
 
 
-@dataclass
-class MockCall:
-    label: str
-    request: ChatRequest
-    reply: str
-
-
 class MockChatBackend:
     """Deterministic scripted chat backend.
 
@@ -286,6 +279,10 @@ class MockChatBackend:
     reply; when it returns None the rule table is consulted in order, then
     the default reply. A request nothing answers raises MalformedReplyError
     so silent test gaps cannot form.
+
+    The backend keeps no record of the calls it serves, so its memory does
+    not grow with a run's call count. Its lock serialises the oracle and the
+    rules' reply counters.
     """
 
     def __init__(
@@ -297,7 +294,6 @@ class MockChatBackend:
         self.rules = list(rules)
         self.oracle = oracle
         self.default_reply = default_reply
-        self.transcript: list[MockCall] = []
         self._lock = threading.Lock()
 
     @classmethod
@@ -331,7 +327,6 @@ class MockChatBackend:
                 raise MalformedReplyError(
                     f"mock backend has no scripted reply for label {label!r}"
                 )
-            self.transcript.append(MockCall(label=label, request=request, reply=reply))
         prompt_tokens = estimate_tokens(request.system_prompt + request.user_prompt)
         output_tokens = estimate_tokens(reply)
         if rule is not None and rule.prompt_tokens is not None:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import secrets
 import statistics
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +25,7 @@ logger = logging.getLogger(__name__)
 FORMATS = ("jsonl", "json")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Service:
     id: str
     name: str
@@ -30,7 +33,7 @@ class Service:
     source: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryCase:
     id: str
     text: str
@@ -101,21 +104,17 @@ _encode = json.encoder.encode_basestring
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
-    """Yields (number, record) pairs: the 1-based line of a jsonl file or the
-    index in a json array. ``_where`` turns the number into an error locator.
+def iter_jsonl(path: Path, error: type[DataError] = DataError) -> Iterator[tuple[int, object]]:
+    """Yields (line number, record) for each non-blank line of a jsonl file,
+    read one line at a time. Raises ``error`` naming the line that is not
+    one JSON value.
 
-    A jsonl record is one line: lines end at a newline (CRLF and CR too),
-    never at the other Unicode line breaks, such as U+2028, that json.dumps
-    writes unescaped inside strings.
+    Lines end at a newline (CRLF and CR too), never at the other Unicode
+    line breaks, such as U+2028, that json.dumps writes unescaped inside
+    strings.
     """
-    if format not in FORMATS:
-        raise DataError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    if format == "jsonl":
-        for lineno, line in enumerate(text.split("\n"), start=1):
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -127,16 +126,27 @@ def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                    raise error(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
             yield lineno, record
-    else:
-        try:
-            records = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(records, list):
-            raise DataError(f"{path}: expected a JSON array of records")
-        yield from enumerate(records)
+
+
+def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
+    """Yields (number, record) pairs: the 1-based line of a jsonl file or the
+    index in a json array. ``_where`` turns the number into an error locator."""
+    if format not in FORMATS:
+        raise DataError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
+    if not path.exists():
+        raise DataError(f"dataset file not found: {path}")
+    if format == "jsonl":
+        yield from iter_jsonl(path)
+        return
+    try:
+        records = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(records, list):
+        raise DataError(f"{path}: expected a JSON array of records")
+    yield from enumerate(records)
 
 
 def _where(path: Path, format: str, number: int) -> str:
@@ -182,6 +192,34 @@ def load_registry(
     return registry
 
 
+def write_atomic(files: dict[Path, Iterable[str]]) -> None:
+    """Writes each path's text, chunk by chunk, to a temporary file in the
+    path's directory, then renames every temporary file onto its path; no
+    path ever holds part of a write. Text UTF-8 cannot encode, such as a
+    lone surrogate, raises DataError naming its path. On any error before
+    the renames, every temporary file is removed and every path is left as
+    it was."""
+    temps: list[Path] = []
+    try:
+        for path, chunks in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+            with tmp.open("x", encoding="utf-8") as fh:
+                temps.append(tmp)
+                try:
+                    fh.writelines(chunks)
+                except UnicodeEncodeError as exc:
+                    bad = exc.object[exc.start : exc.end]
+                    raise DataError(f"{path}: cannot write as UTF-8 ({exc.reason}: {bad!r})") from exc
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with suppress(OSError):
+                tmp.unlink()
+        raise
+
+
 def _service_line(svc: Service) -> str:
     """json.dumps of the service's record with ensure_ascii=False, plus a newline."""
     line = (
@@ -194,10 +232,7 @@ def _service_line(svc: Service) -> str:
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(map(_service_line, registry))
+    write_atomic({Path(path): map(_service_line, registry)})
 
 
 def load_queries(
@@ -234,10 +269,7 @@ def _query_line(query: QueryCase) -> str:
 
 
 def save_queries(queries: Iterable[QueryCase], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(map(_query_line, queries))
+    write_atomic({Path(path): map(_query_line, queries)})
 
 
 def registry_stats(registry: Registry) -> dict:

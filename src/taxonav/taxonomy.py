@@ -31,7 +31,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import DataError, SchemaError
-from .registry import Registry
+from .registry import Registry, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -379,22 +379,20 @@ def save(taxonomy: Taxonomy, directory: str | Path) -> None:
     """Writes taxonomy.json and class.json, byte for byte what json.dumps
     writes with indent=2 (and sort_keys=True for taxonomy.json), at a
     fraction of the cost of its pure-Python indenting encoder. Raises
-    DataError, before any file is written, if the child lists are not one
-    tree."""
+    DataError, before either file is replaced, if the child lists are not one
+    tree or a string cannot be written as UTF-8."""
     taxonomy.walk()
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     nodes = ",\n    ".join(_node_json(taxonomy.nodes[node_id]) for node_id in sorted(taxonomy.nodes))
-    (directory / TAXONOMY_FILE).write_text(
-        f'{{\n  "nodes": [\n    {nodes}\n  ],\n  "root": {_encode(taxonomy.root_id)}\n}}\n',
-        encoding="utf-8",
-    )
     entries = ",\n  ".join(
         f"{_encode(sid)}: {_class_strings(leaf_ids)}" for sid, leaf_ids in taxonomy.assignment.items()
     )
-    (directory / CLASS_FILE).write_text(
-        f"{{\n  {entries}\n}}\n" if entries else "{}\n", encoding="utf-8"
-    )
+    write_atomic({
+        directory / TAXONOMY_FILE: [
+            f'{{\n  "nodes": [\n    {nodes}\n  ],\n  "root": {_encode(taxonomy.root_id)}\n}}\n'
+        ],
+        directory / CLASS_FILE: [f"{{\n  {entries}\n}}\n" if entries else "{}\n"],
+    })
 
 
 def _is_strings(value: object) -> bool:

@@ -1,11 +1,44 @@
-"""Shared fixtures: latent synthetic worlds and oracle-backed gateways."""
+"""Shared fixtures: latent synthetic worlds, oracle-backed gateways, and a
+mock backend that records its calls."""
 
 from __future__ import annotations
 
+import threading
+from typing import NamedTuple
+
 import pytest
 
-from taxonav.gateway import LlmGateway, MockChatBackend, MockEmbeddingBackend
+from taxonav.gateway import (
+    ChatRequest,
+    ChatResponse,
+    LlmGateway,
+    MockChatBackend,
+    MockEmbeddingBackend,
+)
 from taxonav.synthetic import LatentOracle, make_queries, make_world
+
+
+class RecordedCall(NamedTuple):
+    label: str
+    request: ChatRequest
+    reply: str
+
+
+class RecordingChatBackend(MockChatBackend):
+    """A MockChatBackend that keeps every call it answers in ``transcript``,
+    in reply order, for tests that read prompts or count calls. The library's
+    mock keeps no such record, so its memory stays flat over a long run."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.transcript: list[RecordedCall] = []
+        self._record_lock = threading.Lock()
+
+    def complete(self, request: ChatRequest, label: str) -> ChatResponse:
+        with self._record_lock:
+            response = super().complete(request, label)
+            self.transcript.append(RecordedCall(label, request, response.text))
+        return response
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +60,7 @@ def gateway_factory():
 
 def make_oracle_gateway(world, **kwargs) -> LlmGateway:
     return LlmGateway(
-        chat_backend=MockChatBackend(oracle=LatentOracle(world)),
+        chat_backend=RecordingChatBackend(oracle=LatentOracle(world)),
         embedding_backend=MockEmbeddingBackend(),
         **kwargs,
     )

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import RecordingChatBackend, make_oracle_gateway
 from taxonav import taxonomy as taxonomy_io
 from taxonav.baselines import build_embedding_index, pure_llm_retrieve, topk_retrieve
 from taxonav.builder import BuildConfig, build, build_oneshot
@@ -220,7 +221,7 @@ def test_criterion_3_prompts_never_enumerate_the_catalog(world200, latent_build)
 
 def test_criterion_4_keyword_batches_refine_cap_no_dust_leaves():
     world = make_world(n_domains=3, n_subdomains=5, total_services=600)
-    gateway = oracle_gateway(world)
+    gateway = make_oracle_gateway(world)
     taxonomy, report = build(world.registry, BuildConfig(), gateway)
 
     keyword_calls = [
@@ -425,7 +426,7 @@ def test_criterion_8_oneshot_call_law_and_recorded_failures():
         ]
     )
     gateway = LlmGateway(
-        chat_backend=MockChatBackend(
+        chat_backend=RecordingChatBackend(
             rules=[
                 ScriptRule(pattern=".*", label="oneshot.design", reply=tree),
                 ScriptRule(

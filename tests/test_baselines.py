@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import RecordingChatBackend
 from taxonav.baselines import (
     EmbeddingIndex,
     build_embedding_index,
@@ -16,7 +17,7 @@ from taxonav.baselines import (
     topk_retrieve,
 )
 from taxonav.errors import ConfigError
-from taxonav.gateway import LlmGateway, MockChatBackend, MockEmbeddingBackend, ScriptRule
+from taxonav.gateway import LlmGateway, MockEmbeddingBackend, ScriptRule
 from taxonav.registry import Registry, Service
 
 
@@ -26,7 +27,7 @@ def make_registry(ids: list[str]) -> Registry:
 
 def gw(*rules: ScriptRule, vectors=None, dim=4) -> LlmGateway:
     return LlmGateway(
-        chat_backend=MockChatBackend(rules=rules),
+        chat_backend=RecordingChatBackend(rules=rules),
         embedding_backend=MockEmbeddingBackend(vectors=vectors, dim=dim),
     )
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from conftest import RecordingChatBackend
 from taxonav.builder import (
     BuildConfig,
     BuildReport,
@@ -39,7 +40,7 @@ def design_json(*names: str, axis: str = "functional-domain") -> str:
 
 
 def gw(*rules: ScriptRule, oracle=None) -> LlmGateway:
-    return LlmGateway(chat_backend=MockChatBackend(rules=rules, oracle=oracle))
+    return LlmGateway(chat_backend=RecordingChatBackend(rules=rules, oracle=oracle))
 
 
 def calls(gateway: LlmGateway, label: str) -> list:
@@ -456,7 +457,7 @@ def test_latent_build_recovers_the_latent_tree(world200, oracle_gateway):
 
 def test_keyword_routing_above_threshold():
     world = make_world(3, 5, 600, extra_description=" RAWSENTINEL")
-    gateway = LlmGateway(chat_backend=MockChatBackend(oracle=LatentOracle(world)))
+    gateway = LlmGateway(chat_backend=RecordingChatBackend(oracle=LatentOracle(world)))
     taxonomy, report = build(world.registry, BuildConfig(), gateway)
 
     assert report.calls_by_phase["keyword"] == 12  # 600 services / batch 50

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given
@@ -224,6 +226,60 @@ def test_load_records_schema_errors(tmp_path):
     (tmp_path / "per_query.jsonl").write_text("not json\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 1"):
         load_records(tmp_path)
+
+
+def test_line_breaks_inside_strings_survive_the_run_files(tmp_path):
+    """json.dumps leaves U+2028 and U+0085 raw; only a newline ends a record."""
+    cfg = EvalConfig(method="taxonomy")
+    records = ten_records()
+    records[0].returned = ["svc\u2028x", "svc\x85y"]
+    summary = summarize(records, cfg)
+    write_run(tmp_path, summary, records)
+    assert load_records(tmp_path) == records
+    assert recompute_summary(tmp_path) == summary
+
+
+def test_a_failed_write_run_replaces_neither_file(tmp_path):
+    run_dir, summary, records = write_fixture_run(tmp_path)
+    before = {name: (run_dir / name).read_bytes() for name in ("summary.json", "per_query.jsonl")}
+    records[3].returned = ["bad \ud800"]
+    with pytest.raises(DataError, match="per_query.jsonl: cannot write as UTF-8"):
+        write_run(run_dir, summary, records)
+    assert {name: (run_dir / name).read_bytes() for name in sorted(os.listdir(run_dir))} == before
+
+
+any_text = st.text(
+    st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\\x00\n\r\x0b\x0c\x1c\x85\u2028\u2029')),
+    max_size=8,
+)
+trace_steps = st.builds(
+    TraceStep, kind=st.sampled_from(["navigate", "select"]), node_id=any_text,
+    options_shown=st.integers(0, 9), chosen=st.lists(st.integers(1, 9), max_size=3),
+)
+per_query_records = st.builds(
+    PerQueryRecord,
+    query_id=any_text,
+    returned=st.lists(any_text, max_size=4),
+    truth=st.lists(any_text, min_size=1, max_size=3),
+    hit=st.integers(0, 1),
+    recall=st.floats(0, 1),
+    precision=st.floats(0, 1),
+    calls=st.integers(0, 20),
+    prompt_tokens=st.integers(0, 10_000),
+    output_tokens=st.integers(0, 500),
+    error=st.none() | any_text,
+    flags=st.lists(any_text, max_size=3),
+    trace=st.lists(trace_steps.map(lambda step: dict(vars(step))), max_size=3),
+)
+
+
+@given(records=st.lists(per_query_records, min_size=1, max_size=5))
+def test_any_unicode_record_round_trips_through_the_run_files(records):
+    summary = summarize(records, EvalConfig(method="taxonomy"))
+    with tempfile.TemporaryDirectory() as run_dir:
+        write_run(run_dir, summary, records)
+        assert load_records(run_dir) == records
+        assert recompute_summary(run_dir) == summary
 
 
 # -- comparison -------------------------------------------------------------------

@@ -8,12 +8,14 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import RecordingChatBackend
 from taxonav.errors import (
     GatewayError,
     IndexParseError,
@@ -221,7 +223,7 @@ def _drafts():
 
 
 def test_script_rules_match_label_and_prompt():
-    backend = MockChatBackend(
+    backend = RecordingChatBackend(
         rules=[
             ScriptRule(pattern="Pick", label="nav", reply="1"),
             ScriptRule(pattern=".*", reply="2"),
@@ -247,12 +249,35 @@ def test_mock_backend_without_match_raises():
 
 
 def test_from_script_dict_and_token_overrides():
-    backend = MockChatBackend.from_script(
+    # from_script builds the class it is called on, so a test can record
+    backend = RecordingChatBackend.from_script(
         {"rules": [{"pattern": "Pick", "reply": "1", "prompt_tokens": 100, "output_tokens": 7}]}
     )
     req = ChatRequest(system_prompt=SYS, user_prompt=USER, model="m")
     resp = backend.complete(req, "x")
     assert (resp.prompt_tokens, resp.output_tokens) == (100, 7)
+    assert backend.transcript == [("x", req, "1")]
+
+
+def test_mock_backend_memory_does_not_grow_with_calls():
+    gw = LlmGateway(chat_backend=MockChatBackend(oracle=lambda label, request: "1, 2"))
+
+    def select(n):
+        for i in range(n):
+            gw.select_indices(SYS, f"{USER}\n3. option {i}", label="x", n_options=3)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        select(200)  # first-call caches and meter buckets count as the base
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        select(2000)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 # -- gateway chat policies ----------------------------------------------------
@@ -289,7 +314,7 @@ def test_chat_retry_exhaustion_counts_attempts():
 
 
 def test_select_indices_reasks_once_with_strict_suffix():
-    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply=["garbage", "2"])])
+    backend = RecordingChatBackend(rules=[ScriptRule(pattern=".*", reply=["garbage", "2"])])
     gw = LlmGateway(chat_backend=backend)
     sel = gw.select_indices(SYS, USER, label="x", n_options=3)
     assert sel.indices == (2,) and len(backend.transcript) == 2 and not sel.parse_failed
@@ -297,14 +322,14 @@ def test_select_indices_reasks_once_with_strict_suffix():
 
 
 def test_select_indices_degrades_to_empty():
-    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply="still garbage")])
+    backend = RecordingChatBackend(rules=[ScriptRule(pattern=".*", reply="still garbage")])
     gw = LlmGateway(chat_backend=backend)
     sel = gw.select_indices(SYS, USER, label="x", n_options=3)
     assert sel.indices == () and sel.parse_failed and len(backend.transcript) == 2
 
 
 def test_select_indices_single_call_on_success():
-    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply="1, 2")])
+    backend = RecordingChatBackend(rules=[ScriptRule(pattern=".*", reply="1, 2")])
     gw = LlmGateway(chat_backend=backend)
     sel = gw.select_indices(SYS, USER, label="x", n_options=3)
     assert sel.indices == (1, 2) and len(backend.transcript) == 1
@@ -315,14 +340,14 @@ def test_chat_json_reask_then_none():
     gw = LlmGateway(chat_backend=backend)
     assert gw.chat_json(SYS, USER, label="x") == {"a": 1}
 
-    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply="nope")])
+    backend = RecordingChatBackend(rules=[ScriptRule(pattern=".*", reply="nope")])
     gw = LlmGateway(chat_backend=backend)
     assert gw.chat_json(SYS, USER, label="x") is None
     assert len(backend.transcript) == 2
 
 
 def test_ask_reasks_once_with_the_reask_suffix():
-    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply=["bad", "good"])])
+    backend = RecordingChatBackend(rules=[ScriptRule(pattern=".*", reply=["bad", "good"])])
     gw = LlmGateway(chat_backend=backend)
     errors = []
 
@@ -341,7 +366,7 @@ def test_ask_reasks_once_with_the_reask_suffix():
 
 
 def test_ask_raises_the_second_parse_error_caused_by_the_first():
-    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply=["one", "two", "three"])])
+    backend = RecordingChatBackend(rules=[ScriptRule(pattern=".*", reply=["one", "two", "three"])])
     gw = LlmGateway(chat_backend=backend)
 
     def parse(text):
@@ -361,7 +386,7 @@ def test_backend_errors_are_neither_reasked_nor_swallowed():
     with pytest.raises(MalformedReplyError, match="no scripted reply"):
         gw.select_indices(SYS, USER, label="x", n_options=3)
 
-    backend = MockChatBackend(default_reply="1")
+    backend = RecordingChatBackend(default_reply="1")
     gw = LlmGateway(chat_backend=backend)
     with pytest.raises(ValueError, match="n_options"):  # not a reply error
         gw.select_indices(SYS, USER, label="x", n_options=0)
@@ -412,7 +437,7 @@ def test_concurrent_scopes_on_one_gateway_count_their_own_calls():
 
 
 def test_thinking_disable_flag_follows_model_pattern():
-    backend = MockChatBackend(default_reply="1")
+    backend = RecordingChatBackend(default_reply="1")
     gw = LlmGateway(chat_backend=backend, chat_model="prov-v4-large")
     gw.chat(SYS, USER, label="x")
     assert backend.transcript[0].request.thinking_disabled is True

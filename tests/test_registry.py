@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -274,6 +277,68 @@ def test_a_non_string_ground_truth_id_is_a_data_error(tmp_path):
     with pytest.raises(DataError) as exc:
         load_queries(path, Registry([svc(1)]))
     assert str(exc.value) == f"{path}: line 1: query 'q1' references unknown service ['s1']"
+
+
+def test_records_keep_no_instance_dict():
+    assert not hasattr(svc(1), "__dict__")
+    assert not hasattr(QueryCase("q1", "find", frozenset({"s1"})), "__dict__")
+
+
+def test_load_registry_peak_stays_near_what_the_registry_keeps(tmp_path):
+    """A jsonl file is read line by line: the loader's peak is the registry
+    it returns plus one line in flight, not a copy of the whole file."""
+    path = tmp_path / "services.jsonl"
+    save_registry(
+        Registry(svc(i, f"does thing number {i} for whoever asks for it") for i in range(4000)), path
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        registry = load_registry(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(registry) == 4000
+    assert peak < 1.25 * kept
+
+
+def registry_lines(services: list[Service]) -> tuple[Registry, str]:
+    text = "".join(
+        json.dumps({"id": s.id, "name": s.name, "description": s.description}, ensure_ascii=False)
+        + "\n"
+        for s in services
+    )
+    return Registry(services), text
+
+
+def query_lines(services: list[Service]) -> tuple[list[QueryCase], str]:
+    queries = [QueryCase(s.id, s.description, frozenset({"s1"})) for s in services]
+    text = "".join(
+        json.dumps({"id": q.id, "text": q.text, "ground_truth": ["s1"]}, ensure_ascii=False) + "\n"
+        for q in queries
+    )
+    return queries, text
+
+
+@pytest.mark.parametrize(
+    "save, make",
+    [(save_registry, registry_lines), (save_queries, query_lines)],
+    ids=["registry", "queries"],
+)
+def test_a_failed_save_leaves_the_old_file_whole(tmp_path, save, make):
+    """The writers write a temporary file and rename it into place: text
+    UTF-8 cannot encode is a DataError naming the file, and the old bytes
+    stay as they were."""
+    path = tmp_path / "out.jsonl"
+    good, text = make([svc(1), Service("b", "n", "fine")])
+    save(good, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    bad, _ = make([svc(1), Service("b", "n", "bad \ud800")])
+    with pytest.raises(DataError) as exc:
+        save(bad, path)
+    assert str(exc.value) == f"{path}: cannot write as UTF-8 (surrogates not allowed: '\\ud800')"
+    assert path.read_bytes() == text.encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
 def test_line_breaks_inside_strings_round_trip(tmp_path):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import RecordingChatBackend
 from taxonav.errors import ConfigError, DataError
 from taxonav.eval_harness import EvalConfig, evaluate
-from taxonav.gateway import LlmGateway, MockChatBackend, ScriptRule
+from taxonav.gateway import LlmGateway, ScriptRule
 from taxonav.registry import QueryCase, Registry, Service
 from taxonav.search import (
     NAVIGATE_INSTRUCTIONS,
@@ -28,7 +29,7 @@ from taxonav.taxonomy import Taxonomy, TaxonomyNode
 
 
 def gw(*rules: ScriptRule, oracle=None) -> LlmGateway:
-    return LlmGateway(chat_backend=MockChatBackend(rules=rules, oracle=oracle))
+    return LlmGateway(chat_backend=RecordingChatBackend(rules=rules, oracle=oracle))
 
 
 def make_registry(ids: list[str]) -> Registry:

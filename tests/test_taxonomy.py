@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import tempfile
@@ -237,6 +238,31 @@ def test_save_refuses_a_table_that_is_not_one_tree(tmp_path):
     with pytest.raises(DataError, match="parent cycle: root 'root' is listed as a child of 'root/a'"):
         save(cyclic_tree(), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def spoil_a_node_name(tax: Taxonomy) -> None:
+    tax.node("root/b").name = "bad \ud800"
+
+
+def spoil_the_assignment_only(tax: Taxonomy) -> None:
+    tax.assignment["bad \ud800"] = ["root/b"]
+
+
+@pytest.mark.parametrize(
+    "spoil, bad_file",
+    [(spoil_a_node_name, "taxonomy.json"), (spoil_the_assignment_only, "class.json")],
+)
+def test_a_failed_save_replaces_neither_file(tmp_path, spoil, bad_file):
+    save(small_tree(), tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in ("class.json", "taxonomy.json")}
+    tax = small_tree()
+    spoil(tax)
+    with pytest.raises(DataError) as exc:
+        save(tax, tmp_path)
+    assert str(exc.value) == (
+        f"{tmp_path / bad_file}: cannot write as UTF-8 (surrogates not allowed: '\\ud800')"
+    )
+    assert {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))} == before
 
 
 # any text, weighted towards what JSON must escape and what json.dumps leaves raw
