@@ -15,14 +15,19 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import prompts
 from .errors import ConfigError, ReplyParseError
 from .gateway import LlmGateway, metered
 from .registry import Registry
 from .search import RetrievalResult, usage_fields
+
+if TYPE_CHECKING:
+    # For the annotations only. numpy is imported inside the embedding
+    # functions, so the pure-LLM baseline and the modules that import this
+    # one never load it.
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -89,6 +94,8 @@ def build_embedding_index(
 ) -> EmbeddingIndex:
     if len(registry) == 0:
         raise ConfigError("cannot build an embedding index over an empty registry")
+    import numpy as np
+
     vectors = gateway.embed([svc.description for svc in registry], model=model)
     return EmbeddingIndex(
         service_ids=registry.ids,
@@ -100,6 +107,8 @@ def build_embedding_index(
 def rank_by_vector(vector: np.ndarray, index: EmbeddingIndex, k: int) -> list[str]:
     """Top-k ids by cosine similarity; ties resolve to registry order via a
     stable sort. k beyond the index size clamps with a warning."""
+    import numpy as np
+
     if k < 1:
         raise ConfigError("k must be positive")
     if k > len(index.service_ids):

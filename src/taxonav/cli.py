@@ -100,7 +100,7 @@ def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
         path = Path(config_path)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
@@ -152,7 +152,7 @@ def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
             path = Path(cfg.script)
             try:
                 script_doc = json.loads(path.read_text(encoding="utf-8"))
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read mock script {path}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"mock script {path} is not valid JSON: {exc.msg}") from exc
@@ -192,7 +192,7 @@ def _parse_field_map(raw: str | None) -> FieldMap | None:
         path = Path(text)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read field map file {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -23,7 +23,7 @@ from pathlib import Path
 from statistics import fmean
 
 from .errors import ConfigError, DiscoveryError, SchemaError
-from .registry import QueryCase, iter_jsonl, write_atomic
+from .registry import QueryCase, iter_jsonl, read_json, write_atomic
 from .search import RetrievalResult
 
 logger = logging.getLogger(__name__)
@@ -221,10 +221,7 @@ def load_summary(run_dir: str | Path) -> dict:
     path = Path(run_dir) / SUMMARY_FILE
     if not path.exists():
         raise SchemaError(f"run {run_dir} has no {SUMMARY_FILE}")
-    try:
-        summary = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc.msg})") from exc
+    summary = read_json(path, SchemaError)
     for key in SUMMARY_FIELDS:
         if key not in summary:
             raise SchemaError(f"run {run_dir}: summary missing field {key!r}")

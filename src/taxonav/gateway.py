@@ -24,7 +24,6 @@ programmable oracle callable that inspects the full request.
 from __future__ import annotations
 
 import contextvars
-import hashlib
 import json
 import logging
 import math
@@ -38,9 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, TypeVar
 
 from .errors import (
     ConfigError,
@@ -50,6 +47,12 @@ from .errors import (
     ReplyParseError,
     TransportError,
 )
+
+if TYPE_CHECKING:
+    # For the annotations only. numpy and hashlib are imported inside the
+    # functions that make, cache or read vectors, so a process that only
+    # chats never loads them.
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -133,6 +136,8 @@ def extract_json_object(text: str) -> dict:
 
 
 def l2_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    import numpy as np
+
     vec = np.asarray(values, dtype=np.float64)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
@@ -424,6 +429,10 @@ class MockEmbeddingBackend:
         self._lock = threading.Lock()
 
     def _fallback(self, text: str) -> list[float]:
+        import hashlib
+
+        import numpy as np
+
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
         rng = np.random.default_rng(seed)
         vec = rng.standard_normal(self.dim)
@@ -622,6 +631,8 @@ class LlmGateway:
     # -- embeddings ------------------------------------------------------
 
     def _cache_key(self, model: str, text: str) -> str:
+        import hashlib
+
         return hashlib.sha256(f"{model}\x00{text}".encode("utf-8")).hexdigest()
 
     def _cache_load(self, key: str) -> np.ndarray | None:
@@ -631,6 +642,8 @@ class LlmGateway:
         if self.cache_dir is not None:
             path = self.cache_dir / f"{key}.npy"
             if path.exists():
+                import numpy as np
+
                 try:
                     vec = np.load(path)
                 except (OSError, ValueError, EOFError) as exc:
@@ -647,6 +660,8 @@ class LlmGateway:
         with self._cache_lock:
             self._memory_cache[key] = vec
         if self.cache_dir is not None:
+            import numpy as np
+
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import secrets
 import statistics
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
@@ -104,30 +103,59 @@ _encode = json.encoder.encode_basestring
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError, error: type[DataError]) -> DataError:
+    """The error for a file that is not UTF-8 text, naming the line (ended
+    by LF, CRLF or CR) and the byte offset of its first undecodable byte.
+    The file is read again whole: ``exc`` may come from a part of it."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    else:  # the file changed since the failed read
+        return error(f"{path}: not UTF-8 ({exc.reason})")
+    head = exc.object[: exc.start].decode("utf-8")
+    line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    return error(f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})")
+
+
+def read_json(path: Path, error: type[DataError] = DataError) -> object:
+    """json.loads of a whole UTF-8 file. Raises ``error`` naming the file
+    when it is not UTF-8 text or not one JSON value."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, error) from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc.msg})") from exc
+
+
 def iter_jsonl(path: Path, error: type[DataError] = DataError) -> Iterator[tuple[int, object]]:
     """Yields (line number, record) for each non-blank line of a jsonl file,
     read one line at a time. Raises ``error`` naming the line that is not
-    one JSON value.
+    UTF-8 text or not one JSON value.
 
     Lines end at a newline (CRLF and CR too), never at the other Unicode
     line breaks, such as U+2028, that json.dumps writes unescaped inside
     strings.
     """
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record, end = _scan(line, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
-            if end != len(line):  # not one JSON value: json.loads raises the error
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise error(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            yield lineno, record
+                    record, end = _scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(line):  # not one JSON value: json.loads raises the error
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise error(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                yield lineno, record
+        except UnicodeDecodeError as exc:  # raised by the read, which decodes ahead
+            raise _not_utf8(path, exc, error) from exc
 
 
 def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
@@ -140,10 +168,7 @@ def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
     if format == "jsonl":
         yield from iter_jsonl(path)
         return
-    try:
-        records = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
+    records = read_json(path)
     if not isinstance(records, list):
         raise DataError(f"{path}: expected a JSON array of records")
     yield from enumerate(records)
@@ -203,7 +228,7 @@ def write_atomic(files: dict[Path, Iterable[str]]) -> None:
     try:
         for path, chunks in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+            tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
             with tmp.open("x", encoding="utf-8") as fh:
                 temps.append(tmp)
                 try:

@@ -31,7 +31,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import DataError, SchemaError
-from .registry import Registry, write_atomic
+from .registry import Registry, read_json, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -422,14 +422,8 @@ def load(directory: str | Path) -> Taxonomy:
     for path in (tax_path, class_path):
         if not path.exists():
             raise DataError(f"missing taxonomy file: {path}")
-    try:
-        doc = json.loads(tax_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{tax_path}: invalid JSON ({exc.msg})") from exc
-    try:
-        assignment = json.loads(class_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{class_path}: invalid JSON ({exc.msg})") from exc
+    doc = read_json(tax_path, SchemaError)
+    assignment = read_json(class_path, SchemaError)
 
     if not isinstance(doc, dict) or "root" not in doc or "nodes" not in doc:
         raise SchemaError(f"{tax_path}: expected an object with 'root' and 'nodes'")

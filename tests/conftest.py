@@ -3,11 +3,16 @@ mock backend that records its calls."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import taxonav
 from taxonav.gateway import (
     ChatRequest,
     ChatResponse,
@@ -64,3 +69,17 @@ def make_oracle_gateway(world, **kwargs) -> LlmGateway:
         embedding_backend=MockEmbeddingBackend(),
         **kwargs,
     )
+
+
+def run_fresh(source: str, *argv: str) -> str:
+    """Runs ``source`` with ``argv`` in a new interpreter that imports this
+    taxonav, and returns its stdout: for checks on ``sys.modules``, which a
+    test process has long since filled."""
+    src = str(Path(taxonav.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", source, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout

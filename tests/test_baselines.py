@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import RecordingChatBackend
+from conftest import RecordingChatBackend, run_fresh
 from taxonav.baselines import (
     EmbeddingIndex,
     build_embedding_index,
@@ -132,6 +134,30 @@ def test_build_index_and_topk_retrieve_end_to_end():
     with pytest.raises(ConfigError, match="empty registry"):
         build_embedding_index(Registry([]), gateway)
 
+
+EMBEDDING_PATH = """
+import json, sys
+before = set(sys.modules)
+from taxonav.baselines import build_embedding_index, topk_retrieve
+from taxonav.gateway import LlmGateway, MockEmbeddingBackend
+from taxonav.registry import Registry, Service
+
+on_import = "numpy" in set(sys.modules) - before
+gateway = LlmGateway(embedding_backend=MockEmbeddingBackend())
+registry = Registry([Service(id=i, name=f"name-{i}", description=f"{i} tool") for i in "abcdefgh"])
+index = build_embedding_index(registry, gateway)
+ids = [topk_retrieve(q, index, 4, gateway).service_ids for q in ("c tool", "find me a tool")]
+print(json.dumps([on_import, "numpy" in sys.modules, ids]))
+"""
+
+
+def test_the_embedding_baseline_loads_numpy_on_first_use():
+    """Importing the baselines loads no numpy; building an index does, and
+    the hash-seeded mock vectors rank as they did when numpy was imported
+    with the module."""
+    on_import, loaded, ids = json.loads(run_fresh(EMBEDDING_PATH))
+    assert (on_import, loaded) == (False, True)
+    assert ids == [["c", "h", "d", "e"], ["a", "g", "b", "d"]]
 
 def test_default_k_by_shape():
     assert default_k("toolret") == 5

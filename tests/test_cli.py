@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
 from taxonav import cli
 from taxonav.builder import BuildConfig
 from taxonav.search import SearchConfig
@@ -568,12 +569,74 @@ def test_malformed_mock_script_exits_3(cli_world, tmp_path, capsys, script, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, what",
+    [("--config", "config file"), ("--script", "mock script"), ("--field-map", "field map file")],
+)
+def test_an_input_file_that_is_not_utf8_exits_3(cli_world, tmp_path, capsys, flag, what):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"\xff": 1}')
+    code = cli.main(
+        ["build", "--registry", str(cli_world["registry"]), flag, str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error category=data: cannot read {what} {path}: ")
+    assert "can't decode byte 0xff in position 2: invalid start byte" in err
+
+
+def test_a_registry_that_is_not_utf8_exits_3(cli_world, tmp_path, capsys):
+    path = tmp_path / "registry.jsonl"
+    path.write_bytes(cli_world["registry"].read_bytes() + b'{"id": "\xff"}\n')
+    offset = path.read_bytes().index(b"\xff")
+    assert cli.main(["stats", "--registry", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error category=data: {path}: line 10: not UTF-8 (invalid start byte at byte {offset})\n"
+    )
+
+
 def test_build_and_search_flag_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(["eval", "--registry", "r", "--queries", "q",
                                           "--taxonomy", "t", "--run-dir", "d"])
     assert SearchConfig(mode=args.mode, merge_threshold=args.theta_merge) == SearchConfig()
     args = cli.build_parser().parse_args(["build", "--registry", "r", "--out", "o"])
     assert cli._build_config(args) == BuildConfig()
+
+
+CHAT_ONLY = """
+import json, sys
+before = set(sys.modules)
+from taxonav import baselines, builder, cli, eval_harness, gateway, search
+
+def loaded():
+    return sorted({"numpy", "_hashlib"} & (set(sys.modules) - before))
+
+on_import = loaded()
+registry, queries, build_script, search_script, out = sys.argv[1:]
+built = cli.main(["build", "--registry", registry, "--script", build_script,
+                  "--out", out + "/tax", "--theta-leaf", "3"])
+evaluated = cli.main(["eval", "--registry", registry, "--queries", queries,
+                      "--taxonomy", out + "/tax", "--script", search_script,
+                      "--run-dir", out + "/run"])
+print(json.dumps([on_import, built, evaluated, loaded()]))
+"""
+
+
+def test_build_and_eval_load_neither_numpy_nor_openssl(cli_world, tmp_path):
+    """Building and searching are text calls only: numpy is for the embedding
+    baseline, and OpenSSL's hash module (_hashlib) for the embedding cache
+    key. Neither is loaded by importing the package or by a mock build and
+    eval through the CLI."""
+    stdout = run_fresh(
+        CHAT_ONLY,
+        *(str(cli_world[key]) for key in ("registry", "queries", "build_script", "search_script")),
+        str(tmp_path),
+    )
+    assert json.loads(stdout.splitlines()[-1]) == [[], 0, 0, []]
+    assert (tmp_path / "tax" / "taxonomy.json").read_bytes() == (
+        cli_world["out"] / "taxonomy.json"
+    ).read_bytes()
 
 
 # -- exit codes -------------------------------------------------------------------

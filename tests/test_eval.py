@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -227,6 +228,17 @@ def test_load_records_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="line 1"):
         load_records(tmp_path)
 
+
+
+def test_run_files_that_are_not_utf8_are_schema_errors(tmp_path):
+    write_run(tmp_path, summarize(ten_records(), EvalConfig(method="taxonomy")), ten_records())
+    for name, load in (("summary.json", load_summary), ("per_query.jsonl", load_records)):
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: line 3: not UTF-8"):
+            load(tmp_path)
 
 def test_line_breaks_inside_strings_survive_the_run_files(tmp_path):
     """json.dumps leaves U+2028 and U+0085 raw; only a newline ends a record."""

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taxonav.errors import DataError
+from taxonav.errors import DataError, SchemaError
 from taxonav.registry import (
     FieldMap,
     QueryCase,
     Registry,
     Service,
+    iter_jsonl,
     load_queries,
     load_registry,
     mean_ground_truth_size,
@@ -231,6 +232,40 @@ def test_load_registry_json_array_error_messages(tmp_path, text, error):
     with pytest.raises(DataError) as exc:
         load_registry(path, format="json")
     assert str(exc.value) == f"{path}: {error}"
+
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("good_lines", [1, 3000], ids=["short", "past-the-first-read"])
+def test_a_jsonl_file_that_is_not_utf8_names_its_line(tmp_path, newline, good_lines):
+    """The text reader decodes ahead of the line it returns, so the line is
+    counted from the bytes; every line end the reader knows counts."""
+    good = "".join(
+        json.dumps({"id": f"s{i}", "name": "n", "description": "d"}) + newline
+        for i in range(good_lines)
+    ).encode("utf-8")
+    path = tmp_path / "services.jsonl"
+    data = good + b'{"id": "x", "name": "n", "description": "\xff"}' + newline.encode()
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    with pytest.raises(DataError) as exc:
+        load_registry(path)
+    assert str(exc.value) == (
+        f"{path}: line {good_lines + 1}: not UTF-8 (invalid start byte at byte {offset})"
+    )
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+    with pytest.raises(SchemaError, match=f"line {good_lines + 1}: not UTF-8"):
+        list(iter_jsonl(path, SchemaError))
+
+
+def test_a_json_array_file_that_is_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "services.json"
+    data = b"[" + A.encode() + b',\n{"id": "b", "name": "B", "description": "\xe9"}]'
+    path.write_bytes(data)
+    with pytest.raises(DataError) as exc:
+        load_registry(path, format="json")
+    offset = data.index(b"\xe9")
+    assert str(exc.value) == f"{path}: line 2: not UTF-8 (invalid continuation byte at byte {offset})"
 
 
 Q1 = '{"id": "q1", "text": "find a", "ground_truth": ["s1"]}'

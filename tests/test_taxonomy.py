@@ -334,6 +334,17 @@ def test_load_invalid_json(tmp_path):
         load(tmp_path)
 
 
+
+@pytest.mark.parametrize("name", ["taxonomy.json", "class.json"])
+def test_load_a_file_that_is_not_utf8_is_a_schema_error(tmp_path, name):
+    save(small_tree(), tmp_path)
+    path = tmp_path / name
+    data = path.read_bytes()
+    path.write_bytes(data[:1] + b"\xff" + data[1:])
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{path}: line 1: not UTF-8 (invalid start byte at byte 1)"
+
 def test_load_names_missing_field(tmp_path):
     save(small_tree(), tmp_path)
     doc = json.loads((tmp_path / "taxonomy.json").read_text())
