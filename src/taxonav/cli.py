@@ -32,7 +32,11 @@ from .gateway import (
     MockEmbeddingBackend,
 )
 from .registry import (
+    INTEGER,
+    NUMBER,
+    STRING,
     FieldMap,
+    decode_json,
     load_queries,
     load_registry,
     mean_ground_truth_size,
@@ -92,20 +96,24 @@ class RuntimeConfig:
         return payload
 
 
+# RuntimeConfig field -> its annotation, a string under postponed evaluation
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RuntimeConfig)}
+# annotation -> (test of a config-file value, what the value must be)
+_CONFIG_TYPES = {
+    "str": STRING,
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "int": INTEGER,
+    "float": NUMBER,
+}
+
+
 def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
     values = dataclasses.asdict(RuntimeConfig())
 
     config_path = getattr(args, "config", None)
     if config_path:
         path = Path(config_path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+        doc = _json_object("config file", path)
         if "api_key" in doc:
             raise ConfigError(
                 "the API key is read only from the TAXONAV_API_KEY environment "
@@ -114,6 +122,9 @@ def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
         for key, value in doc.items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
+            ok, what = _CONFIG_TYPES[_FIELD_TYPES[key]]
+            if not ok(value):
+                raise ConfigError(f"config key {key!r} in {path} must be {what}, not {value!r:.80}")
             values[key] = value
 
     for suffix, (field_name, cast) in _ENV_KEYS.items():
@@ -147,23 +158,13 @@ def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
 
 def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
     if cfg.backend == "mock":
-        script_doc: dict = {}
-        if cfg.script:
-            path = Path(cfg.script)
-            try:
-                script_doc = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read mock script {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"mock script {path} is not valid JSON: {exc.msg}") from exc
-            if not isinstance(script_doc, dict):
-                raise ConfigError(f"mock script {path} must hold a JSON object")
+        script_doc = _json_object("mock script", Path(cfg.script)) if cfg.script else {}
         chat_backend = MockChatBackend.from_script(script_doc)
         dim, vectors = script_doc.get("embedding_dim", 8), script_doc.get("embeddings", {})
         if type(dim) is not int or dim < 1:
             raise ConfigError("mock script 'embedding_dim' must be a positive integer")
         if not isinstance(vectors, dict) or not all(
-            isinstance(vec, list) and len(vec) == dim and all(type(x) in (int, float) for x in vec)
+            isinstance(vec, list) and len(vec) == dim and all(map(NUMBER[0], vec))
             for vec in vectors.values()
         ):
             raise ConfigError(f"mock script 'embeddings' must map texts to lists of {dim} numbers")
@@ -183,23 +184,31 @@ def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
     )
 
 
+def _json_object(what: str, path: Path | None = None, *, text: str | None = None) -> dict:
+    """The JSON object in ``text``, or else in the UTF-8 file at ``path``.
+    Raises ConfigError naming ``what`` and the path when the file cannot be
+    read, is not JSON, or does not hold an object."""
+    where = what if path is None else f"{what} {path}"
+    if text is None:
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {where}: {exc}") from exc
+    doc = decode_json(text, ConfigError, where)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must hold a JSON object")
+    return doc
+
+
 def _parse_field_map(raw: str | None) -> FieldMap | None:
     """Accepts an inline JSON object or a path to a JSON file."""
     if raw is None:
         return None
     text = raw.strip()
-    if not text.startswith("{"):
-        path = Path(text)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read field map file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"field map is not valid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("field map must be a JSON object")
+    if text.startswith("{"):
+        doc = _json_object("field map", text=text)
+    else:
+        doc = _json_object("field map file", Path(text))
     known = {f.name for f in dataclasses.fields(FieldMap)}
     unknown = sorted(set(doc) - known)
     if unknown:

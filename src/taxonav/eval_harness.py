@@ -23,7 +23,7 @@ from pathlib import Path
 from statistics import fmean
 
 from .errors import ConfigError, DiscoveryError, SchemaError
-from .registry import QueryCase, iter_jsonl, read_json, write_atomic
+from .registry import INTEGER, NUMBER, STRING, QueryCase, iter_jsonl, read_json, write_atomic
 from .search import RetrievalResult
 
 logger = logging.getLogger(__name__)
@@ -43,6 +43,15 @@ SUMMARY_FIELDS = (
     "tokens_per_query",
     "calls_per_query",
 )
+
+# summary.json field -> (type test, what it must be)
+_SUMMARY_TYPES = {
+    **dict.fromkeys(("method", "dataset", "setting"), STRING),
+    **dict.fromkeys(("query_count", "failure_count"), INTEGER),
+    **dict.fromkeys(
+        ("hit_rate", "recall", "precision", "tokens_per_query", "calls_per_query"), NUMBER
+    ),
+}
 
 
 def score_query(returned: Sequence[str], truth: Iterable[str]) -> tuple[int, float, float]:
@@ -108,7 +117,7 @@ class PerQueryRecord:
                 flags=list(record.get("flags", [])),
                 trace=list(record.get("trace", [])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int() of an infinity
             raise SchemaError(f"malformed per-query record: {exc}") from exc
 
 
@@ -222,9 +231,14 @@ def load_summary(run_dir: str | Path) -> dict:
     if not path.exists():
         raise SchemaError(f"run {run_dir} has no {SUMMARY_FILE}")
     summary = read_json(path, SchemaError)
+    if not isinstance(summary, dict):
+        raise SchemaError(f"run {run_dir}: {SUMMARY_FILE} must hold a JSON object")
     for key in SUMMARY_FIELDS:
         if key not in summary:
             raise SchemaError(f"run {run_dir}: summary missing field {key!r}")
+        ok, what = _SUMMARY_TYPES[key]
+        if not ok(summary[key]):
+            raise SchemaError(f"run {run_dir}: summary field {key!r} must be {what}")
     return summary
 
 

@@ -24,7 +24,6 @@ programmable oracle callable that inspects the full request.
 from __future__ import annotations
 
 import contextvars
-import json
 import logging
 import math
 import os
@@ -47,6 +46,7 @@ from .errors import (
     ReplyParseError,
     TransportError,
 )
+from .registry import decode_json
 
 if TYPE_CHECKING:
     # For the annotations only. numpy and hashlib are imported inside the
@@ -122,23 +122,23 @@ def extract_json_object(text: str) -> dict:
     end = cleaned.rfind("}")
     if start < 0 or end <= start:
         raise ReplyParseError(f"no JSON object in reply {text[:120]!r}")
-    try:
-        obj = json.loads(cleaned[start : end + 1])
-    except json.JSONDecodeError as exc:
-        raise ReplyParseError(f"invalid JSON in reply: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past the int-string digit limit
-        raise ReplyParseError(f"unreadable JSON in reply: {exc}") from exc
-    except RecursionError:
-        raise ReplyParseError("reply JSON nests too deeply") from None
+    obj = decode_json(cleaned[start : end + 1], ReplyParseError, "reply")
     if not isinstance(obj, dict):
         raise ReplyParseError("reply JSON is not an object")
     return obj
 
 
 def l2_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``values`` scaled to unit length. Raises MalformedReplyError unless
+    they are a flat list of finite numbers."""
     import numpy as np
 
-    vec = np.asarray(values, dtype=np.float64)
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedReplyError(f"embedding is not a list of numbers: {exc}") from exc
+    if vec.ndim != 1 or not np.isfinite(vec).all():
+        raise MalformedReplyError(f"embedding is not a list of finite numbers: {values!r:.80}")
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         raise GatewayError("cannot normalize a zero embedding vector")
@@ -364,6 +364,18 @@ def _raise_if_retryable(resp, what: str) -> None:
         )
 
 
+def _token_count(usage: dict, key: str, text: str) -> int:
+    """The reply's usage[key], or estimate_tokens(text) when it is absent.
+    Anything but a non-negative integer raises MalformedReplyError, so the
+    meter never counts junk."""
+    count = usage.get(key)
+    if count is None:
+        return estimate_tokens(text)
+    if type(count) is not int or count < 0:
+        raise MalformedReplyError(f"chat reply usage {key!r} is not a token count: {count!r:.80}")
+    return count
+
+
 class HttpChatBackend:
     """OpenAI-compatible /chat/completions backend. One attempt per call;
     the gateway owns the retry loop."""
@@ -406,16 +418,19 @@ class HttpChatBackend:
         try:
             payload = resp.json()
             text = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise MalformedReplyError(f"unexpected chat response shape: {exc}") from exc
         usage = payload.get("usage") or {}
-        prompt_tokens = usage.get("prompt_tokens")
-        output_tokens = usage.get("completion_tokens")
-        if prompt_tokens is None:
-            prompt_tokens = estimate_tokens(request.system_prompt + request.user_prompt)
-        if output_tokens is None:
-            output_tokens = estimate_tokens(text)
-        return ChatResponse(text=text, prompt_tokens=int(prompt_tokens), output_tokens=int(output_tokens))
+        if not isinstance(text, str):
+            raise MalformedReplyError(f"chat reply content is not a string: {text!r:.80}")
+        if not isinstance(usage, dict):
+            raise MalformedReplyError(f"chat reply usage is not an object: {usage!r:.80}")
+        prompt = request.system_prompt + request.user_prompt
+        return ChatResponse(
+            text=text,
+            prompt_tokens=_token_count(usage, "prompt_tokens", prompt),
+            output_tokens=_token_count(usage, "completion_tokens", text),
+        )
 
 
 class MockEmbeddingBackend:
@@ -478,7 +493,7 @@ class HttpEmbeddingBackend:
         try:
             data = resp.json()["data"]
             return [item["embedding"] for item in data]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedReplyError(f"unexpected embedding response shape: {exc}") from exc
 
 

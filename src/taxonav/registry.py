@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import statistics
 from collections.abc import Iterable, Iterator
@@ -17,7 +18,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, DiscoveryError
 
 logger = logging.getLogger(__name__)
 
@@ -97,9 +98,9 @@ class Registry:
 
 # json.dumps(..., ensure_ascii=False) writes a string through this function
 _encode = json.encoder.encode_basestring
-# The scanner json.loads runs, without its per-call set-up. A line it takes
-# whole is what json.loads would return; any other line goes to json.loads
-# itself, so every error message stays json.loads's own.
+# The scanner decode_json runs, without its per-call set-up. A line it takes
+# whole is what decode_json would return; any other line goes to decode_json
+# itself, so every error message is decode_json's own.
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
@@ -118,15 +119,36 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError, error: type[DataError]) -> Da
     return error(f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})")
 
 
-def read_json(path: Path, error: type[DataError] = DataError) -> object:
-    """json.loads of a whole UTF-8 file. Raises ``error`` naming the file
-    when it is not UTF-8 text or not one JSON value."""
+def decode_json(text: str, error: type[DiscoveryError], where: str) -> object:
+    """json.loads of ``text``; the one place the package decodes JSON. Each
+    way json.loads rejects text raises ``error``, its message led by
+    ``where``: invalid JSON, an integer past the int-string digit limit,
+    and nesting past the recursion limit."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise error(f"{where}: unreadable JSON ({exc})") from exc
+    except RecursionError:
+        raise error(f"{where}: JSON nests too deeply") from None
+
+
+# (type test, what a value must be) for a field of a decoded JSON document.
+# JSON true is a bool, an int subclass, so neither number test takes it.
+STRING = (lambda v: isinstance(v, str), "a string")
+INTEGER = (lambda v: type(v) is int, "an integer")
+NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+
+
+def read_json(path: Path, error: type[DataError] = DataError) -> object:
+    """The JSON value of a whole UTF-8 file. Raises ``error`` naming the
+    file when it is not UTF-8 text or not one JSON value."""
+    try:
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc, error) from exc
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: invalid JSON ({exc.msg})") from exc
+    return decode_json(text, error, str(path))
 
 
 def iter_jsonl(path: Path, error: type[DataError] = DataError) -> Iterator[tuple[int, object]]:
@@ -146,13 +168,10 @@ def iter_jsonl(path: Path, error: type[DataError] = DataError) -> Iterator[tuple
                     continue
                 try:
                     record, end = _scan(line, 0)
-                except (StopIteration, json.JSONDecodeError):
+                except (StopIteration, ValueError, RecursionError):
                     end = -1
-                if end != len(line):  # not one JSON value: json.loads raises the error
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise error(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                if end != len(line):  # not one JSON value: decode_json raises the error
+                    record = decode_json(line, error, f"{path}: line {lineno}")
                 yield lineno, record
         except UnicodeDecodeError as exc:  # raised by the read, which decodes ahead
             raise _not_utf8(path, exc, error) from exc

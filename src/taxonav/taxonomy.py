@@ -31,7 +31,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import DataError, SchemaError
-from .registry import Registry, read_json, write_atomic
+from .registry import INTEGER, STRING, Registry, read_json, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -399,18 +399,17 @@ def _is_strings(value: object) -> bool:
     return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
 
 
-_STRING = (lambda v: isinstance(v, str), "a string")
 _STRINGS = (_is_strings, "a list of strings")
 
 # field of a taxonomy.json node record -> (type test, what it must be); only
 # "services" may be absent
 _NODE_FIELDS = {
-    "id": _STRING,
-    "name": _STRING,
-    "description": _STRING,
-    "boundary": _STRING,
+    "id": STRING,
+    "name": STRING,
+    "description": STRING,
+    "boundary": STRING,
     "children": _STRINGS,
-    "depth": (lambda v: type(v) is int, "an integer"),  # JSON true is a bool, an int subclass
+    "depth": INTEGER,
     "services": _STRINGS,
 }
 
@@ -432,7 +431,7 @@ def load(directory: str | Path) -> Taxonomy:
     if not isinstance(assignment, dict):
         raise SchemaError(f"{class_path}: expected an object mapping service id to leaf ids")
 
-    # The lists json.loads built become the taxonomy's own, uncopied.
+    # The lists read_json built become the taxonomy's own, uncopied.
     nodes: dict[str, TaxonomyNode] = {}
     for idx, record in enumerate(doc["nodes"]):
         if not isinstance(record, dict):

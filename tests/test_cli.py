@@ -4,14 +4,22 @@ backend driven by scripted replies."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_fresh
 from taxonav import cli
+from taxonav import taxonomy as taxonomy_io
 from taxonav.builder import BuildConfig
+from taxonav.errors import DiscoveryError
+from taxonav.eval_harness import PerQueryRecord, load_records, load_summary
+from taxonav.registry import Registry, Service, load_queries, load_registry
 from taxonav.search import SearchConfig
 
 # -- fixtures ----------------------------------------------------------------
@@ -525,6 +533,50 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "unknown config key 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"workers": "8"}, "'workers' in {path} must be an integer, not '8'"),
+        ({"workers": True}, "'workers' in {path} must be an integer, not True"),
+        ({"retries": 2.5}, "'retries' in {path} must be an integer, not 2.5"),
+        ({"retry_backoff": "x"}, "'retry_backoff' in {path} must be a finite number, not 'x'"),
+        ({"retry_backoff": float("inf")}, "'retry_backoff' in {path} must be a finite number, not inf"),
+        ({"chat_model": 5}, "'chat_model' in {path} must be a string, not 5"),
+        ({"endpoint": None}, "'endpoint' in {path} must be a string, not None"),
+        ({"cache_dir": ["x"]}, "'cache_dir' in {path} must be a string or null, not ['x']"),
+    ],
+    ids=["string-workers", "bool-workers", "float-retries", "string-backoff", "inf-backoff",
+         "int-model", "null-endpoint", "list-cache-dir"],
+)
+def test_a_config_value_of_the_wrong_type_exits_3(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(
+        ["build", "--config", str(cfg), "--registry", "r.jsonl", "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error category=data: config key {message.format(path=cfg)}\n"
+    )
+
+
+def test_every_config_field_has_a_type_check():
+    assert set(cli._FIELD_TYPES.values()) <= set(cli._CONFIG_TYPES)
+
+
+def test_a_config_file_may_set_the_optional_paths_to_null(tmp_path):
+    cfg = tmp_path / "conf.json"
+    doc = {"cache_dir": None, "script": None, "retry_backoff": 0, "workers": 2, "chat_model": "m"}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    code = cli.main(
+        ["build", "--config", str(cfg), "--registry", str(tmp_path / "missing.jsonl"), "--out", str(out)]
+    )
+    assert code == 3  # the registry is missing; the config was accepted and persisted
+    persisted = json.loads((out / "config.json").read_text(encoding="utf-8"))
+    assert {key: persisted[key] for key in doc} == doc
+
+
 def test_malformed_env_value_is_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TAXONAV_WORKERS", "many")
     code = cli.main(["build", "--registry", "r.jsonl", "--out", str(tmp_path / "o")])
@@ -554,9 +606,10 @@ def test_http_backend_requires_endpoint(tmp_path, capsys):
          "rules[0] 'output_tokens' must be a non-negative integer"),
         ({"rules": {"pattern": "x"}}, "'rules' must be a list"),
         ({"embeddings": {"a": [0.1, 0.9]}}, "'embeddings' must map texts to lists of 8 numbers"),
+        ({"embeddings": {"a": [float("nan")] * 8}}, "'embeddings' must map texts to lists of 8 numbers"),
     ],
     ids=["no-pattern", "top-level-list", "dim-str", "bad-regex", "label-int", "empty-reply",
-         "negative-tokens", "rules-object", "short-vector"],
+         "negative-tokens", "rules-object", "short-vector", "nan-vector"],
 )
 def test_malformed_mock_script_exits_3(cli_world, tmp_path, capsys, script, message):
     path = tmp_path / "script.json"
@@ -593,6 +646,66 @@ def test_a_registry_that_is_not_utf8_exits_3(cli_world, tmp_path, capsys):
     assert cli.main(["stats", "--registry", str(path)]) == 3
     assert capsys.readouterr().err == (
         f"error category=data: {path}: line 10: not UTF-8 (invalid start byte at byte {offset})\n"
+    )
+
+
+HUGE = "7" * 5000  # past the interpreter's int-string digit limit
+DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit
+
+# input file -> the command that reads it; {dir} is the file's directory
+READS = {
+    "registry.jsonl": ["stats", "--registry", "{path}"],
+    "registry.json": ["stats", "--registry", "{path}", "--format", "json"],
+    "config.json": ["build", "--registry", "{registry}", "--config", "{path}", "--out", "{dir}/o"],
+    "script.json": ["build", "--registry", "{registry}", "--script", "{path}", "--out", "{dir}/o"],
+    "field_map.json": ["stats", "--registry", "{registry}", "--field-map", "{path}"],
+    "taxonomy.json": ["stats", "--taxonomy", "{dir}"],
+    "summary.json": ["compare", "{dir}"],
+}
+SUMMARY = {
+    "method": "taxonomy", "dataset": "d", "setting": "", "query_count": 1, "failure_count": 0,
+    "hit_rate": 1.0, "recall": 1.0, "precision": 1.0, "tokens_per_query": 9.0, "calls_per_query": 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("registry.jsonl", '{"id": "a", "name": "A", "description": "d"}\n{"id": ' + HUGE + "}\n",
+         "{path}: line 2: unreadable JSON ("),
+        ("registry.json", DEEP, "{path}: JSON nests too deeply\n"),
+        ("registry.jsonl", DEEP + "\n", "{path}: line 1: JSON nests too deeply\n"),
+        ("config.json", DEEP, "config file {path}: JSON nests too deeply\n"),
+        ("config.json", '{"workers": ' + HUGE + "}", "config file {path}: unreadable JSON ("),
+        ("script.json", DEEP, "mock script {path}: JSON nests too deeply\n"),
+        ("field_map.json", DEEP, "field map file {path}: JSON nests too deeply\n"),
+        ("field_map.json", "[]", "field map file {path} must hold a JSON object\n"),
+        ("config.json", "{,}", "config file {path}: invalid JSON (Expecting property name "
+         "enclosed in double quotes)\n"),
+        ("taxonomy.json", DEEP, "{path}: JSON nests too deeply\n"),
+        ("summary.json", "3", "run {dir}: summary.json must hold a JSON object\n"),
+        ("summary.json", json.dumps({**SUMMARY, "hit_rate": "x"}),
+         "run {dir}: summary field 'hit_rate' must be a finite number\n"),
+    ],
+    ids=["jsonl-registry-huge-integer", "json-registry-deep", "jsonl-registry-deep", "config-deep",
+         "config-huge-integer", "script-deep", "field-map-deep", "field-map-array",
+         "config-invalid", "taxonomy-deep", "summary-number", "summary-string-rate"],
+)
+def test_an_input_the_json_decoder_rejects_exits_3(cli_world, tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    (tmp_path / "class.json").write_text("{}", encoding="utf-8")
+    fields = {"path": path, "dir": tmp_path, "registry": cli_world["registry"]}
+    assert cli.main([arg.format(**fields) for arg in READS[name]]) == 3
+    assert capsys.readouterr().err.startswith("error category=data: " + message.format(**fields))
+
+
+def test_an_inline_field_map_that_is_not_json_exits_3(cli_world, capsys):
+    code = cli.main(["stats", "--registry", str(cli_world["registry"]), "--field-map", "{id: 1}"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error category=data: field map: invalid JSON "
+        "(Expecting property name enclosed in double quotes)\n"
     )
 
 
@@ -677,3 +790,99 @@ def test_transport_failure_exits_4(cli_world, capsys):
     )
     assert code == 4
     assert capsys.readouterr().err.startswith("error category=backend:")
+
+
+# -- every loader, any bytes ----------------------------------------------------
+
+LOADER_KEYS = sorted(
+    {*SUMMARY, *READS, *(f.name for f in dataclasses.fields(cli.RuntimeConfig)),
+     *(f.name for f in dataclasses.fields(PerQueryRecord)), "id", "name", "description",
+     "source", "text", "ground_truth", "root", "nodes", "boundary", "children", "services",
+     "depth", "rules", "default_reply", "embedding_dim", "embeddings", "pattern", "label", "reply"}
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(LOADER_KEYS) | st.text(max_size=3), inner, max_size=8),
+    max_leaves=16,
+)
+huge_integers = st.integers(4301, 6000).map(lambda digits: "9" * digits)
+nested = st.builds(
+    lambda depth, opener, leaf: opener * depth + leaf + {"[": "]", '{"a": ': "}"}[opener] * depth,
+    st.integers(0, 100_000), st.sampled_from(["[", '{"a": ']), st.just("1") | huge_integers,
+)
+documents = st.one_of(
+    st.binary(max_size=100),
+    st.lists(json_values.map(json.dumps) | nested, min_size=1, max_size=3).map(
+        lambda lines: "\n".join(lines).encode("utf-8")
+    ),
+    st.builds(lambda key, digits: f'{{"{key}": {digits}}}'.encode(), st.sampled_from(LOADER_KEYS),
+              huge_integers),
+)
+
+ONE_NODE_TAXONOMY = json.dumps({
+    "root": "root",
+    "nodes": [{"id": "root", "name": "All", "description": "", "boundary": "", "children": [],
+               "services": [], "depth": 0}],
+}).encode()
+
+
+def _write(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    return path
+
+
+def _one_service(directory: Path) -> Path:
+    return _write(directory / "one.jsonl", b'{"id": "s1", "name": "n", "description": "d"}\n')
+
+
+def _cli(argv: list[str], *allowed: int) -> None:
+    code = cli.main(argv)
+    assert code in allowed, code
+
+
+LOADERS = {
+    "registry-jsonl": lambda d, data: load_registry(_write(d / "r.jsonl", data)),
+    "registry-json": lambda d, data: load_registry(_write(d / "r.json", data), format="json"),
+    "queries": lambda d, data: load_queries(
+        _write(d / "q.jsonl", data), Registry([Service("s1", "n", "d")])
+    ),
+    "taxonomy-json": lambda d, data: (
+        _write(d / "class.json", b"{}"),
+        taxonomy_io.load(_write(d / "taxonomy.json", data).parent),
+    ),
+    "class-json": lambda d, data: (
+        _write(d / "taxonomy.json", ONE_NODE_TAXONOMY),
+        taxonomy_io.load(_write(d / "class.json", data).parent),
+    ),
+    "summary": lambda d, data: load_summary(_write(d / "summary.json", data).parent),
+    "per-query": lambda d, data: load_records(_write(d / "per_query.jsonl", data).parent),
+    # the registry is missing, so a config that reads passes on to exit 3 too
+    "cli-config": lambda d, data: _cli(
+        ["build", "--config", str(_write(d / "c.json", data)), "--registry", str(d / "missing"),
+         "--out", str(d / "o")], 3,
+    ),
+    # one service is a leaf at once: a build that reads the script makes no call
+    "cli-script": lambda d, data: _cli(
+        ["build", "--script", str(_write(d / "s.json", data)), "--registry", str(_one_service(d)),
+         "--out", str(d / "o")], 0, 3,
+    ),
+    "cli-field-map": lambda d, data: _cli(
+        ["stats", "--field-map", str(_write(d / "f.json", data)), "--registry", str(_one_service(d))],
+        0, 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@settings(max_examples=60, deadline=None)
+@given(data=documents)
+def test_every_loader_returns_or_raises_a_package_error(loader, data):
+    """Random bytes, random JSON with the loaders' own keys, nesting up to
+    100,000 deep and integers past the digit limit: every file loader, and
+    every CLI reader, returns or fails with a DiscoveryError (exit 3)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            LOADERS[loader](Path(tmp), data)
+        except DiscoveryError:
+            pass

@@ -218,6 +218,42 @@ def test_load_summary_schema_errors(tmp_path):
         load_summary(tmp_path)
 
 
+SUMMARY = {
+    "method": "taxonomy", "dataset": "d", "setting": "", "query_count": 2, "failure_count": 0,
+    "hit_rate": 1.0, "recall": 0.5, "precision": 0.25, "tokens_per_query": 900.0,
+    "calls_per_query": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3", "summary.json must hold a JSON object"),
+        ("[]", "summary.json must hold a JSON object"),
+        (json.dumps({**SUMMARY, "hit_rate": "x"}), "summary field 'hit_rate' must be a finite number"),
+        (json.dumps({**SUMMARY, "recall": float("nan")}),
+         "summary field 'recall' must be a finite number"),
+        (json.dumps({**SUMMARY, "calls_per_query": True}),
+         "summary field 'calls_per_query' must be a finite number"),
+        (json.dumps({**SUMMARY, "query_count": 2.0}),
+         "summary field 'query_count' must be an integer"),
+        (json.dumps({**SUMMARY, "failure_count": False}),
+         "summary field 'failure_count' must be an integer"),
+        (json.dumps({**SUMMARY, "method": None}), "summary field 'method' must be a string"),
+        (json.dumps({**SUMMARY, "setting": 5}), "summary field 'setting' must be a string"),
+    ],
+    ids=["number", "array", "string-rate", "nan-rate", "bool-rate", "float-count", "bool-count",
+         "null-method", "int-setting"],
+)
+def test_load_summary_checks_the_type_of_every_field(tmp_path, text, message):
+    (tmp_path / "summary.json").write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_summary(tmp_path)
+    assert str(exc.value) == f"run {tmp_path}: {message}"
+    (tmp_path / "summary.json").write_text(json.dumps(SUMMARY), encoding="utf-8")
+    assert load_summary(tmp_path) == SUMMARY
+
+
 def test_load_records_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="has no per_query.jsonl"):
         load_records(tmp_path)
@@ -226,6 +262,13 @@ def test_load_records_schema_errors(tmp_path):
         load_records(tmp_path)
     (tmp_path / "per_query.jsonl").write_text("not json\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 1"):
+        load_records(tmp_path)
+    (tmp_path / "per_query.jsonl").write_text('{"query_id": ' + "7" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"per_query.jsonl: line 1: unreadable JSON \("):
+        load_records(tmp_path)
+    record = {**vars(ten_records()[0]), "calls": float("inf")}
+    (tmp_path / "per_query.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="malformed per-query record"):
         load_records(tmp_path)
 
 

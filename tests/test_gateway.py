@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import gc
 import json
+import re
 import sys
 import threading
 import time
@@ -24,6 +25,9 @@ from taxonav.errors import (
     TransportError,
 )
 from taxonav import gateway as gateway_module
+from taxonav.eval_harness import EvalConfig, evaluate
+from taxonav.registry import QueryCase
+from taxonav.search import RetrievalResult
 from taxonav.gateway import (
     EMBED_BATCH_SIZE,
     STRICT_REPLY_SUFFIX,
@@ -167,6 +171,31 @@ def test_l2_normalize():
     assert np.allclose(vec, [0.6, 0.8])
     with pytest.raises(GatewayError):
         l2_normalize([0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, "x"], [float("nan"), 1.0], [float("inf"), 1.0], [[1.0], [2.0]], 3.0, None, {"a": 1}],
+    ids=["string", "nan", "inf", "nested", "scalar", "null", "object"],
+)
+def test_l2_normalize_rejects_anything_but_finite_numbers(values):
+    with pytest.raises(MalformedReplyError, match="embedding is not a list of"):
+        l2_normalize(values)
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        ("{oops}", "reply: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ('{"a": ' + "7" * 5000 + "}", "reply: unreadable JSON ("),
+        ('{"a": ' + "[" * 100000 + "]" * 100000 + "}", "reply: JSON nests too deeply"),
+    ],
+    ids=["invalid", "huge-integer", "deep-nesting"],
+)
+def test_extract_json_object_messages_share_the_file_readers_shape(reply, message):
+    with pytest.raises(ReplyParseError) as exc:
+        extract_json_object(reply)
+    assert str(exc.value).startswith(message)
 
 
 def test_chat_request_pins_temperature():
@@ -621,6 +650,82 @@ def test_http_chat_missing_usage_falls_back_to_estimates():
     resp = backend.complete(req, "x")
     assert resp.prompt_tokens == estimate_tokens(SYS + USER)
     assert resp.output_tokens == estimate_tokens("four")
+
+
+class UndecodableResponse(StubResponse):
+    """A 200 reply whose body nests past the recursion limit."""
+
+    def __init__(self):
+        super().__init__(200, text="[" * 100_000)
+
+    def json(self):
+        raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"choices": [{"message": {"content": None}}]}, "content is not a string: None"),
+        ({"choices": [{"message": {"content": 5}}]}, "content is not a string: 5"),
+        ({"choices": [{"message": {"content": "1"}}], "usage": {"prompt_tokens": "abc"}},
+         "usage 'prompt_tokens' is not a token count: 'abc'"),
+        ({"choices": [{"message": {"content": "1"}}], "usage": {"completion_tokens": -5}},
+         "usage 'completion_tokens' is not a token count: -5"),
+        ({"choices": [{"message": {"content": "1"}}], "usage": {"prompt_tokens": 2.5}},
+         "usage 'prompt_tokens' is not a token count: 2.5"),
+        ({"choices": [{"message": {"content": "1"}}], "usage": {"prompt_tokens": True}},
+         "usage 'prompt_tokens' is not a token count: True"),
+        ({"choices": [{"message": {"content": "1"}}], "usage": [3, 1]},
+         "usage is not an object: [3, 1]"),
+        ({"choices": []}, "unexpected chat response shape"),
+        (None, "unexpected chat response shape: maximum recursion depth"),
+    ],
+    ids=["null-content", "int-content", "string-tokens", "negative-tokens", "float-tokens",
+         "bool-tokens", "list-usage", "no-choices", "deep-nesting"],
+)
+def test_http_chat_rejects_a_malformed_reply(payload, message):
+    response = UndecodableResponse() if payload is None else StubResponse(200, payload)
+    backend = HttpChatBackend("http://x", session=StubSession(response))
+    req = ChatRequest(system_prompt=SYS, user_prompt=USER, model="m")
+    with pytest.raises(MalformedReplyError, match=re.escape(message)):
+        backend.complete(req, "x")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"data": [{"embedding": [1, "x"]}]}, "embedding is not a list of numbers"),
+        ({"data": [{"embedding": [float("nan"), 1.0]}]}, "embedding is not a list of finite numbers"),
+        ({"data": [{"embedding": None}]}, "embedding is not a list of finite numbers"),
+        ({"data": "abc"}, "unexpected embedding response shape"),
+        (None, "unexpected embedding response shape: maximum recursion depth"),
+    ],
+    ids=["string-value", "nan-value", "null-embedding", "string-data", "deep-nesting"],
+)
+def test_http_embedding_rejects_a_malformed_reply(payload, message):
+    response = UndecodableResponse() if payload is None else StubResponse(200, payload)
+    gw = LlmGateway(embedding_backend=HttpEmbeddingBackend("http://x", session=StubSession(response)))
+    with pytest.raises(MalformedReplyError, match=message):
+        gw.embed(["a"])
+
+
+def test_a_malformed_http_reply_fails_one_query_not_the_eval():
+    replies = iter([None, "ok"])
+
+    class OneBadReply(StubSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            return StubResponse(200, {"choices": [{"message": {"content": next(replies)}}]})
+
+    gw = LlmGateway(chat_backend=HttpChatBackend("http://x", session=OneBadReply(None)), workers=1)
+    queries = [QueryCase(qid, text, frozenset({"s1"})) for qid, text in (("q1", "a"), ("q2", "b"))]
+
+    def retrieve(case):
+        return RetrievalResult(service_ids=[gw.chat(SYS, case.text, label="x").text])
+
+    summary, records = evaluate(retrieve, queries, EvalConfig(method="m", workers=1))
+    assert [r.error for r in records] == ["chat reply content is not a string: None", None]
+    assert records[1].returned == ["ok"]
+    assert summary.failure_count == 1
 
 
 def test_http_chat_status_mapping():

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taxonav.errors import DataError, SchemaError
+from taxonav.errors import ConfigError, DataError, ReplyParseError, SchemaError
 from taxonav.registry import (
     FieldMap,
     QueryCase,
     Registry,
     Service,
+    decode_json,
     iter_jsonl,
     load_queries,
     load_registry,
@@ -163,6 +164,35 @@ def test_save_load_round_trip_property(tmp_path_factory, ids):
 
 A = '{"id": "a", "name": "A", "description": "d"}'
 B = '{"id": "b", "name": "B", "description": "e"}'
+HUGE = "7" * 5000  # past the interpreter's int-string digit limit
+DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit
+
+
+def digit_limit_message() -> str:
+    """The interpreter's own words for HUGE, which vary between versions."""
+    try:
+        int(HUGE)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("no int-string digit limit")
+
+
+@pytest.mark.parametrize("error", [DataError, ConfigError, ReplyParseError])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a" 1}', "here: invalid JSON (Expecting ':' delimiter)"),
+        ("", "here: invalid JSON (Expecting value)"),
+        ('{"a": ' + HUGE + "}", f"here: unreadable JSON ({digit_limit_message()})"),
+        ('{"a": ' + DEEP + "}", "here: JSON nests too deeply"),
+    ],
+    ids=["invalid", "empty", "huge-integer", "deep-nesting"],
+)
+def test_decode_json_maps_every_rejection_to_the_given_error(text, message, error):
+    with pytest.raises(error) as exc:
+        decode_json(text, error, "here")
+    assert str(exc.value) == message
+    assert decode_json('{"a": [1, 2.5, null]}', error, "here") == {"a": [1, 2.5, None]}
 
 
 @pytest.mark.parametrize(
@@ -198,13 +228,16 @@ B = '{"id": "b", "name": "B", "description": "e"}'
         ("﻿" + A + "\n", "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
         (A + "\n" + '{"id": "b", "name": "B", "description": "tab\there"}\n',
          "line 2: invalid JSON (Invalid control character at)"),
+        (A + "\n" + '{"id": ' + HUGE + "}\n", f"line 2: unreadable JSON ({digit_limit_message()})"),
+        (DEEP + "\n", "line 1: JSON nests too deeply"),
     ],
     ids=[
         "two-objects-on-one-line", "object-split-over-two-lines", "split-first-line",
         "split-before-comma", "array-line", "string-line", "missing-field-line-3",
         "blank-field", "non-string-field", "all-blank-names-id-first", "blank-lines-count",
         "crlf-and-blank-lines", "duplicate-id", "single-quotes", "trailing-brace",
-        "newline-in-string", "bad-literal", "bom", "raw-tab-in-string",
+        "newline-in-string", "bad-literal", "bom", "raw-tab-in-string", "huge-integer",
+        "deep-nesting",
     ],
 )
 def test_load_registry_error_messages(tmp_path, text, error):
@@ -223,8 +256,11 @@ def test_load_registry_error_messages(tmp_path, text, error):
         ("[" + A + ', {"id": "b", "name": "B"}]', "record 1: missing or empty field 'description'"),
         ("[" + A + "] " + A, "invalid JSON (Extra data)"),
         (A, "expected a JSON array of records"),
+        ("[" + A + ", " + DEEP + "]", "JSON nests too deeply"),
+        ("[" + A + ", " + HUGE + "]", f"unreadable JSON ({digit_limit_message()})"),
     ],
-    ids=["non-object", "missing-field", "extra-data", "not-an-array"],
+    ids=["non-object", "missing-field", "extra-data", "not-an-array", "deep-nesting",
+         "huge-integer"],
 )
 def test_load_registry_json_array_error_messages(tmp_path, text, error):
     path = tmp_path / "services.json"
