@@ -96,12 +96,9 @@ def build_embedding_index(
         raise ConfigError("cannot build an embedding index over an empty registry")
     import numpy as np
 
+    model = model or gateway.embedding_model
     vectors = gateway.embed([svc.description for svc in registry], model=model)
-    return EmbeddingIndex(
-        service_ids=registry.ids,
-        matrix=np.stack([v.values for v in vectors]),
-        model=vectors[0].model,
-    )
+    return EmbeddingIndex(service_ids=registry.ids, matrix=np.stack(vectors), model=model)
 
 
 def rank_by_vector(vector: np.ndarray, index: EmbeddingIndex, k: int) -> list[str]:
@@ -122,7 +119,7 @@ def rank_by_vector(vector: np.ndarray, index: EmbeddingIndex, k: int) -> list[st
 def topk_retrieve(
     query: str, index: EmbeddingIndex, k: int, gateway: LlmGateway
 ) -> RetrievalResult:
-    vector = gateway.embed([query], model=index.model)[0].values
+    vector = gateway.embed([query], model=index.model)[0]
     return RetrievalResult(service_ids=rank_by_vector(vector, index, k))
 
 
@@ -180,7 +177,7 @@ def rewrite_retrieve(
                 "rewrite reply had no usable <tool_assistant> block; using the raw query"
             )
             search_text = query
-    vector = gateway.embed([search_text], model=index.model)[0].values
+    vector = gateway.embed([search_text], model=index.model)[0]
     return RetrievalResult(
         service_ids=rank_by_vector(vector, index, k), **usage_fields(usage.snapshot()), flags=flags
     )

@@ -21,7 +21,6 @@ whole-tree refinement loop, and single-axis design rules.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections.abc import Callable
@@ -32,7 +31,7 @@ from pathlib import Path
 from . import prompts
 from .errors import ConfigError, DataError, DesignError, ReplyParseError
 from .gateway import LlmGateway, UsageMeter, extract_json_object, metered
-from .registry import Registry, Service, write_atomic
+from .registry import Registry, Service, dump_json
 from .search import navigate
 from .taxonomy import Taxonomy, TaxonomyNode
 
@@ -116,13 +115,7 @@ class BuildReport:
         return sum(self.calls_by_phase.values())
 
     def save(self, path: str | Path) -> None:
-        payload = {**asdict(self), "total_calls": self.total_calls()}
-        text = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
-        write_atomic({Path(path): [text]})
-
-
-def _numbered_services(services: list[Service]) -> str:
-    return "\n".join(f"{i}. {s.name}: {s.description}" for i, s in enumerate(services, start=1))
+        dump_json({**asdict(self), "total_calls": self.total_calls()}, Path(path))
 
 
 def _normalize_axis(raw: object) -> str | None:
@@ -209,7 +202,7 @@ class TaxonomyBuilder:
         template = prompts.load("keyword_extract")
 
         def call(batch: list[Service]) -> str:
-            system, user = template.render(services=_numbered_services(batch))
+            system, user = template.render(services=prompts.service_options(batch))
             return self.gateway.chat(system, user, label=label).text
 
         replies = self.gateway.run_parallel(call, batches)
@@ -344,7 +337,7 @@ class TaxonomyBuilder:
         else:
             if not payload:
                 raise DesignError("cannot design categories for zero services")
-            values["services"] = _numbered_services(payload)
+            values["services"] = prompts.service_options(payload)
             template = "design_from_descriptions"
         return self._request_drafts(template, values, label=label, report=report)
 
@@ -362,7 +355,7 @@ class TaxonomyBuilder:
             payload = keyword_table.render()
         else:
             payload_header = "Catalog services:"
-            payload = _numbered_services(services)
+            payload = prompts.service_options(services)
         system, user = prompts.render(
             "validate_root",
             axis_rules=prompts.snippet("axis_rules"),
@@ -452,7 +445,7 @@ class TaxonomyBuilder:
         """One refinement round; None when the designer reply is unusable."""
 
         def listing(items: list[Service]) -> str:
-            return _numbered_services(items) if items else "(none)"
+            return prompts.service_options(items) if items else "(none)"
 
         values = {
             "parent_context": parent_context,
@@ -728,7 +721,7 @@ class TaxonomyBuilder:
                 return None
             own = taxonomy.node(own_domain[leaf_id]).name
             system, user = template.render(
-                own_domain=own, domains=domain_names, options=_numbered_services(leaf_services)
+                own_domain=own, domains=domain_names, options=prompts.service_options(leaf_services)
             )
             return self.gateway.chat_json(system, user, label="build.cross_domain")
 
@@ -932,7 +925,7 @@ def build_oneshot(
             payload = table.render()
         else:
             payload_header = "Services:"
-            payload = _numbered_services(services)
+            payload = prompts.service_options(services)
         axis_prefix = prompts.snippet("axis_rules") + "\n\n" if variant == "axis" else ""
 
         system, user = prompts.render(
@@ -974,7 +967,7 @@ def build_oneshot(
                     "oneshot_refine",
                     tree=_render_outline(taxonomy),
                     failure_count=str(len(failures)),
-                    failures=_numbered_services(failed_services[:20]),
+                    failures=prompts.service_options(failed_services[:20]),
                 )
                 refined = gateway.chat_json(sys_p, user_p, label="oneshot.refine")
                 if refined is None:

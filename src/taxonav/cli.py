@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,19 +25,14 @@ from . import baselines, builder, eval_harness, search
 from . import taxonomy as taxonomy_io
 from .builder import ONESHOT_VARIANTS, BuildConfig
 from .errors import ConfigError, DataError, DiscoveryError, TransportError
-from .gateway import (
-    HttpChatBackend,
-    HttpEmbeddingBackend,
-    LlmGateway,
-    MockChatBackend,
-    MockEmbeddingBackend,
-)
+from .gateway import HttpBackend, LlmGateway, MockChatBackend, MockEmbeddingBackend
 from .registry import (
-    INTEGER,
     NUMBER,
-    STRING,
     FieldMap,
+    check_fields,
     decode_json,
+    dump_json,
+    field_types,
     load_queries,
     load_registry,
     mean_ground_truth_size,
@@ -96,19 +92,9 @@ class RuntimeConfig:
         return payload
 
 
-# RuntimeConfig field -> its annotation, a string under postponed evaluation
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RuntimeConfig)}
-# annotation -> (test of a config-file value, what the value must be)
-_CONFIG_TYPES = {
-    "str": STRING,
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "int": INTEGER,
-    "float": NUMBER,
-}
-
-
 def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
     values = dataclasses.asdict(RuntimeConfig())
+    types = field_types(RuntimeConfig)
 
     config_path = getattr(args, "config", None)
     if config_path:
@@ -122,7 +108,7 @@ def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
         for key, value in doc.items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            ok, what = _CONFIG_TYPES[_FIELD_TYPES[key]]
+            ok, what = types[key]
             if not ok(value):
                 raise ConfigError(f"config key {key!r} in {path} must be {what}, not {value!r:.80}")
             values[key] = value
@@ -149,6 +135,8 @@ def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
         raise ConfigError("workers must be >= 1")
     if cfg.retries < 1:
         raise ConfigError("retries must be >= 1")
+    if not (math.isfinite(cfg.retry_backoff) and cfg.retry_backoff >= 0):
+        raise ConfigError(f"retry_backoff must be a finite number >= 0, not {cfg.retry_backoff!r}")
     if cfg.backend == "http" and not cfg.endpoint:
         raise ConfigError(
             "the http backend needs an endpoint (--endpoint, config file, or TAXONAV_ENDPOINT)"
@@ -170,8 +158,7 @@ def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
             raise ConfigError(f"mock script 'embeddings' must map texts to lists of {dim} numbers")
         embedding_backend = MockEmbeddingBackend(vectors=vectors, dim=dim)
     else:
-        chat_backend = HttpChatBackend(cfg.endpoint, api_key=cfg.api_key)
-        embedding_backend = HttpEmbeddingBackend(cfg.endpoint, api_key=cfg.api_key)
+        chat_backend = embedding_backend = HttpBackend(cfg.endpoint, api_key=cfg.api_key)
     return LlmGateway(
         chat_backend=chat_backend,
         embedding_backend=embedding_backend,
@@ -206,13 +193,15 @@ def _parse_field_map(raw: str | None) -> FieldMap | None:
         return None
     text = raw.strip()
     if text.startswith("{"):
-        doc = _json_object("field map", text=text)
+        where, doc = "field map", _json_object("field map", text=text)
     else:
-        doc = _json_object("field map file", Path(text))
-    known = {f.name for f in dataclasses.fields(FieldMap)}
-    unknown = sorted(set(doc) - known)
+        path = Path(text)
+        where, doc = f"field map file {path}", _json_object("field map file", path)
+    types = field_types(FieldMap)
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"unknown field map keys: {', '.join(unknown)}")
+    check_fields(doc, types, where, ConfigError, types)
     return FieldMap(**doc)
 
 
@@ -227,7 +216,7 @@ def _write_config(out_dir: Path, cfg: RuntimeConfig, extra: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = cfg.public_dict()
     payload.update(extra)
-    eval_harness.dump_json(payload, out_dir / CONFIG_FILE)
+    dump_json(payload, out_dir / CONFIG_FILE)
 
 
 def _build_config(args: argparse.Namespace) -> BuildConfig:

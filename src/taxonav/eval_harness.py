@@ -23,35 +23,21 @@ from pathlib import Path
 from statistics import fmean
 
 from .errors import ConfigError, DiscoveryError, SchemaError
-from .registry import INTEGER, NUMBER, STRING, QueryCase, iter_jsonl, read_json, write_atomic
+from .registry import (
+    QueryCase,
+    check_fields,
+    field_types,
+    iter_jsonl,
+    json_text,
+    read_json,
+    write_atomic,
+)
 from .search import RetrievalResult
 
 logger = logging.getLogger(__name__)
 
 SUMMARY_FILE = "summary.json"
 PER_QUERY_FILE = "per_query.jsonl"
-
-SUMMARY_FIELDS = (
-    "method",
-    "dataset",
-    "setting",
-    "query_count",
-    "failure_count",
-    "hit_rate",
-    "recall",
-    "precision",
-    "tokens_per_query",
-    "calls_per_query",
-)
-
-# summary.json field -> (type test, what it must be)
-_SUMMARY_TYPES = {
-    **dict.fromkeys(("method", "dataset", "setting"), STRING),
-    **dict.fromkeys(("query_count", "failure_count"), INTEGER),
-    **dict.fromkeys(
-        ("hit_rate", "recall", "precision", "tokens_per_query", "calls_per_query"), NUMBER
-    ),
-}
 
 
 def score_query(returned: Sequence[str], truth: Iterable[str]) -> tuple[int, float, float]:
@@ -101,24 +87,15 @@ class PerQueryRecord:
     trace: list[dict] = field(default_factory=list)
 
     @classmethod
-    def from_dict(cls, record: dict) -> "PerQueryRecord":
-        try:
-            return cls(
-                query_id=record["query_id"],
-                returned=list(record["returned"]),
-                truth=list(record["truth"]),
-                hit=int(record["hit"]),
-                recall=float(record["recall"]),
-                precision=float(record["precision"]),
-                calls=int(record["calls"]),
-                prompt_tokens=int(record["prompt_tokens"]),
-                output_tokens=int(record["output_tokens"]),
-                error=record.get("error"),
-                flags=list(record.get("flags", [])),
-                trace=list(record.get("trace", [])),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int() of an infinity
-            raise SchemaError(f"malformed per-query record: {exc}") from exc
+    def from_dict(cls, record: object, where: str) -> "PerQueryRecord":
+        """The record a per_query.jsonl line holds. Raises SchemaError, led
+        by ``where``, unless every field has its annotated type; only
+        error, flags and trace may be absent."""
+        if not isinstance(record, dict):
+            raise SchemaError(f"{where} is not a JSON object")
+        types = field_types(cls)
+        check_fields(record, types, where, SchemaError, ("error", "flags", "trace"))
+        return cls(**{key: record[key] for key in types if key in record})
 
 
 @dataclass
@@ -206,20 +183,12 @@ def evaluate(
 # -- run artifacts ------------------------------------------------------------
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
-
-
-def dump_json(payload: dict, path: Path) -> None:
-    write_atomic({path: [_json_text(payload)]})
-
-
 def write_run(run_dir: str | Path, summary: Summary, records: Sequence[PerQueryRecord]) -> None:
     """Writes summary.json and per_query.jsonl. Raises DataError, before
     either file is replaced, if a string cannot be written as UTF-8."""
     run_dir = Path(run_dir)
     write_atomic({
-        run_dir / SUMMARY_FILE: [_json_text(summary.to_dict())],
+        run_dir / SUMMARY_FILE: [json_text(summary.to_dict())],
         run_dir / PER_QUERY_FILE: (
             json.dumps(vars(record), ensure_ascii=False, sort_keys=True) + "\n" for record in records
         ),
@@ -233,12 +202,7 @@ def load_summary(run_dir: str | Path) -> dict:
     summary = read_json(path, SchemaError)
     if not isinstance(summary, dict):
         raise SchemaError(f"run {run_dir}: {SUMMARY_FILE} must hold a JSON object")
-    for key in SUMMARY_FIELDS:
-        if key not in summary:
-            raise SchemaError(f"run {run_dir}: summary missing field {key!r}")
-        ok, what = _SUMMARY_TYPES[key]
-        if not ok(summary[key]):
-            raise SchemaError(f"run {run_dir}: summary field {key!r} must be {what}")
+    check_fields(summary, field_types(Summary), f"run {run_dir}: summary", SchemaError)
     return summary
 
 
@@ -246,7 +210,10 @@ def load_records(run_dir: str | Path) -> list[PerQueryRecord]:
     path = Path(run_dir) / PER_QUERY_FILE
     if not path.exists():
         raise SchemaError(f"run {run_dir} has no {PER_QUERY_FILE}")
-    return [PerQueryRecord.from_dict(record) for _, record in iter_jsonl(path, SchemaError)]
+    return [
+        PerQueryRecord.from_dict(record, f"{path}: line {lineno}: per-query record")
+        for lineno, record in iter_jsonl(path, SchemaError)
+    ]
 
 
 def recompute_summary(run_dir: str | Path) -> Summary:
@@ -296,10 +263,11 @@ class ComparisonTable:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(SUMMARY_FIELDS))
+            fields = list(field_types(Summary))
+            writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             for row in self.rows:
-                writer.writerow({key: row[key] for key in SUMMARY_FIELDS})
+                writer.writerow({key: row[key] for key in fields})
 
 
 def compare(run_dirs: Sequence[str | Path]) -> ComparisonTable:

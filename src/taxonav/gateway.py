@@ -4,17 +4,17 @@ Every LLM interaction in the package goes through ``LlmGateway`` so that
 usage accounting, retry policy, concurrency limits and determinism rules
 live in one place. Chat temperature is pinned to 0. Transport failures retry
 with exponential backoff, or after the server's Retry-After when that is
-longer.
+longer; no wait exceeds MAX_RETRY_AFTER_S.
 
 ``LlmGateway.ask`` is the one call-parse-re-ask path: a reply whose parser
 raises ReplyParseError gets exactly one re-ask with a stricter suffix, and a
 second parse failure propagates for the caller to degrade on (an empty
 selection, None, a DesignError, a flagged fallback).
 
-Every chat call is counted in the gateway's ``meter`` and in the meter of
-each enclosing ``metered()`` scope. The scope lives in a context variable
-that ``run_parallel`` carries onto its pool threads, so a query or a build
-counts exactly its own calls even when others share the gateway.
+Every chat call is counted in the meter of each enclosing ``metered()``
+scope, and nowhere else. The scope lives in a context variable that
+``run_parallel`` carries onto its pool threads, so a query or a build counts
+exactly its own calls even when others share the gateway.
 
 The scripted mock backend is the test and offline workhorse: a table of
 (label pattern, prompt regex) -> reply rules, optionally fronted by a
@@ -63,8 +63,9 @@ JSON_REPLY_SUFFIX = "\n\nReply with a single valid JSON object and nothing else.
 # rate limiting. They raise TransportError so the gateway's backoff retries.
 RETRYABLE_STATUSES = (408, 429)
 
-# Longest server-requested wait (Retry-After) honoured before a retry, in
-# seconds, so a hostile or broken header cannot stall a caller for hours.
+# Longest wait before a retry, in seconds, whether the backoff or a
+# server's Retry-After asks for it, so neither a hostile or broken header nor
+# a long run of failures can stall a caller for hours.
 MAX_RETRY_AFTER_S = 60.0
 
 # Most texts sent in one /embeddings request. OpenAI's API reference caps a
@@ -77,7 +78,7 @@ EMBED_BATCH_SIZE = 256
 
 # Model-id patterns whose backends enable extended thinking by default; the
 # request must carry an explicit disable flag to keep outputs deterministic.
-DEFAULT_THINKING_DISABLE_PATTERNS = ("v4",)
+THINKING_DISABLE_PATTERNS = ("v4",)
 
 
 T = TypeVar("T")
@@ -150,13 +151,9 @@ class ChatRequest:
     system_prompt: str
     user_prompt: str
     model: str
-    temperature: float = 0.0
     thinking_disabled: bool = False
-    max_output_tokens: int | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature != 0.0:
-            raise ValueError("chat temperature is pinned to 0")
         if not self.system_prompt or not self.user_prompt:
             raise ValueError("chat prompts must be non-empty")
 
@@ -354,16 +351,6 @@ def _retry_after(headers) -> float | None:
     return min(seconds, MAX_RETRY_AFTER_S)
 
 
-def _raise_if_retryable(resp, what: str) -> None:
-    """Raises TransportError, carrying the reply's Retry-After, for the
-    statuses worth retrying: 5xx, request timeout and rate limiting."""
-    if resp.status_code >= 500 or resp.status_code in RETRYABLE_STATUSES:
-        raise TransportError(
-            f"{what} endpoint returned {resp.status_code}",
-            retry_after=_retry_after(resp.headers),
-        )
-
-
 def _token_count(usage: dict, key: str, text: str) -> int:
     """The reply's usage[key], or estimate_tokens(text) when it is absent.
     Anything but a non-negative integer raises MalformedReplyError, so the
@@ -376,8 +363,9 @@ def _token_count(usage: dict, key: str, text: str) -> int:
     return count
 
 
-class HttpChatBackend:
-    """OpenAI-compatible /chat/completions backend. One attempt per call;
+class HttpBackend:
+    """OpenAI-compatible backend for both roles: ``complete`` posts to
+    /chat/completions and ``embed`` to /embeddings. One attempt per call;
     the gateway owns the retry loop."""
 
     def __init__(self, endpoint: str, api_key: str | None = None, session=None, timeout: float = 120.0):
@@ -388,9 +376,32 @@ class HttpChatBackend:
         self.timeout = timeout
         self.session = session or requests.Session()
 
-    def complete(self, request: ChatRequest, label: str) -> ChatResponse:
+    def _post(self, what: str, path: str, body: dict):
+        """The 200 reply to ``body`` posted to ``path``. A failed request and
+        the statuses worth retrying (5xx, request timeout, rate limiting)
+        raise TransportError, carrying the reply's Retry-After; any other
+        status raises MalformedReplyError."""
         import requests
 
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        try:
+            resp = self.session.post(
+                f"{self.endpoint}/{path}", json=body, headers=headers, timeout=self.timeout
+            )
+        except requests.RequestException as exc:
+            raise TransportError(f"{what} request failed: {exc}") from exc
+        if resp.status_code >= 500 or resp.status_code in RETRYABLE_STATUSES:
+            raise TransportError(
+                f"{what} endpoint returned {resp.status_code}",
+                retry_after=_retry_after(resp.headers),
+            )
+        if resp.status_code != 200:
+            raise MalformedReplyError(f"{what} endpoint returned {resp.status_code}: {resp.text[:200]}")
+        return resp
+
+    def complete(self, request: ChatRequest, label: str) -> ChatResponse:
         body: dict = {
             "model": request.model,
             "temperature": 0,
@@ -399,22 +410,9 @@ class HttpChatBackend:
                 {"role": "user", "content": request.user_prompt},
             ],
         }
-        if request.max_output_tokens is not None:
-            body["max_tokens"] = request.max_output_tokens
         if request.thinking_disabled:
             body["thinking"] = {"type": "disabled"}
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = self.session.post(
-                f"{self.endpoint}/chat/completions", json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"chat request failed: {exc}") from exc
-        _raise_if_retryable(resp, "chat")
-        if resp.status_code != 200:
-            raise MalformedReplyError(f"chat endpoint returned {resp.status_code}: {resp.text[:200]}")
+        resp = self._post("chat", "chat/completions", body)
         try:
             payload = resp.json()
             text = payload["choices"][0]["message"]["content"]
@@ -432,6 +430,14 @@ class HttpChatBackend:
             output_tokens=_token_count(usage, "completion_tokens", text),
         )
 
+    def embed(self, texts: list[str], model: str) -> list[list[float]]:
+        resp = self._post("embedding", "embeddings", {"model": model, "input": texts})
+        try:
+            data = resp.json()["data"]
+            return [item["embedding"] for item in data]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise MalformedReplyError(f"unexpected embedding response shape: {exc}") from exc
+
 
 class MockEmbeddingBackend:
     """Maps known texts to scripted vectors; unknown texts get a
@@ -440,8 +446,6 @@ class MockEmbeddingBackend:
     def __init__(self, vectors: dict[str, Sequence[float]] | None = None, dim: int = 8):
         self.vectors = dict(vectors or {})
         self.dim = dim
-        self.batches: list[list[str]] = []
-        self._lock = threading.Lock()
 
     def _fallback(self, text: str) -> list[float]:
         import hashlib
@@ -454,53 +458,7 @@ class MockEmbeddingBackend:
         return list(vec)
 
     def embed(self, texts: list[str], model: str) -> list[list[float]]:
-        with self._lock:
-            self.batches.append(list(texts))
         return [list(self.vectors.get(t, self._fallback(t))) for t in texts]
-
-
-class HttpEmbeddingBackend:
-    """OpenAI-compatible /embeddings backend."""
-
-    def __init__(self, endpoint: str, api_key: str | None = None, session=None, timeout: float = 120.0):
-        import requests
-
-        self.endpoint = endpoint.rstrip("/")
-        self.api_key = api_key
-        self.timeout = timeout
-        self.session = session or requests.Session()
-
-    def embed(self, texts: list[str], model: str) -> list[list[float]]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = self.session.post(
-                f"{self.endpoint}/embeddings",
-                json={"model": model, "input": texts},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding request failed: {exc}") from exc
-        _raise_if_retryable(resp, "embedding")
-        if resp.status_code != 200:
-            raise MalformedReplyError(
-                f"embedding endpoint returned {resp.status_code}: {resp.text[:200]}"
-            )
-        try:
-            data = resp.json()["data"]
-            return [item["embedding"] for item in data]
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise MalformedReplyError(f"unexpected embedding response shape: {exc}") from exc
-
-
-@dataclass
-class EmbeddingVector:
-    values: np.ndarray
-    model: str
 
 
 def _mark_pool_thread(flag: threading.local) -> None:
@@ -526,7 +484,6 @@ class LlmGateway:
         embedding_model: str = "mock-embed",
         retries: int = 3,
         retry_backoff: float = 1.0,
-        thinking_disable_patterns: Sequence[str] = DEFAULT_THINKING_DISABLE_PATTERNS,
         cache_dir: str | Path | None = None,
         workers: int = 20,
     ) -> None:
@@ -534,10 +491,8 @@ class LlmGateway:
         self.embedding_backend = embedding_backend
         self.chat_model = chat_model
         self.embedding_model = embedding_model
-        self.meter = UsageMeter()
         self.retries = max(1, retries)
         self.retry_backoff = retry_backoff
-        self.thinking_disable_patterns = tuple(thinking_disable_patterns)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.workers = max(1, workers)
         self._memory_cache: dict[str, np.ndarray] = {}
@@ -549,8 +504,8 @@ class LlmGateway:
 
     def _call_backend(self, what: str, label: str, call: Callable[[], T]) -> T:
         """One backend call, holding a permit during each attempt. Transport
-        errors retry after max(exponential backoff, Retry-After), sleeping
-        without a permit."""
+        errors retry after max(exponential backoff, Retry-After), capped at
+        MAX_RETRY_AFTER_S, sleeping without a permit."""
         last_error: TransportError | None = None
         for attempt in range(self.retries):
             try:
@@ -559,7 +514,10 @@ class LlmGateway:
             except TransportError as exc:
                 last_error = exc
                 if attempt + 1 < self.retries:
-                    delay = max(self.retry_backoff * (2**attempt), exc.retry_after or 0.0)
+                    # 2.0 ** attempt overflows past 1023, so the exponent
+                    # stops there; no retries count can raise OverflowError.
+                    backoff = self.retry_backoff * 2.0 ** min(attempt, 1023)
+                    delay = min(max(backoff, exc.retry_after or 0.0), MAX_RETRY_AFTER_S)
                     logger.warning(
                         "transport error on %s (attempt %d/%d): %s",
                         label, attempt + 1, self.retries, exc,
@@ -570,9 +528,6 @@ class LlmGateway:
 
     # -- chat ------------------------------------------------------------
 
-    def _thinking_disabled(self, model: str) -> bool:
-        return any(re.search(p, model) for p in self.thinking_disable_patterns)
-
     def chat(self, system_prompt: str, user_prompt: str, *, label: str, model: str | None = None) -> ChatResponse:
         if self.chat_backend is None:
             raise GatewayError("no chat backend configured")
@@ -581,12 +536,12 @@ class LlmGateway:
             system_prompt=system_prompt,
             user_prompt=user_prompt,
             model=model,
-            thinking_disabled=self._thinking_disabled(model),
+            thinking_disabled=any(re.search(p, model) for p in THINKING_DISABLE_PATTERNS),
         )
         response = self._call_backend(
             "chat", label, lambda: self.chat_backend.complete(request, label)
         )
-        for meter in (self.meter, *_SCOPES.get()):
+        for meter in _SCOPES.get():
             meter.record(label, response.prompt_tokens, response.output_tokens)
         return response
 
@@ -688,8 +643,8 @@ class LlmGateway:
                     os.unlink(tmp)
                 raise
 
-    def embed(self, texts: Sequence[str], *, model: str | None = None) -> list[EmbeddingVector]:
-        """Embeds texts with content-hash caching; vectors come back unit-norm.
+    def embed(self, texts: Sequence[str], *, model: str | None = None) -> list[np.ndarray]:
+        """The unit-norm vector of each text, with content-hash caching.
 
         Cache misses go to the backend EMBED_BATCH_SIZE texts per request,
         the batches in parallel on the gateway's pool. Each batch is cached
@@ -727,7 +682,7 @@ class LlmGateway:
         dims = {len(vec) for vec in resolved.values()}
         if len(dims) > 1:
             raise MalformedReplyError(f"inconsistent embedding dimensions {sorted(dims)}")
-        return [EmbeddingVector(values=resolved[t], model=model) for t in texts]
+        return [resolved[t] for t in texts]
 
     # -- concurrency -----------------------------------------------------
 

@@ -66,6 +66,12 @@ def category_options(categories: Iterable) -> str:
     )
 
 
+def service_options(services: Iterable) -> str:
+    """Numbered ``i. name: description`` lines for any objects with those
+    two attributes."""
+    return "\n".join(f"{i}. {s.name}: {s.description}" for i, s in enumerate(services, start=1))
+
+
 def snippet(name: str) -> str:
     """Loads a sectionless text fragment shared between templates."""
     if name not in _snippet_cache:

@@ -8,6 +8,8 @@ must be unique within a registry.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import logging
 import math
@@ -16,6 +18,7 @@ import statistics
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import DataError, DiscoveryError
@@ -139,6 +142,50 @@ def decode_json(text: str, error: type[DiscoveryError], where: str) -> object:
 STRING = (lambda v: isinstance(v, str), "a string")
 INTEGER = (lambda v: type(v) is int, "an integer")
 NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+STRINGS = (
+    lambda v: isinstance(v, list) and all(map(isinstance, v, repeat(str))),
+    "a list of strings",
+)
+
+# dataclass field annotation, a string under postponed evaluation -> its test
+_ANNOTATION_TYPES = {
+    "str": STRING,
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "int": INTEGER,
+    "float": NUMBER,
+    "list[str]": STRINGS,
+    "list[dict]": (
+        lambda v: isinstance(v, list) and all(map(isinstance, v, repeat(dict))),
+        "a list of objects",
+    ),
+}
+
+
+@functools.cache
+def field_types(cls: type) -> dict[str, tuple]:
+    """Field name -> (type test, what it must be) for each field of the
+    dataclass ``cls``, in field order, read from its annotations. Every
+    caller gets the same dict and must not change it."""
+    return {f.name: _ANNOTATION_TYPES[f.type] for f in dataclasses.fields(cls)}
+
+
+def check_fields(
+    record: dict,
+    types: dict[str, tuple],
+    where: str,
+    error: type[DiscoveryError],
+    optional: Iterable[str] = (),
+) -> None:
+    """Raises ``error`` unless ``record`` holds every key of ``types`` but
+    those in ``optional``, each passing its type test: "{where} missing
+    field K" or "{where} field K must be W"."""
+    for key, (ok, what) in types.items():
+        if key not in record:
+            if key in optional:
+                continue
+            raise error(f"{where} missing field {key!r}")
+        if not ok(record[key]):
+            raise error(f"{where} field {key!r} must be {what}")
 
 
 def read_json(path: Path, error: type[DataError] = DataError) -> object:
@@ -262,6 +309,15 @@ def write_atomic(files: dict[Path, Iterable[str]]) -> None:
             with suppress(OSError):
                 tmp.unlink()
         raise
+
+
+def json_text(payload: dict) -> str:
+    """``payload`` as the package writes a JSON file: indented, sorted, UTF-8."""
+    return json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def dump_json(payload: dict, path: Path) -> None:
+    write_atomic({path: [json_text(payload)]})
 
 
 def _service_line(svc: Service) -> str:

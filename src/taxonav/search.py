@@ -260,15 +260,11 @@ def select_services(
     gateway: LlmGateway,
 ) -> tuple[list[str], TraceStep]:
     """One chat call choosing services from a merged group."""
-    services = [registry.get(sid) for sid in group.services]
-    options = "\n".join(
-        f"{i}. {svc.name}: {svc.description}" for i, svc in enumerate(services, start=1)
-    )
     system, user = prompts.render(
         "search_select",
         mode_instruction=SELECT_INSTRUCTIONS[mode],
         query=query,
-        options=options,
+        options=prompts.service_options(map(registry.get, group.services)),
     )
     sel = gateway.select_indices(
         system, user, label="search.select", n_options=len(group.services)

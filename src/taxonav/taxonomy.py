@@ -27,11 +27,10 @@ import re
 import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 from .errors import DataError, SchemaError
-from .registry import INTEGER, STRING, Registry, read_json, write_atomic
+from .registry import INTEGER, STRING, STRINGS, Registry, check_fields, read_json, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -395,12 +394,6 @@ def save(taxonomy: Taxonomy, directory: str | Path) -> None:
     })
 
 
-def _is_strings(value: object) -> bool:
-    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
-
-
-_STRINGS = (_is_strings, "a list of strings")
-
 # field of a taxonomy.json node record -> (type test, what it must be); only
 # "services" may be absent
 _NODE_FIELDS = {
@@ -408,9 +401,9 @@ _NODE_FIELDS = {
     "name": STRING,
     "description": STRING,
     "boundary": STRING,
-    "children": _STRINGS,
+    "children": STRINGS,
     "depth": INTEGER,
-    "services": _STRINGS,
+    "services": STRINGS,
 }
 
 
@@ -436,11 +429,7 @@ def load(directory: str | Path) -> Taxonomy:
     for idx, record in enumerate(doc["nodes"]):
         if not isinstance(record, dict):
             raise SchemaError(f"{tax_path}: nodes[{idx}] is not an object")
-        for key, (ok, what) in _NODE_FIELDS.items():
-            if key not in record and key != "services":
-                raise SchemaError(f"{tax_path}: nodes[{idx}] missing field {key!r}")
-            if not ok(record.get(key, [])):
-                raise SchemaError(f"{tax_path}: nodes[{idx}] field {key!r} must be {what}")
+        check_fields(record, _NODE_FIELDS, f"{tax_path}: nodes[{idx}]", SchemaError, ("services",))
         node = TaxonomyNode(
             node_id=record["id"],
             name=record["name"],

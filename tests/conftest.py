@@ -46,6 +46,21 @@ class RecordingChatBackend(MockChatBackend):
         return response
 
 
+class RecordingEmbeddingBackend(MockEmbeddingBackend):
+    """A MockEmbeddingBackend that keeps every batch of texts it is sent in
+    ``batches``, for tests that count embedding requests or read them."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.batches: list[list[str]] = []
+        self._record_lock = threading.Lock()
+
+    def embed(self, texts: list[str], model: str) -> list[list[float]]:
+        with self._record_lock:
+            self.batches.append(list(texts))
+        return super().embed(texts, model)
+
+
 @pytest.fixture(scope="session")
 def world200():
     world = make_world(n_domains=4, n_subdomains=4, total_services=200)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import RecordingChatBackend, run_fresh
+from conftest import RecordingChatBackend, RecordingEmbeddingBackend, run_fresh
 from taxonav.baselines import (
     EmbeddingIndex,
     build_embedding_index,
@@ -19,7 +19,7 @@ from taxonav.baselines import (
     topk_retrieve,
 )
 from taxonav.errors import ConfigError
-from taxonav.gateway import LlmGateway, MockEmbeddingBackend, ScriptRule
+from taxonav.gateway import LlmGateway, ScriptRule
 from taxonav.registry import Registry, Service
 
 
@@ -30,7 +30,7 @@ def make_registry(ids: list[str]) -> Registry:
 def gw(*rules: ScriptRule, vectors=None, dim=4) -> LlmGateway:
     return LlmGateway(
         chat_backend=RecordingChatBackend(rules=rules),
-        embedding_backend=MockEmbeddingBackend(vectors=vectors, dim=dim),
+        embedding_backend=RecordingEmbeddingBackend(vectors=vectors, dim=dim),
     )
 
 

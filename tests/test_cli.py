@@ -18,8 +18,9 @@ from taxonav import cli
 from taxonav import taxonomy as taxonomy_io
 from taxonav.builder import BuildConfig
 from taxonav.errors import DiscoveryError
-from taxonav.eval_harness import PerQueryRecord, load_records, load_summary
-from taxonav.registry import Registry, Service, load_queries, load_registry
+from taxonav.eval_harness import PerQueryRecord, Summary, load_records, load_summary
+from taxonav.gateway import HttpBackend
+from taxonav.registry import FieldMap, Registry, Service, field_types, load_queries, load_registry
 from taxonav.search import SearchConfig
 
 # -- fixtures ----------------------------------------------------------------
@@ -452,6 +453,12 @@ def test_stats_field_map_inline_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["registry"]["count"] == 2
 
 
+def test_an_inline_field_map_value_that_is_not_a_string_exits_3(cli_world, capsys):
+    code = cli.main(["stats", "--registry", str(cli_world["registry"]), "--field-map", '{"id": []}'])
+    assert code == 3
+    assert capsys.readouterr().err == "error category=data: field map field 'id' must be a string\n"
+
+
 def test_field_map_rejects_unknown_keys(tmp_path, capsys):
     data = tmp_path / "alt.jsonl"
     data.write_text(json.dumps({"id": "a", "name": "a", "description": "d"}) + "\n")
@@ -561,7 +568,9 @@ def test_a_config_value_of_the_wrong_type_exits_3(tmp_path, capsys, doc, message
 
 
 def test_every_config_field_has_a_type_check():
-    assert set(cli._FIELD_TYPES.values()) <= set(cli._CONFIG_TYPES)
+    # field_types raises KeyError for an annotation it has no test for
+    for cls in (cli.RuntimeConfig, FieldMap, PerQueryRecord, Summary):
+        assert list(field_types(cls)) == [f.name for f in dataclasses.fields(cls)]
 
 
 def test_a_config_file_may_set_the_optional_paths_to_null(tmp_path):
@@ -575,6 +584,27 @@ def test_a_config_file_may_set_the_optional_paths_to_null(tmp_path):
     assert code == 3  # the registry is missing; the config was accepted and persisted
     persisted = json.loads((out / "config.json").read_text(encoding="utf-8"))
     assert {key: persisted[key] for key in doc} == doc
+
+
+@pytest.mark.parametrize("backoff", ["inf", "nan", "-1"])
+def test_a_retry_backoff_that_is_not_a_finite_non_negative_number_exits_3(tmp_path, capsys, backoff):
+    code = cli.main(
+        ["build", "--retry-backoff", backoff, "--registry", "r.jsonl", "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error category=data: retry_backoff must be a finite number >= 0, not {float(backoff)!r}\n"
+    )
+
+
+def test_the_http_backend_serves_both_roles():
+    cfg = cli.RuntimeConfig(backend="http", endpoint="http://llm.local/v1", api_key="sk-test")
+    gateway = cli.make_gateway(cfg)
+    assert isinstance(gateway.chat_backend, HttpBackend)
+    assert gateway.embedding_backend is gateway.chat_backend
+    assert (gateway.chat_backend.endpoint, gateway.chat_backend.api_key) == (
+        "http://llm.local/v1", "sk-test"
+    )
 
 
 def test_malformed_env_value_is_rejected(tmp_path, monkeypatch, capsys):
@@ -680,6 +710,7 @@ SUMMARY = {
         ("script.json", DEEP, "mock script {path}: JSON nests too deeply\n"),
         ("field_map.json", DEEP, "field map file {path}: JSON nests too deeply\n"),
         ("field_map.json", "[]", "field map file {path} must hold a JSON object\n"),
+        ("field_map.json", '{"id": []}', "field map file {path} field 'id' must be a string\n"),
         ("config.json", "{,}", "config file {path}: invalid JSON (Expecting property name "
          "enclosed in double quotes)\n"),
         ("taxonomy.json", DEEP, "{path}: JSON nests too deeply\n"),
@@ -688,7 +719,7 @@ SUMMARY = {
          "run {dir}: summary field 'hit_rate' must be a finite number\n"),
     ],
     ids=["jsonl-registry-huge-integer", "json-registry-deep", "jsonl-registry-deep", "config-deep",
-         "config-huge-integer", "script-deep", "field-map-deep", "field-map-array",
+         "config-huge-integer", "script-deep", "field-map-deep", "field-map-array", "field-map-list",
          "config-invalid", "taxonomy-deep", "summary-number", "summary-string-rate"],
 )
 def test_an_input_the_json_decoder_rejects_exits_3(cli_world, tmp_path, capsys, name, text, message):

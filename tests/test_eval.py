@@ -258,7 +258,7 @@ def test_load_records_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="has no per_query.jsonl"):
         load_records(tmp_path)
     (tmp_path / "per_query.jsonl").write_text('{"query_id": "q0"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(SchemaError, match="malformed per-query record"):
+    with pytest.raises(SchemaError, match="line 1: per-query record missing field 'returned'"):
         load_records(tmp_path)
     (tmp_path / "per_query.jsonl").write_text("not json\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 1"):
@@ -266,9 +266,23 @@ def test_load_records_schema_errors(tmp_path):
     (tmp_path / "per_query.jsonl").write_text('{"query_id": ' + "7" * 5000 + "}\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=r"per_query.jsonl: line 1: unreadable JSON \("):
         load_records(tmp_path)
-    record = {**vars(ten_records()[0]), "calls": float("inf")}
-    (tmp_path / "per_query.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="malformed per-query record"):
+    good = json.dumps(vars(ten_records()[0]))
+    probes = [
+        ({"calls": float("inf")}, "field 'calls' must be an integer"),
+        ({"returned": "ab"}, "field 'returned' must be a list of strings"),
+        ({"hit": 1.9}, "field 'hit' must be an integer"),
+        ({"recall": "0.5"}, "field 'recall' must be a finite number"),
+        ({"calls": True}, "field 'calls' must be an integer"),
+        ({"trace": ["step"]}, "field 'trace' must be a list of objects"),
+    ]
+    for change, message in probes:
+        record = json.dumps({**vars(ten_records()[0]), **change})
+        (tmp_path / "per_query.jsonl").write_text(f"{good}\n{record}\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load_records(tmp_path)
+        assert str(exc.value) == f"{tmp_path / 'per_query.jsonl'}: line 2: per-query record {message}"
+    (tmp_path / "per_query.jsonl").write_text("[1]\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="line 1: per-query record is not a JSON object"):
         load_records(tmp_path)
 
 

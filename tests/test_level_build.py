@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from conftest import RecordingChatBackend
 from taxonav import taxonomy as taxonomy_io
 from taxonav.builder import BuildConfig, build
 from taxonav.gateway import LlmGateway, MockChatBackend
@@ -375,7 +376,8 @@ def test_concurrent_builds_on_one_gateway_each_count_their_own_calls(
     world200, tmp_path, fast_thread_switching
 ):
     (_, alone), _ = _world200_build(world200)
-    gateway = LlmGateway(chat_backend=MockChatBackend(oracle=LatentOracle(world200)), workers=8)
+    backend = RecordingChatBackend(oracle=LatentOracle(world200))
+    gateway = LlmGateway(chat_backend=backend, workers=8)
     start = threading.Barrier(2)
     builds: list = [None, None]
 
@@ -394,4 +396,4 @@ def test_concurrent_builds_on_one_gateway_each_count_their_own_calls(
         assert report.calls_by_phase == alone.calls_by_phase
         assert report.tokens_by_phase == alone.tokens_by_phase
         assert digests(taxonomy, report, tmp_path / str(index)) == WORLD200_DIGESTS
-    assert gateway.meter.snapshot()["total_calls"] == 2 * alone.total_calls()
+    assert len(backend.transcript) == 2 * alone.total_calls()
