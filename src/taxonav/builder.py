@@ -33,7 +33,7 @@ from .errors import ConfigError, DataError, DesignError, ReplyParseError
 from .gateway import LlmGateway, UsageMeter, extract_json_object, metered
 from .registry import Registry, Service, dump_json
 from .search import navigate
-from .taxonomy import Taxonomy, TaxonomyNode
+from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
 
@@ -319,7 +319,6 @@ class TaxonomyBuilder:
         payload: KeywordTable | list[Service],
         parent_context: str,
         *,
-        label: str = "build.design",
         report: BuildReport | None = None,
     ) -> list[CategoryDraft]:
         """Designs sibling categories from either a keyword table (large
@@ -339,7 +338,7 @@ class TaxonomyBuilder:
                 raise DesignError("cannot design categories for zero services")
             values["services"] = prompts.service_options(payload)
             template = "design_from_descriptions"
-        return self._request_drafts(template, values, label=label, report=report)
+        return self._request_drafts(template, values, label="build.design", report=report)
 
     def validate_root(
         self,
@@ -385,8 +384,6 @@ class TaxonomyBuilder:
         self,
         services: list[Service],
         drafts: list[CategoryDraft],
-        *,
-        label: str = "build.classify",
     ) -> list[ClassificationOutcome]:
         """One chat call per service against the draft list.
 
@@ -394,11 +391,9 @@ class TaxonomyBuilder:
         re-ask) is unmatched; matching strictly more than generic_ratio *
         len(drafts) categories is generic; anything else is ok.
         """
-        return self.gateway.run_parallel(self._classifier(drafts, label), services)
+        return self.gateway.run_parallel(self._classifier(drafts), services)
 
-    def _classifier(
-        self, drafts: list[CategoryDraft], label: str = "build.classify"
-    ) -> Callable[[Service], ClassificationOutcome]:
+    def _classifier(self, drafts: list[CategoryDraft]) -> Callable[[Service], ClassificationOutcome]:
         """The single-service call of classify_services, with its status rules."""
         options = prompts.category_options(drafts)
         template = prompts.load("classify_service")
@@ -408,7 +403,9 @@ class TaxonomyBuilder:
             system, user = template.render(
                 service_name=svc.name, service_description=svc.description, options=options
             )
-            sel = self.gateway.select_indices(system, user, label=label, n_options=len(drafts))
+            sel = self.gateway.select_indices(
+                system, user, label="build.classify", n_options=len(drafts)
+            )
             if not sel.indices:
                 status = "unmatched"
             elif len(sel.indices) > threshold:

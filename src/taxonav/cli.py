@@ -2,8 +2,11 @@
 
 Runtime settings resolve in four layers, later ones winning: built-in
 defaults, a --config JSON file, TAXONAV_* environment variables, then
-explicit flags. The API key is read only from TAXONAV_API_KEY; it cannot
-appear in a config file and is never written to the persisted config.json.
+explicit flags. Flags, config keys and environment variables fill the
+RuntimeConfig fields of the same name (--embed-model and TAXONAV_EMBED_MODEL
+fill embedding_model). The API key is read only from TAXONAV_API_KEY; it
+cannot appear in a config file and is never written to the persisted
+config.json.
 
 Exit codes: 0 success, 2 usage, 3 bad data or configuration, 4 backend
 transport failure, 1 anything else.
@@ -18,17 +21,19 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import baselines, builder, eval_harness, search
 from . import taxonomy as taxonomy_io
-from .builder import ONESHOT_VARIANTS, BuildConfig
+from .builder import BuildConfig
 from .errors import ConfigError, DataError, DiscoveryError, TransportError
 from .gateway import HttpBackend, LlmGateway, MockChatBackend, MockEmbeddingBackend
 from .registry import (
-    NUMBER,
     FieldMap,
+    QueryCase,
+    Registry,
     check_fields,
     decode_json,
     dump_json,
@@ -56,19 +61,6 @@ _ENV_KEYS = {
     "WORKERS": ("workers", int),
     "RETRIES": ("retries", int),
 }
-
-_FLAG_FIELDS = (
-    "backend",
-    "endpoint",
-    "chat_model",
-    "embedding_model",
-    "workers",
-    "retries",
-    "retry_backoff",
-    "cache_dir",
-    "script",
-)
-
 
 @dataclass
 class RuntimeConfig:
@@ -123,7 +115,7 @@ def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
                     f"environment variable {ENV_PREFIX + suffix} must be a {cast.__name__}"
                 ) from None
 
-    for field_name in _FLAG_FIELDS:
+    for field_name in values:  # each field but api_key is a backend flag's dest
         flag_value = getattr(args, field_name, None)
         if flag_value is not None:
             values[field_name] = flag_value
@@ -146,17 +138,9 @@ def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
 
 def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
     if cfg.backend == "mock":
-        script_doc = _json_object("mock script", Path(cfg.script)) if cfg.script else {}
-        chat_backend = MockChatBackend.from_script(script_doc)
-        dim, vectors = script_doc.get("embedding_dim", 8), script_doc.get("embeddings", {})
-        if type(dim) is not int or dim < 1:
-            raise ConfigError("mock script 'embedding_dim' must be a positive integer")
-        if not isinstance(vectors, dict) or not all(
-            isinstance(vec, list) and len(vec) == dim and all(map(NUMBER[0], vec))
-            for vec in vectors.values()
-        ):
-            raise ConfigError(f"mock script 'embeddings' must map texts to lists of {dim} numbers")
-        embedding_backend = MockEmbeddingBackend(vectors=vectors, dim=dim)
+        script = _json_object("mock script", Path(cfg.script)) if cfg.script else {}
+        chat_backend = MockChatBackend.from_script(script)
+        embedding_backend = MockEmbeddingBackend.from_script(script)
     else:
         chat_backend = embedding_backend = HttpBackend(cfg.endpoint, api_key=cfg.api_key)
     return LlmGateway(
@@ -205,10 +189,16 @@ def _parse_field_map(raw: str | None) -> FieldMap | None:
     return FieldMap(**doc)
 
 
-def _load_registry(args: argparse.Namespace):
-    return load_registry(
-        args.registry, format=args.format, field_map=_parse_field_map(args.field_map)
-    )
+def _load_dataset(
+    args: argparse.Namespace, queries: str | None = None
+) -> tuple[Registry, list[QueryCase] | None]:
+    """The registry, and the query cases in the file ``queries`` when one is
+    given, both read through the one parsed --field-map."""
+    field_map = _parse_field_map(args.field_map)
+    registry = load_registry(args.registry, format=args.format, field_map=field_map)
+    if queries is None:
+        return registry, None
+    return registry, load_queries(queries, registry, format=args.format, field_map=field_map)
 
 
 def _write_config(out_dir: Path, cfg: RuntimeConfig, extra: dict) -> None:
@@ -220,35 +210,34 @@ def _write_config(out_dir: Path, cfg: RuntimeConfig, extra: dict) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> BuildConfig:
-    return BuildConfig(
-        keyword_threshold=args.theta_kw,
-        leaf_threshold=args.theta_leaf,
-        max_depth=args.max_depth,
-        generic_ratio=args.generic_ratio,
-        max_categories=args.max_categories,
-        max_refine_iterations=args.max_refine_iterations,
-        keyword_batch_size=args.keyword_batch_size,
-        tiny_merge_threshold=args.tiny_merge_threshold,
-    )
+    return BuildConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(BuildConfig)})
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def _build(args: argparse.Namespace, extra: dict, build: Callable) -> tuple:
+    """Writes config.json, then saves in --out the tree and report that
+    ``build(registry, build_cfg, gateway)`` returns. Returns the service
+    count, the tree's stats, the report and --out."""
     cfg = resolve_runtime(args)
     build_cfg = _build_config(args)
     out_dir = Path(args.out)
-    _write_config(out_dir, cfg, {"command": "build", "build": dataclasses.asdict(build_cfg)})
+    _write_config(
+        out_dir, cfg, {"command": args.command, **extra, "build": dataclasses.asdict(build_cfg)}
+    )
 
-    registry = _load_registry(args)
-    gateway = make_gateway(cfg)
-    taxonomy, report = builder.build(registry, build_cfg, gateway)
+    registry, _ = _load_dataset(args)
+    taxonomy, report = build(registry, build_cfg, make_gateway(cfg))
     taxonomy_io.save(taxonomy, out_dir)
     report.save(out_dir / BUILD_REPORT_FILE)
-    tax_stats = taxonomy_io.stats(taxonomy)
+    return len(registry), taxonomy_io.stats(taxonomy), report, out_dir
+
+
+def cmd_build(args: argparse.Namespace) -> int:
+    count, tax_stats, report, out_dir = _build(args, {}, builder.build)
     print(
-        f"built taxonomy over {len(registry)} services: "
+        f"built taxonomy over {count} services: "
         f"{tax_stats.total_categories} categories, {tax_stats.leaf_categories} leaves, "
         f"{report.total_calls()} chat calls -> {out_dir}"
     )
@@ -256,27 +245,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_build_oneshot(args: argparse.Namespace) -> int:
-    cfg = resolve_runtime(args)
-    build_cfg = _build_config(args)
-    out_dir = Path(args.out)
-    _write_config(
-        out_dir,
-        cfg,
-        {
-            "command": "build-oneshot",
-            "variant": args.variant,
-            "build": dataclasses.asdict(build_cfg),
-        },
+    count, tax_stats, report, out_dir = _build(
+        args,
+        {"variant": args.variant},
+        lambda registry, cfg, gateway: builder.build_oneshot(registry, args.variant, cfg, gateway),
     )
-
-    registry = _load_registry(args)
-    gateway = make_gateway(cfg)
-    taxonomy, report = builder.build_oneshot(registry, args.variant, build_cfg, gateway)
-    taxonomy_io.save(taxonomy, out_dir)
-    report.save(out_dir / BUILD_REPORT_FILE)
-    tax_stats = taxonomy_io.stats(taxonomy)
     print(
-        f"one-shot ({report.method}) taxonomy over {len(registry)} services: "
+        f"one-shot ({report.method}) taxonomy over {count} services: "
         f"{tax_stats.total_categories} categories, {len(report.classification_failures)} "
         f"classification failures, {report.total_calls()} chat calls -> {out_dir}"
     )
@@ -285,7 +260,7 @@ def cmd_build_oneshot(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = resolve_runtime(args)
-    registry = _load_registry(args)
+    registry, _ = _load_dataset(args)
     taxonomy = taxonomy_io.load(args.taxonomy)
     gateway = make_gateway(cfg)
     search_cfg = SearchConfig(mode=args.mode, merge_threshold=args.theta_merge)
@@ -297,43 +272,45 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_runtime(args)
+def _evaluate(
+    args: argparse.Namespace, cfg: RuntimeConfig, extra: dict, setting: str, title: str,
+    retriever: Callable,
+) -> int:
+    """Writes config.json, then scores the per-query retriever that
+    ``retriever(registry, gateway)`` returns, writes the run to --run-dir and
+    prints its summary line under ``title``."""
     run_dir = Path(args.run_dir)
-    _write_config(
-        run_dir,
-        cfg,
-        {
-            "command": "eval",
-            "method": "taxonomy",
-            "mode": args.mode,
-            "theta_merge": args.theta_merge,
-            "taxonomy": str(args.taxonomy),
-            "dataset": args.dataset,
-        },
-    )
+    _write_config(run_dir, cfg, {"command": args.command, **extra, "dataset": args.dataset})
 
-    registry = _load_registry(args)
-    queries = load_queries(
-        args.queries, registry, format=args.format, field_map=_parse_field_map(args.field_map)
-    )
-    taxonomy = taxonomy_io.load(args.taxonomy)
-    gateway = make_gateway(cfg)
-    search_cfg = SearchConfig(mode=args.mode, merge_threshold=args.theta_merge)
+    registry, queries = _load_dataset(args, args.queries)
+    run_one = retriever(registry, make_gateway(cfg))
     eval_cfg = eval_harness.EvalConfig(
-        method="taxonomy", dataset=args.dataset, setting=args.mode, workers=cfg.workers
+        method=extra["method"], dataset=args.dataset, setting=setting, workers=cfg.workers
     )
-    summary, records = eval_harness.evaluate(
-        lambda case: search.retrieve(case.text, taxonomy, registry, gateway, search_cfg),
-        queries,
-        eval_cfg,
-    )
+    summary, records = eval_harness.evaluate(run_one, queries, eval_cfg)
     eval_harness.write_run(run_dir, summary, records)
     print(
-        f"taxonomy/{args.mode}: hit_rate={summary.hit_rate:.3f} recall={summary.recall:.3f} "
+        f"{title}: hit_rate={summary.hit_rate:.3f} recall={summary.recall:.3f} "
         f"over {summary.query_count} queries -> {run_dir}"
     )
     return 0
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    cfg = resolve_runtime(args)
+
+    def retriever(registry: Registry, gateway: LlmGateway):
+        taxonomy = taxonomy_io.load(args.taxonomy)
+        search_cfg = SearchConfig(mode=args.mode, merge_threshold=args.theta_merge)
+        return lambda case: search.retrieve(case.text, taxonomy, registry, gateway, search_cfg)
+
+    extra = {
+        "method": "taxonomy",
+        "mode": args.mode,
+        "theta_merge": args.theta_merge,
+        "taxonomy": str(args.taxonomy),
+    }
+    return _evaluate(args, cfg, extra, args.mode, f"taxonomy/{args.mode}", retriever)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
@@ -344,60 +321,33 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         if args.shape is None:
             raise ConfigError(f"method {method!r} needs --k or --shape to pick a top-K")
         k = baselines.default_k(args.shape)
-
-    run_dir = Path(args.run_dir)
     setting = f"k={k}" if method in ("embed", "rewrite") else ""
-    _write_config(
-        run_dir,
-        cfg,
-        {"command": "baseline", "method": method, "k": k, "dataset": args.dataset},
-    )
 
-    registry = _load_registry(args)
-    queries = load_queries(
-        args.queries, registry, format=args.format, field_map=_parse_field_map(args.field_map)
-    )
-    gateway = make_gateway(cfg)
-
-    if method == "pure-llm":
-        run_one = lambda case: baselines.pure_llm_retrieve(case.text, registry, gateway)
-    elif method == "embed":
+    def retriever(registry: Registry, gateway: LlmGateway):
+        if method == "pure-llm":
+            return lambda case: baselines.pure_llm_retrieve(case.text, registry, gateway)
         index = baselines.build_embedding_index(registry, gateway)
-        run_one = lambda case: baselines.topk_retrieve(case.text, index, k, gateway)
-    else:
-        index = baselines.build_embedding_index(registry, gateway)
-        run_one = lambda case: baselines.rewrite_retrieve(case.text, index, k, gateway)
+        retrieve = baselines.topk_retrieve if method == "embed" else baselines.rewrite_retrieve
+        return lambda case: retrieve(case.text, index, k, gateway)
 
-    eval_cfg = eval_harness.EvalConfig(
-        method=method, dataset=args.dataset, setting=setting, workers=cfg.workers
-    )
-    summary, records = eval_harness.evaluate(run_one, queries, eval_cfg)
-    eval_harness.write_run(run_dir, summary, records)
-    print(
-        f"{method}{' ' + setting if setting else ''}: hit_rate={summary.hit_rate:.3f} "
-        f"recall={summary.recall:.3f} over {summary.query_count} queries -> {run_dir}"
-    )
-    return 0
+    title = f"{method}{' ' + setting if setting else ''}"
+    return _evaluate(args, cfg, {"method": method, "k": k}, setting, title, retriever)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     if not (args.registry or args.taxonomy):
         raise ConfigError("nothing to report: provide --registry and/or --taxonomy")
+    if args.queries and not args.registry:
+        raise ConfigError("--queries needs --registry to validate ground-truth ids")
     payload: dict = {}
-    registry = None
     if args.registry:
-        registry = _load_registry(args)
+        registry, queries = _load_dataset(args, args.queries)
         payload["registry"] = registry_stats(registry)
-    if args.queries:
-        if registry is None:
-            raise ConfigError("--queries needs --registry to validate ground-truth ids")
-        queries = load_queries(
-            args.queries, registry, format=args.format, field_map=_parse_field_map(args.field_map)
-        )
-        payload["queries"] = {
-            "count": len(queries),
-            "mean_ground_truth_size": mean_ground_truth_size(queries),
-        }
+        if queries is not None:
+            payload["queries"] = {
+                "count": len(queries),
+                "mean_ground_truth_size": mean_ground_truth_size(queries),
+            }
     if args.taxonomy:
         tax_stats = taxonomy_io.stats(taxonomy_io.load(args.taxonomy))
         payload["taxonomy"] = dataclasses.asdict(tax_stats)
@@ -452,19 +402,17 @@ def _build_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("build thresholds")
     d = BuildConfig
-    g.add_argument("--theta-kw", dest="theta_kw", type=int, default=d.keyword_threshold,
+    g.add_argument("--theta-kw", dest="keyword_threshold", metavar="THETA_KW", type=int,
+                   default=d.keyword_threshold,
                    help="switch to keyword compression above this node size")
-    g.add_argument("--theta-leaf", dest="theta_leaf", type=int, default=d.leaf_threshold,
-                   help="stop splitting nodes at or below this size")
-    g.add_argument("--max-depth", dest="max_depth", type=int, default=d.max_depth)
-    g.add_argument("--generic-ratio", dest="generic_ratio", type=float, default=d.generic_ratio)
-    g.add_argument("--max-categories", dest="max_categories", type=int, default=d.max_categories)
-    g.add_argument("--max-refine-iterations", dest="max_refine_iterations", type=int,
-                   default=d.max_refine_iterations)
-    g.add_argument("--keyword-batch-size", dest="keyword_batch_size", type=int,
-                   default=d.keyword_batch_size)
-    g.add_argument("--tiny-merge-threshold", dest="tiny_merge_threshold", type=int,
-                   default=d.tiny_merge_threshold)
+    g.add_argument("--theta-leaf", dest="leaf_threshold", metavar="THETA_LEAF", type=int,
+                   default=d.leaf_threshold, help="stop splitting nodes at or below this size")
+    g.add_argument("--max-depth", type=int, default=d.max_depth)
+    g.add_argument("--generic-ratio", type=float, default=d.generic_ratio)
+    g.add_argument("--max-categories", type=int, default=d.max_categories)
+    g.add_argument("--max-refine-iterations", type=int, default=d.max_refine_iterations)
+    g.add_argument("--keyword-batch-size", type=int, default=d.keyword_batch_size)
+    g.add_argument("--tiny-merge-threshold", type=int, default=d.tiny_merge_threshold)
     return p
 
 

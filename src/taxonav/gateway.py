@@ -46,7 +46,7 @@ from .errors import (
     ReplyParseError,
     TransportError,
 )
-from .registry import decode_json
+from .registry import NUMBER, decode_json
 
 if TYPE_CHECKING:
     # For the annotations only. numpy and hashlib are imported inside the
@@ -447,6 +447,20 @@ class MockEmbeddingBackend:
         self.vectors = dict(vectors or {})
         self.dim = dim
 
+    @classmethod
+    def from_script(cls, script: dict) -> "MockEmbeddingBackend":
+        """A backend answering from the "embedding_dim" and "embeddings" of
+        a parsed mock script. Raises ConfigError when either is malformed."""
+        dim, vectors = script.get("embedding_dim", 8), script.get("embeddings", {})
+        if type(dim) is not int or dim < 1:
+            raise ConfigError("mock script 'embedding_dim' must be a positive integer")
+        if not isinstance(vectors, dict) or not all(
+            isinstance(vec, list) and len(vec) == dim and all(map(NUMBER[0], vec))
+            for vec in vectors.values()
+        ):
+            raise ConfigError(f"mock script 'embeddings' must map texts to lists of {dim} numbers")
+        return cls(vectors=vectors, dim=dim)
+
     def _fallback(self, text: str) -> list[float]:
         import hashlib
 
@@ -528,15 +542,14 @@ class LlmGateway:
 
     # -- chat ------------------------------------------------------------
 
-    def chat(self, system_prompt: str, user_prompt: str, *, label: str, model: str | None = None) -> ChatResponse:
+    def chat(self, system_prompt: str, user_prompt: str, *, label: str) -> ChatResponse:
         if self.chat_backend is None:
             raise GatewayError("no chat backend configured")
-        model = model or self.chat_model
         request = ChatRequest(
             system_prompt=system_prompt,
             user_prompt=user_prompt,
-            model=model,
-            thinking_disabled=any(re.search(p, model) for p in THINKING_DISABLE_PATTERNS),
+            model=self.chat_model,
+            thinking_disabled=any(re.search(p, self.chat_model) for p in THINKING_DISABLE_PATTERNS),
         )
         response = self._call_backend(
             "chat", label, lambda: self.chat_backend.complete(request, label)

@@ -60,43 +60,35 @@ class Registry:
     """Ordered, id-indexed collection of services. Immutable after creation."""
 
     def __init__(self, services: Iterable[Service]):
-        self._services: list[Service] = list(services)
-        self._positions: dict[str, int] = {}
-        for pos, svc in enumerate(self._services):
-            if svc.id in self._positions:
+        self._services: dict[str, Service] = {}
+        for svc in services:
+            if svc.id in self._services:
                 raise DataError(f"duplicate service id {svc.id!r}")
-            self._positions[svc.id] = pos
+            self._services[svc.id] = svc
 
     def __len__(self) -> int:
         return len(self._services)
 
     def __iter__(self) -> Iterator[Service]:
-        return iter(self._services)
+        return iter(self._services.values())
 
     def __contains__(self, service_id: str) -> bool:
-        return service_id in self._positions
+        return service_id in self._services
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Registry):
             return NotImplemented
-        return self._services == other._services
+        return list(self._services.values()) == list(other._services.values())
 
     def get(self, service_id: str) -> Service:
         try:
-            return self._services[self._positions[service_id]]
-        except KeyError:
-            raise DataError(f"unknown service id {service_id!r}") from None
-
-    def position(self, service_id: str) -> int:
-        """Position in registry order; ties elsewhere break on this."""
-        try:
-            return self._positions[service_id]
+            return self._services[service_id]
         except KeyError:
             raise DataError(f"unknown service id {service_id!r}") from None
 
     @property
     def ids(self) -> list[str]:
-        return [svc.id for svc in self._services]
+        return list(self._services)
 
 
 # json.dumps(..., ensure_ascii=False) writes a string through this function

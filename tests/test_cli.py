@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -467,6 +468,65 @@ def test_field_map_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown field map keys: nope" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def renamed_world(cli_world) -> dict:
+    """cli_world's registry and queries with every key renamed, and the
+    field map file that names the new keys."""
+    root = cli_world["root"] / "renamed"
+    root.mkdir()
+    renames = {
+        "registry": {"id": "tool_id", "name": "title", "description": "blurb"},
+        "queries": {"id": "qid", "text": "ask", "ground_truth": "gold"},
+    }
+    for name, renamed in renames.items():
+        records = map(json.loads, cli_world[name].read_text(encoding="utf-8").splitlines())
+        lines = [json.dumps({renamed[key]: value for key, value in r.items()}) for r in records]
+        (root / f"{name}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    field_map = {**renames["registry"], "query_id": "qid", "query_text": "ask", "ground_truth": "gold"}
+    (root / "field_map.json").write_text(json.dumps(field_map), encoding="utf-8")
+    return {"registry": root / "registry.jsonl", "queries": root / "queries.jsonl",
+            "field_map": root / "field_map.json"}
+
+
+# command -> its arguments besides the dataset flags; {run_dir} is per run
+FIELD_MAP_RUNS = {
+    "eval": ["eval", "--taxonomy", "{out}", "--script", "{search_script}", "--run-dir", "{run_dir}"],
+    "baseline": ["baseline", "--method", "embed", "--k", "2", "--run-dir", "{run_dir}"],
+    "stats": ["stats"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIELD_MAP_RUNS))
+def test_renamed_keys_read_through_one_field_map_file_give_the_same_run(
+    cli_world, renamed_world, tmp_path, monkeypatch, capsys, command
+):
+    reads = []
+    json_object = cli._json_object
+
+    def counting_json_object(what, path=None, **kwargs):
+        reads.append(what)
+        return json_object(what, path, **kwargs)
+
+    monkeypatch.setattr(cli, "_json_object", counting_json_object)
+
+    def run(name: str, registry: Path, queries: Path, *field_map: str) -> tuple[str, dict]:
+        run_dir = tmp_path / name
+        argv = [arg.format(**cli_world, run_dir=run_dir) for arg in FIELD_MAP_RUNS[command]]
+        assert cli.main([*argv, "--registry", str(registry), "--queries", str(queries), *field_map]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(run_dir.glob("*"))}
+        return capsys.readouterr().out.replace(str(run_dir), "RUN_DIR"), files
+
+    plain = run("plain", cli_world["registry"], cli_world["queries"])
+    assert reads.count("field map file") == 0
+    renamed = run("renamed", renamed_world["registry"], renamed_world["queries"],
+                  "--field-map", str(renamed_world["field_map"]))
+    assert reads.count("field map file") == 1
+    assert renamed == plain
+    assert re.search(r'over 2 queries -> RUN_DIR|"count": 2,', plain[0])
+    assert sorted(plain[1]) == ([] if command == "stats" else
+                                ["config.json", "per_query.jsonl", "summary.json"])
+
+
 # -- configuration layering ------------------------------------------------------
 
 
@@ -509,6 +569,55 @@ def test_flag_beats_env_beats_config_file(tmp_path, monkeypatch):
         ]
     )
     assert json.loads((out / "config.json").read_text(encoding="utf-8"))["workers"] == 11
+
+
+# RuntimeConfig field -> (its value in a config file, its flag's argument)
+FLAG_VALUES = {
+    "backend": ("http", "mock"),
+    "endpoint": ("http://file.local/v1", "http://flag.local/v1"),
+    "chat_model": ("file-chat", "flag-chat"),
+    "embedding_model": ("file-embed", "flag-embed"),
+    "workers": (5, "7"),
+    "retries": (2, "4"),
+    "retry_backoff": (0.5, "0.25"),
+    "cache_dir": ("file-cache", "flag-cache"),
+    "script": ("file-script.json", "flag-script.json"),
+}
+# subcommand -> its required arguments
+REQUIRED = {
+    "build": ["--registry", "r", "--out", "o"],
+    "build-oneshot": ["--registry", "r", "--out", "o"],
+    "search": ["--registry", "r", "--taxonomy", "t", "--query", "q"],
+    "eval": ["--registry", "r", "--taxonomy", "t", "--queries", "q", "--run-dir", "d"],
+    "baseline": ["--registry", "r", "--method", "embed", "--queries", "q", "--run-dir", "d"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_every_runtime_field_but_the_api_key_is_a_flag_that_beats_the_config_file(
+    tmp_path, monkeypatch, command
+):
+    for suffix in cli._ENV_KEYS:
+        monkeypatch.delenv(cli.ENV_PREFIX + suffix, raising=False)
+    fields = [f.name for f in dataclasses.fields(cli.RuntimeConfig) if f.name != "api_key"]
+    assert sorted(FLAG_VALUES) == sorted(fields)
+    flags = {action.dest: action.option_strings[-1] for action in cli._backend_parent()._actions}
+    assert set(fields) <= set(flags)
+
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({name: file for name, (file, _) in FLAG_VALUES.items()}))
+    argv = [command, *REQUIRED[command], "--config", str(config)]
+    from_file = cli.resolve_runtime(cli.build_parser().parse_args(argv))
+    assert {name: getattr(from_file, name) for name in fields} == {
+        name: file for name, (file, _) in FLAG_VALUES.items()
+    }
+    for name, (_, flag) in FLAG_VALUES.items():
+        argv += [flags[name], flag]
+    from_flags = cli.resolve_runtime(cli.build_parser().parse_args(argv))
+    assert {name: getattr(from_flags, name) for name in fields} == {
+        name: type(file)(flag) for name, (file, flag) in FLAG_VALUES.items()
+    }
+    assert from_flags.api_key is None
 
 
 def test_api_key_comes_from_env_and_is_never_persisted(tmp_path, monkeypatch):
@@ -746,6 +855,17 @@ def test_build_and_search_flag_defaults_are_the_config_defaults():
     assert SearchConfig(mode=args.mode, merge_threshold=args.theta_merge) == SearchConfig()
     args = cli.build_parser().parse_args(["build", "--registry", "r", "--out", "o"])
     assert cli._build_config(args) == BuildConfig()
+
+
+def test_help_of_every_subcommand_names_the_threshold_metavars(capsys):
+    thresholds = ["--theta-kw THETA_KW", "--theta-leaf THETA_LEAF"] * 2  # usage, then options
+    expected = {"build": thresholds, "build-oneshot": thresholds, "search": [], "eval": [],
+                "baseline": [], "stats": [], "compare": []}
+    found = {}
+    for command in expected:
+        assert cli.main([command, "--help"]) == 0
+        found[command] = re.findall(r"--theta-(?:kw|leaf) [A-Z_]+", capsys.readouterr().out)
+    assert found == expected
 
 
 CHAT_ONLY = """

@@ -35,9 +35,14 @@ def svc(i: int, description: str = "does things") -> Service:
 def test_registry_order_and_lookup():
     reg = Registry([svc(1), svc(2), svc(3)])
     assert reg.ids == ["s1", "s2", "s3"]
-    assert reg.position("s2") == 1
     assert reg.get("s3").name == "svc-3"
     assert "s1" in reg and "nope" not in reg
+
+
+def test_registries_are_equal_only_with_the_same_services_in_the_same_order():
+    assert Registry([svc(1), svc(2)]) == Registry([svc(1), svc(2)])
+    assert Registry([svc(1), svc(2)]) != Registry([svc(2), svc(1)])
+    assert Registry([svc(1)]) != Registry([svc(1, "does other things")])
 
 
 def test_registry_rejects_duplicate_ids():
@@ -49,8 +54,6 @@ def test_registry_unknown_id_raises():
     reg = Registry([svc(1)])
     with pytest.raises(DataError, match="unknown service id"):
         reg.get("s9")
-    with pytest.raises(DataError, match="unknown service id"):
-        reg.position("s9")
 
 
 def test_save_load_round_trip(tmp_path):
