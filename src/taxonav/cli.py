@@ -348,6 +348,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "count": len(queries),
                 "mean_ground_truth_size": mean_ground_truth_size(queries),
             }
+    else:
+        _parse_field_map(args.field_map)  # a bad map fails even with no registry to read
     if args.taxonomy:
         tax_stats = taxonomy_io.stats(taxonomy_io.load(args.taxonomy))
         payload["taxonomy"] = dataclasses.asdict(tax_stats)

@@ -13,8 +13,9 @@ selection, None, a DesignError, a flagged fallback).
 
 Every chat call is counted in the meter of each enclosing ``metered()``
 scope, and nowhere else. The scope lives in a context variable that
-``run_parallel`` carries onto its pool threads, so a query or a build counts
-exactly its own calls even when others share the gateway.
+``run_parallel`` carries onto the pool threads that help drain a map, so a
+query or a build counts exactly its own calls even when others share the
+gateway.
 
 The scripted mock backend is the test and offline workhorse: a table of
 (label pattern, prompt regex) -> reply rules, optionally fronted by a
@@ -24,15 +25,17 @@ programmable oracle callable that inspects the full request.
 from __future__ import annotations
 
 import contextvars
+import functools
 import logging
 import math
 import os
+import queue
 import re
 import tempfile
 import threading
 import time
+import weakref
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,6 +82,13 @@ EMBED_BATCH_SIZE = 256
 # Model-id patterns whose backends enable extended thinking by default; the
 # request must carry an explicit disable flag to keep outputs deterministic.
 THINKING_DISABLE_PATTERNS = ("v4",)
+
+
+@functools.cache
+def _thinking_disabled(model: str) -> bool:
+    """Whether requests to ``model`` must carry the disable flag; one regex
+    pass per model name, not per call."""
+    return any(re.search(pattern, model) for pattern in THINKING_DISABLE_PATTERNS)
 
 
 T = TypeVar("T")
@@ -475,18 +485,59 @@ class MockEmbeddingBackend:
         return [list(self.vectors.get(t, self._fallback(t))) for t in texts]
 
 
-def _mark_pool_thread(flag: threading.local) -> None:
-    flag.active = True
+class _Pool:
+    """At most ``size`` threads that run jobs from one queue; a new thread
+    starts only when a submitted job would find every other one busy. The
+    threads mark themselves in ``in_map`` and hold no reference to the
+    gateway; ``close`` stops them once the queued jobs are done. They are
+    daemon threads because the interpreter joins the others at exit before
+    it runs the gateway's finalizer, which is what calls ``close``."""
+
+    def __init__(self, size: int, in_map: threading.local) -> None:
+        self.size = size
+        self.in_map = in_map
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.threads: list[threading.Thread] = []
+        self.outstanding = 0  # jobs queued or running
+        self.lock = threading.Lock()
+
+    def submit(self, jobs: list[Callable[[], object]]) -> None:
+        with self.lock:
+            self.outstanding += len(jobs)
+            while len(self.threads) < min(self.size, self.outstanding):
+                thread = threading.Thread(
+                    target=self._work, name=f"taxonav-gateway_{len(self.threads)}", daemon=True
+                )
+                thread.start()
+                self.threads.append(thread)
+        for job in jobs:
+            self.jobs.put(job)
+
+    def _work(self) -> None:
+        self.in_map.active = True
+        while (job := self.jobs.get()) is not None:
+            try:
+                job()
+            finally:
+                del job  # an idle thread must not keep its last map, or the gateway, alive
+                with self.lock:
+                    self.outstanding -= 1
+
+    def close(self) -> None:
+        with self.lock:
+            for _ in self.threads:
+                self.jobs.put(None)
 
 
 class LlmGateway:
     """Front door for all chat and embedding traffic.
 
     ``workers`` caps the backend calls in flight across every caller of one
-    gateway: each chat or embedding attempt holds one of ``workers`` permits,
-    and every ``run_parallel`` map shares one pool of ``workers`` threads,
-    created on first use. The pool threads hold no reference to the gateway
-    and exit once it is collected.
+    gateway: each chat or embedding attempt holds one of ``workers`` permits.
+    A ``run_parallel`` map runs on its caller's thread, helped by at most
+    ``workers - 1`` jobs on one pool of at most ``workers`` threads that
+    every map shares. The pool threads start as jobs need them, hold no
+    reference to the gateway and exit once it is collected.
     """
 
     def __init__(
@@ -512,9 +563,10 @@ class LlmGateway:
         self._memory_cache: dict[str, np.ndarray] = {}
         self._cache_lock = threading.Lock()
         self._permits = threading.BoundedSemaphore(self.workers)
-        self._pool: ThreadPoolExecutor | None = None
+        self._pool: _Pool | None = None
         self._pool_lock = threading.Lock()
-        self._pool_thread = threading.local()
+        # active on the pool's threads, and on a caller while it drains a map
+        self._in_map = threading.local()
 
     def _call_backend(self, what: str, label: str, call: Callable[[], T]) -> T:
         """One backend call, holding a permit during each attempt. Transport
@@ -549,7 +601,7 @@ class LlmGateway:
             system_prompt=system_prompt,
             user_prompt=user_prompt,
             model=self.chat_model,
-            thinking_disabled=any(re.search(p, self.chat_model) for p in THINKING_DISABLE_PATTERNS),
+            thinking_disabled=_thinking_disabled(self.chat_model),
         )
         response = self._call_backend(
             "chat", label, lambda: self.chat_backend.complete(request, label)
@@ -699,54 +751,88 @@ class LlmGateway:
 
     # -- concurrency -----------------------------------------------------
 
-    def _executor(self) -> ThreadPoolExecutor:
+    def _helpers(self) -> _Pool:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="taxonav-gateway",
-                    initializer=_mark_pool_thread,
-                    initargs=(self._pool_thread,),
-                )
+                self._pool = _Pool(self.workers, self._in_map)
+                weakref.finalize(self, self._pool.close)
             return self._pool
 
     def run_parallel(self, fn: Callable, items: Sequence) -> list:
-        """Maps fn over items on the gateway's pool; results in input order.
+        """Maps fn over items; results in input order.
 
-        One item, one worker, or a call from one of the pool's own threads
-        (a nested map, which would otherwise wait on itself) runs inline. A
-        pooled item runs in a copy of the caller's context, so the caller's
-        metered() scopes count its calls. At most 2 x workers items are
-        submitted and unfinished at a time; a slot frees as soon as any item
-        finishes. After a failure no further item
-        starts; once the started ones finish, the exception of the earliest
-        failed item is raised.
+        The calling thread takes items itself, from an index cursor it
+        shares with at most min(workers, len(items)) - 1 helper jobs on the
+        gateway's pool. Each helper runs in one copy of the caller's
+        context, so the caller's metered() scopes count its calls, and
+        takes the next index until none is left or an item has failed. When
+        the caller's own share runs out it closes the map, so a helper that
+        starts later returns at once, and waits only for the helpers still
+        running an item. A map never waits for a pool thread that has
+        nothing left to do, and a map of any length keeps O(workers) state.
+
+        One item, one worker, or a map started from inside a map's item, on
+        the caller or on a pool thread, runs inline, so a nested map never
+        waits for pool threads its parent holds. After a failure no further
+        item starts; once the started ones finish, the exception of the
+        earliest failed item is raised.
         """
         items = list(items)
-        if self.workers <= 1 or len(items) <= 1 or getattr(self._pool_thread, "active", False):
+        in_map = self._in_map
+        if self.workers <= 1 or len(items) <= 1 or getattr(in_map, "active", False):
             return [fn(item) for item in items]
-        pool = self._executor()
-        slots = 2 * self.workers
-        window = threading.Semaphore(slots)
         results: list = [None] * len(items)
         errors: dict[int, BaseException] = {}
+        lock = threading.Lock()
+        cursor = iter(range(len(items)))
+        running, closed = 0, False  # helpers inside drain; no helper may start
+        finished = threading.Lock()  # released once closed with no helper running
+        finished.acquire()
 
-        def run(index: int) -> None:
+        def drain() -> None:
+            while True:
+                with lock:
+                    index = None if errors else next(cursor, None)
+                if index is None:
+                    return
+                try:
+                    results[index] = fn(items[index])
+                except BaseException as exc:  # raised again in the calling thread
+                    with lock:
+                        errors[index] = exc
+                    return
+
+        def helper() -> None:
+            nonlocal running
+            with lock:
+                if closed:
+                    return
+                running += 1
             try:
-                results[index] = fn(items[index])
-            except BaseException as exc:  # raised again in the calling thread
-                errors[index] = exc
+                drain()
             finally:
-                window.release()
+                with lock:
+                    running -= 1
+                    last = closed and not running
+                if last:
+                    finished.release()
 
-        for index in range(len(items)):
-            window.acquire()
-            if errors:
-                window.release()
-                break
-            pool.submit(contextvars.copy_context().run, run, index)
-        for _ in range(slots):  # every slot back: every started item has finished
-            window.acquire()
+        self._helpers().submit(
+            [
+                functools.partial(contextvars.copy_context().run, helper)
+                for _ in range(min(self.workers, len(items)) - 1)
+            ]
+        )
+        in_map.active = True
+        try:
+            drain()
+        finally:
+            in_map.active = False
+            with lock:
+                closed = True
+                wait = running > 0
+            if wait:
+                finished.acquire()
         if errors:
             raise errors[min(errors)]
         return results

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from string import Template
 
@@ -22,11 +23,14 @@ class PromptTemplate:
     system: str
     user: str
 
+    @cached_property
+    def _templates(self) -> tuple[Template, Template]:
+        """Built on the first render, then reused by every later one."""
+        return Template(self.system), Template(self.user)
+
     def render(self, **values: str) -> tuple[str, str]:
-        return (
-            Template(self.system).substitute(values),
-            Template(self.user).substitute(values),
-        )
+        system, user = self._templates
+        return system.substitute(values), user.substitute(values)
 
 
 _cache: dict[str, PromptTemplate] = {}

@@ -5,6 +5,8 @@ node's children and picks the relevant ones, so no prompt ever enumerates
 the registry. Reached leaves are deduplicated first-come-first-served,
 undersized leaf groups are merged by tree distance to keep selection
 prompts worth their overhead, and a final per-group call picks services.
+Each hit carries the child-index path its walk took, so the merge reads
+distances off the paths and a query touches only the nodes it visits.
 
 The three modes (get_all, get_important, get_one) share all machinery and
 differ only in the instruction sentence injected into the two prompts.
@@ -23,6 +25,7 @@ import logging
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from operator import attrgetter, itemgetter
 from statistics import fmean
 
 from . import prompts
@@ -69,10 +72,13 @@ class SearchConfig:
 @dataclass
 class LeafHit:
     """One reached leaf (or merged group of leaves) and its services in
-    presentation order. leaf_id is the representative leaf."""
+    presentation order. leaf_id is the representative leaf and path its
+    child-index path (1-based) from the start node of the walk that
+    reached it."""
 
     leaf_id: str
     services: list[str]
+    path: tuple[int, ...]
 
 
 @dataclass
@@ -135,7 +141,7 @@ def navigate(
     """
     template = prompts.load("search_navigate")
     instruction = NAVIGATE_INSTRUCTIONS[mode]
-    hits: list[list[tuple[tuple[int, ...], LeafHit]]] = [[] for _ in walks]
+    hits: list[list[LeafHit]] = [[] for _ in walks]
     steps: list[list[tuple[tuple[int, ...], TraceStep]]] = [[] for _ in walks]
     expanded: list[set[str]] = [set() for _ in walks]
 
@@ -146,7 +152,7 @@ def navigate(
         for w, path, node_id in frontier:
             node = taxonomy.node(node_id)
             if node.is_leaf():
-                hits[w].append((path, LeafHit(leaf_id=node_id, services=list(node.service_ids))))
+                hits[w].append(LeafHit(leaf_id=node_id, services=list(node.service_ids), path=path))
             elif node_id in expanded[w]:
                 raise DataError(f"navigation reached node {node_id!r} twice; the tree has a cycle")
             else:
@@ -184,10 +190,10 @@ def navigate(
             followed = sel.indices[:1] if single_branch else sel.indices
             frontier.extend((w, path + (idx,), node.children[idx - 1]) for idx in followed)
 
-    def in_path_order(entries: list[tuple[tuple[int, ...], object]]) -> list:
-        return [item for _, item in sorted(entries, key=lambda entry: entry[0])]
-
-    return [(in_path_order(h), in_path_order(s)) for h, s in zip(hits, steps)]
+    return [
+        (sorted(h, key=attrgetter("path")), [step for _, step in sorted(s, key=itemgetter(0))])
+        for h, s in zip(hits, steps)
+    ]
 
 
 def dedup(hits: list[LeafHit]) -> list[LeafHit]:
@@ -202,37 +208,49 @@ def dedup(hits: list[LeafHit]) -> list[LeafHit]:
                 seen.add(sid)
                 kept.append(sid)
         if kept:
-            out.append(LeafHit(leaf_id=hit.leaf_id, services=kept))
+            out.append(LeafHit(leaf_id=hit.leaf_id, services=kept, path=hit.path))
     return out
 
 
-def merge_small_groups(
-    hits: list[LeafHit], merge_threshold: int, taxonomy: Taxonomy
-) -> list[LeafHit]:
+def path_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Tree distance between the nodes at child-index paths a and b from one
+    start node: the steps from each up to their longest common prefix."""
+    common = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        common += 1
+    return len(a) + len(b) - 2 * common
+
+
+def merge_small_groups(hits: list[LeafHit], merge_threshold: int) -> list[LeafHit]:
     """Greedily merges sub-threshold groups with each other.
 
     While at least two groups are below the threshold, the pair of
     sub-threshold groups with the smallest tree (LCA) distance between
     their representative leaves merges; ties break on smaller combined
     size, then lexicographic leaf ids. The merged group keeps the earlier
-    hit's leaf as representative and its position in the list. Groups at or
-    above the threshold are never touched, so one undersized straggler
-    simply stays as it is.
+    hit's leaf and path as representative and its position in the list.
+    Groups at or above the threshold are never touched, so one undersized
+    straggler simply stays as it is.
 
-    Cost: with k groups initially below the threshold, the O(k^2) pairwise
-    distances come from one `Taxonomy.distances` call (a single parent-map
-    pass), made only when k >= 2. Representatives never change, so each
-    greedy round then compares precomputed (distance, sorted leaf ids) keys
-    plus the current sizes: O(k^2) per round, O(k^3) in all, and no further
-    tree walks.
+    Distances come from the hits' walk paths, so every hit must come from
+    one walk. Cost: with k groups initially below the threshold, the
+    O(k^2) pairwise distances take O(depth) each and no tree access.
+    Representatives never change, so each greedy round then compares
+    precomputed (distance, sorted leaf ids) keys plus the current sizes:
+    O(k^2) per round, O(k^3) in all.
     """
-    groups = [LeafHit(leaf_id=h.leaf_id, services=list(h.services)) for h in hits]
-    small_ids = [g.leaf_id for g in groups if len(g.services) < merge_threshold]
-    if len(small_ids) < 2:
+    groups = [LeafHit(h.leaf_id, list(h.services), h.path) for h in hits]
+    small_groups = [g for g in groups if len(g.services) < merge_threshold]
+    if len(small_groups) < 2:
         return groups
     pair_keys = {
-        pair: (distance, tuple(sorted(pair)))
-        for pair, distance in taxonomy.distances(small_ids).items()
+        (a.leaf_id, b.leaf_id): (
+            path_distance(a.path, b.path),
+            tuple(sorted((a.leaf_id, b.leaf_id))),
+        )
+        for a, b in combinations(small_groups, 2)
     }
 
     def merge_key(pair: tuple[int, int]) -> tuple:
@@ -246,9 +264,7 @@ def merge_small_groups(
             return groups
         # equal keys need a repeated leaf id; min then keeps the earliest pair
         i, j = min(combinations(small, 2), key=merge_key)
-        groups[i] = LeafHit(
-            leaf_id=groups[i].leaf_id, services=groups[i].services + groups[j].services
-        )
+        groups[i].services += groups[j].services
         del groups[j]
 
 
@@ -297,7 +313,7 @@ def retrieve(
 
     with metered() as usage:
         [(hits, nav_steps)] = navigate(taxonomy, [(query, taxonomy.root_id)], cfg.mode, gateway)
-        groups = merge_small_groups(dedup(hits), cfg.merge_threshold, taxonomy)
+        groups = merge_small_groups(dedup(hits), cfg.merge_threshold)
         groups = [g for g in groups if g.services]
         selections = gateway.run_parallel(
             lambda g: select_services(g, query, cfg.mode, registry, gateway), groups

@@ -4,9 +4,11 @@ mock backend that records its calls."""
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import threading
+from collections import deque
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,6 +23,7 @@ from taxonav.gateway import (
     MockEmbeddingBackend,
 )
 from taxonav.synthetic import LatentOracle, make_queries, make_world
+from taxonav.taxonomy import Taxonomy
 
 
 class RecordedCall(NamedTuple):
@@ -98,3 +101,35 @@ def run_fresh(source: str, *argv: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def random_tree(seed: int, n_nodes: int) -> Taxonomy:
+    """A tree of n_nodes nodes under the root, each hung from a node drawn
+    from the ones made before it."""
+    rng = random.Random(seed)
+    tax = Taxonomy()
+    ids = ["root"]
+    for i in range(n_nodes):
+        node = tax.add_child(rng.choice(ids), f"n{i}")
+        ids.append(node.node_id)
+    return tax
+
+
+def bfs_distance(tax: Taxonomy, a: str, b: str) -> int:
+    """Independent oracle: undirected shortest path over the tree edges."""
+    adj: dict[str, set[str]] = {nid: set() for nid in tax.nodes}
+    for nid, node in tax.nodes.items():
+        for child in node.children:
+            adj[nid].add(child)
+            adj[child].add(nid)
+    seen = {a: 0}
+    queue = deque([a])
+    while queue:
+        cur = queue.popleft()
+        if cur == b:
+            return seen[cur]
+        for nxt in adj[cur]:
+            if nxt not in seen:
+                seen[nxt] = seen[cur] + 1
+                queue.append(nxt)
+    raise AssertionError("nodes not connected")

@@ -849,6 +849,22 @@ def test_an_inline_field_map_that_is_not_json_exits_3(cli_world, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "field_map, message",
+    [
+        ("{bad", "error category=data: field map: invalid JSON"),
+        ('{"id": []}', "error category=data: field map field 'id' must be a string"),
+        ('{"nope": "x"}', "error category=data: unknown field map keys: nope"),
+    ],
+)
+def test_a_bad_field_map_exits_3_with_only_a_taxonomy(cli_world, capsys, field_map, message):
+    code = cli.main(["stats", "--taxonomy", str(cli_world["out"]), "--field-map", field_map])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+
+
 def test_build_and_search_flag_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(["eval", "--registry", "r", "--queries", "q",
                                           "--taxonomy", "t", "--run-dir", "d"])

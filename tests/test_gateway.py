@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import gc
 import json
 import re
@@ -10,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -440,6 +440,27 @@ def test_metered_scopes_nest_and_follow_pool_threads():
     assert {k: b["calls"] for k, b in outer.snapshot()["labels"].items()} == {"a": 1, "b": 10}
     assert {k: b["calls"] for k, b in inner.snapshot()["labels"].items()} == {"b": 10}
     assert len(backend.transcript) == 12
+
+
+def test_metered_scopes_count_calls_made_on_helper_threads():
+    backend = RecordingChatBackend(default_reply="1")
+    gw = LlmGateway(chat_backend=backend, workers=3)
+    together = threading.Barrier(3, timeout=10)
+    item_meters: list[UsageMeter] = []
+
+    def call(_):
+        together.wait()  # three items at once: the caller's and two helpers'
+        with metered() as mine:
+            gw.chat(SYS, USER, label="x")
+        item_meters.append(mine)
+        return threading.current_thread()
+
+    with metered() as outer:
+        threads = gw.run_parallel(call, range(3))
+    helpers = set(threads) - {threading.current_thread()}
+    assert len(helpers) == 2
+    assert outer.snapshot()["total_calls"] == 3
+    assert [meter.snapshot()["total_calls"] for meter in item_meters] == [1, 1, 1]
 
 
 def test_concurrent_scopes_on_one_gateway_count_their_own_calls():
@@ -890,14 +911,19 @@ def test_run_parallel_reuses_one_pool_across_maps():
     barrier = threading.Barrier(4, timeout=10)
 
     def whoami(_):
-        barrier.wait()  # all four items run at once, so the pool has four threads
+        barrier.wait()  # all four items run at once, each on its own thread
         return threading.current_thread()
 
+    caller = threading.current_thread()
     first = gw.run_parallel(whoami, range(4))
     second = gw.run_parallel(whoami, range(4))
-    assert threading.current_thread() not in first
-    assert len(set(first)) == 4
-    assert set(second) == set(first)
+    # the caller runs one item and three helpers the rest
+    assert len(set(first)) == len(set(second)) == 4
+    assert caller in first and caller in second
+    # a pool per map would show six helper threads; one pool has at most four
+    helpers = (set(first) | set(second)) - {caller}
+    assert len(helpers) <= gw.workers
+    assert all(thread.name.startswith("taxonav-gateway") for thread in helpers)
 
 
 def test_nested_run_parallel_runs_inline():
@@ -917,6 +943,61 @@ def test_nested_run_parallel_runs_inline():
     caller.join(timeout=10)
     assert not caller.is_alive(), "nested map did not finish"
     assert outcome["inline"] == [True] * 4
+
+
+def test_nested_maps_run_inline_on_the_caller_and_on_helpers(monkeypatch):
+    jobs = counting_pool_submits(monkeypatch)
+    gw = LlmGateway(workers=2)
+    both = threading.Barrier(2, timeout=10)
+
+    def outer(_):
+        both.wait()  # the two items run at once: one on the caller, one on a helper
+        inner = gw.run_parallel(lambda _i: threading.current_thread(), range(5))
+        return threading.current_thread(), inner
+
+    caller = threading.current_thread()
+    results = gw.run_parallel(outer, range(2))
+    ran_on = {thread for thread, _ in results}
+    assert len(ran_on) == 2 and caller in ran_on
+    assert all(inner == [thread] * 5 for thread, inner in results)
+    assert len(jobs) == 1  # the outer map's helper; neither nested map asked for one
+
+
+def test_a_map_finishes_on_its_caller_while_other_maps_hold_every_pool_thread(monkeypatch):
+    thread_errors: list = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    gw = LlmGateway(workers=3)
+    release = threading.Event()
+    held = threading.Semaphore(0)
+
+    def hold(_):
+        if threading.current_thread().name.startswith("taxonav-gateway"):
+            held.release()
+        release.wait(timeout=30)
+
+    # two maps of three blocking items: four helper jobs for three pool threads
+    holders = [threading.Thread(target=gw.run_parallel, args=(hold, range(3))) for _ in range(2)]
+    for thread in holders:
+        thread.start()
+    try:
+        for _ in range(gw.workers):
+            assert held.acquire(timeout=10), "the pool threads never all held an item"
+        caller = threading.current_thread()
+        start = time.monotonic()
+        ran_on = gw.run_parallel(lambda _: threading.current_thread(), range(5))
+        assert time.monotonic() - start < 5  # its helpers never start, and it does not wait for them
+        assert ran_on == [caller] * 5
+    finally:
+        release.set()
+        for thread in holders:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in holders)
+    # the late helpers of the finished map start now and must do nothing
+    deadline = time.monotonic() + 10
+    while gw._pool.outstanding and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert gw._pool.outstanding == 0
+    assert thread_errors == []
 
 
 class InflightBackend:
@@ -962,29 +1043,71 @@ def test_workers_caps_calls_in_flight_across_callers():
     assert backend.peak == 3
 
 
+def counting_pool_submits(monkeypatch) -> list:
+    """Patches the pool's submit to append each job it is handed to a list."""
+    jobs: list = []
+    submit = gateway_module._Pool.submit
+
+    def counting_submit(pool, batch):
+        jobs.extend(batch)
+        return submit(pool, batch)
+
+    monkeypatch.setattr(gateway_module._Pool, "submit", counting_submit)
+    return jobs
+
+
 def test_run_parallel_keeps_a_bounded_window(monkeypatch):
-    """Counts items handed to the pool and not yet finished."""
+    """A map of any length hands the pool workers - 1 jobs and runs at most
+    workers items at once; the first workers items run all at once."""
+    jobs = counting_pool_submits(monkeypatch)
     lock = threading.Lock()
-    state = {"open": 0, "peak": 0}
-    submit = concurrent.futures.ThreadPoolExecutor.submit
-
-    def counting_submit(pool, fn, *args, **kwargs):
-        with lock:
-            state["open"] += 1
-            state["peak"] = max(state["peak"], state["open"])
-        return submit(pool, fn, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", counting_submit)
+    state = {"running": 0, "peak": 0}
     gw = LlmGateway(workers=3)
+    first = threading.Barrier(gw.workers, timeout=10)
 
     def slow_square(i):
+        with lock:
+            state["running"] += 1
+            state["peak"] = max(state["peak"], state["running"])
+        if i < gw.workers:
+            first.wait()
         time.sleep(0.001)
         with lock:
-            state["open"] -= 1
+            state["running"] -= 1
         return i * i
 
     assert gw.run_parallel(slow_square, range(60)) == [i * i for i in range(60)]
-    assert 3 <= state["peak"] <= 6
+    assert len(jobs) == gw.workers - 1
+    assert state["peak"] == gw.workers
+
+
+@pytest.mark.parametrize("n_items, n_jobs", [(0, 0), (1, 0), (2, 1), (5, 4), (8, 7), (500, 7)])
+def test_a_map_submits_at_most_workers_minus_one_jobs(monkeypatch, n_items, n_jobs):
+    jobs = counting_pool_submits(monkeypatch)
+    gw = LlmGateway(workers=8)
+    assert gw.run_parallel(lambda i: -i, range(n_items)) == [-i for i in range(n_items)]
+    assert len(jobs) == n_jobs
+    # the pool starts a thread only for a job that would otherwise wait
+    assert len(gw._pool.threads if gw._pool else []) <= n_jobs
+
+
+def test_every_item_runs_once_under_fast_thread_switching():
+    gw = LlmGateway(workers=8)
+    ran: list[int] = []
+
+    def work(i):
+        ran.append(i)
+        return i * 3
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ran.clear()
+            assert gw.run_parallel(work, range(300)) == [i * 3 for i in range(300)]
+            assert sorted(ran) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_run_parallel_refills_when_any_item_finishes():
@@ -1019,6 +1142,44 @@ def test_run_parallel_stops_after_a_failure_and_raises_the_earliest():
     assert len(started) <= 2 * gw.workers
 
 
+def test_no_item_starts_after_a_failure_is_recorded():
+    gw = LlmGateway(workers=3)
+    together = threading.Barrier(3, timeout=10)
+    started: list[int] = []
+
+    def work(i):
+        started.append(i)
+        if i < 3:
+            together.wait()  # items 0-2 run at once, one per thread
+        if i == 1:
+            raise ValueError("item 1")
+        time.sleep(0.05)  # item 1 has failed by the time 0 and 2 finish
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        gw.run_parallel(work, range(30))
+    assert sorted(started) == [0, 1, 2]
+
+
+def test_idle_pool_threads_keep_no_map_or_gateway_alive():
+    gw = LlmGateway(workers=3)
+    barrier = threading.Barrier(3, timeout=10)
+    payload = {"items of the map"}
+
+    def whoami(_, gw=gw, payload=payload):  # holds both, beyond the del below
+        barrier.wait()
+        return threading.current_thread()
+
+    threads = set(gw.run_parallel(whoami, range(3))) - {threading.current_thread()}
+    gateway, data = weakref.ref(gw), weakref.ref(payload)
+    del gw, payload, whoami
+    gc.collect()
+    assert gateway() is None and data() is None
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def test_dropped_gateway_lets_its_pool_threads_exit():
     gw = LlmGateway(workers=3)
     barrier = threading.Barrier(3, timeout=10)
@@ -1028,6 +1189,8 @@ def test_dropped_gateway_lets_its_pool_threads_exit():
         return threading.current_thread()
 
     threads = set(gw.run_parallel(whoami, range(3)))
+    threads.discard(threading.current_thread())  # the caller ran one item
+    assert len(threads) == 2
     assert all(thread.is_alive() for thread in threads)
     del gw
     gc.collect()

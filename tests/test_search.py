@@ -3,13 +3,11 @@ merging, per-group selection, and the three disclosure modes."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RecordingChatBackend
+from conftest import RecordingChatBackend, bfs_distance, random_tree
 from taxonav.errors import ConfigError, DataError
 from taxonav.eval_harness import EvalConfig, evaluate
 from taxonav.gateway import LlmGateway, ScriptRule
@@ -22,6 +20,7 @@ from taxonav.search import (
     dedup,
     merge_small_groups,
     navigate,
+    path_distance,
     retrieve,
 )
 from taxonav.synthetic import make_balanced_taxonomy, parse_options
@@ -42,17 +41,36 @@ def leaf(tax: Taxonomy, parent: str, name: str, services: list[str]):
     return node
 
 
+def path_to(tax: Taxonomy, node_id: str) -> tuple[int, ...]:
+    """The 1-based child-index path from the root to node_id, found by a
+    depth-first search of the child lists."""
+    stack = [(tax.root_id, ())]
+    while stack:
+        current, path = stack.pop()
+        if current == node_id:
+            return path
+        stack.extend((c, path + (i,)) for i, c in enumerate(tax.node(current).children, start=1))
+    raise AssertionError(f"{node_id} is not in the tree")
+
+
+def hit(tax: Taxonomy, leaf_id: str, services: list[str]) -> LeafHit:
+    return LeafHit(leaf_id, services, path_to(tax, leaf_id))
+
+
 # -- dedup -------------------------------------------------------------------
 
 
 def test_dedup_keeps_first_occurrence_and_drops_emptied_hits():
     hits = [
-        LeafHit("a", ["s1", "s2"]),
-        LeafHit("b", ["s2", "s3"]),
-        LeafHit("c", ["s1"]),
+        LeafHit("a", ["s1", "s2"], (1,)),
+        LeafHit("b", ["s2", "s3"], (2,)),
+        LeafHit("c", ["s1"], (3,)),
     ]
     out = dedup(hits)
-    assert [(h.leaf_id, h.services) for h in out] == [("a", ["s1", "s2"]), ("b", ["s3"])]
+    assert [(h.leaf_id, h.services, h.path) for h in out] == [
+        ("a", ["s1", "s2"], (1,)),
+        ("b", ["s3"], (2,)),
+    ]
 
 
 @given(
@@ -62,7 +80,7 @@ def test_dedup_keeps_first_occurrence_and_drops_emptied_hits():
     )
 )
 def test_dedup_preserves_union_without_duplicates(raw):
-    hits = [LeafHit(f"leaf{i}", [f"s{v}" for v in svc]) for i, svc in enumerate(raw)]
+    hits = [LeafHit(f"leaf{i}", [f"s{v}" for v in svc], (i + 1,)) for i, svc in enumerate(raw)]
     out = dedup(hits)
     flat = [sid for h in out for sid in h.services]
     assert len(flat) == len(set(flat))
@@ -86,11 +104,11 @@ def sibling_tree() -> Taxonomy:
 def test_merge_joins_closest_small_groups_and_leaves_big_ones():
     tax = sibling_tree()
     hits = [
-        LeafHit("root/a/a1", [f"x{i}" for i in range(5)]),
-        LeafHit("root/a/a2", [f"y{i}" for i in range(5)]),
-        LeafHit("root/b/b1", [f"z{i}" for i in range(40)]),
+        hit(tax, "root/a/a1", [f"x{i}" for i in range(5)]),
+        hit(tax, "root/a/a2", [f"y{i}" for i in range(5)]),
+        hit(tax, "root/b/b1", [f"z{i}" for i in range(40)]),
     ]
-    out = merge_small_groups(hits, 30, tax)
+    out = merge_small_groups(hits, 30)
     assert [(h.leaf_id, len(h.services)) for h in out] == [("root/a/a1", 10), ("root/b/b1", 40)]
     # siblings (distance 2) merged instead of the cross-branch pair (distance 4)
     assert out[0].services == hits[0].services + hits[1].services
@@ -99,20 +117,20 @@ def test_merge_joins_closest_small_groups_and_leaves_big_ones():
 def test_merge_noop_when_groups_are_large_enough():
     tax = sibling_tree()
     hits = [
-        LeafHit("root/a/a1", [f"x{i}" for i in range(30)]),
-        LeafHit("root/a/a2", [f"y{i}" for i in range(31)]),
+        hit(tax, "root/a/a1", [f"x{i}" for i in range(30)]),
+        hit(tax, "root/a/a2", [f"y{i}" for i in range(31)]),
     ]
-    out = merge_small_groups(hits, 30, tax)
+    out = merge_small_groups(hits, 30)
     assert [(h.leaf_id, h.services) for h in out] == [(h.leaf_id, h.services) for h in hits]
 
 
 def test_merge_single_straggler_stays():
     tax = sibling_tree()
     hits = [
-        LeafHit("root/a/a1", ["x0"]),
-        LeafHit("root/b/b1", [f"z{i}" for i in range(30)]),
+        hit(tax, "root/a/a1", ["x0"]),
+        hit(tax, "root/b/b1", [f"z{i}" for i in range(30)]),
     ]
-    out = merge_small_groups(hits, 30, tax)
+    out = merge_small_groups(hits, 30)
     assert [(h.leaf_id, len(h.services)) for h in out] == [("root/a/a1", 1), ("root/b/b1", 30)]
 
 
@@ -120,11 +138,11 @@ def test_merge_distance_beats_list_order():
     # A1 appears before B1, but A2 is A1's sibling, so A1+A2 merge first
     tax = sibling_tree()
     hits = [
-        LeafHit("root/a/a1", ["a1s"]),
-        LeafHit("root/b/b1", ["b1s"]),
-        LeafHit("root/a/a2", ["a2s"]),
+        hit(tax, "root/a/a1", ["a1s"]),
+        hit(tax, "root/b/b1", ["b1s"]),
+        hit(tax, "root/a/a2", ["a2s"]),
     ]
-    out = merge_small_groups(hits, 2, tax)
+    out = merge_small_groups(hits, 2)
     assert [(h.leaf_id, h.services) for h in out] == [
         ("root/a/a1", ["a1s", "a2s"]),
         ("root/b/b1", ["b1s"]),
@@ -137,12 +155,12 @@ def test_merge_size_tiebreak_prefers_smaller_combined_group():
     for name in ("X", "Y", "Z"):
         leaf(tax, p.node_id, name, [])
     hits = [
-        LeafHit("root/p/x", ["sx"]),
-        LeafHit("root/p/y", ["sy1", "sy2"]),
-        LeafHit("root/p/z", ["sz"]),
+        hit(tax, "root/p/x", ["sx"]),
+        hit(tax, "root/p/y", ["sy1", "sy2"]),
+        hit(tax, "root/p/z", ["sz"]),
     ]
     # all pairs are siblings (distance 2); (X, Z) has the smallest combined size
-    out = merge_small_groups(hits, 3, tax)
+    out = merge_small_groups(hits, 3)
     assert len(out) == 1
     assert out[0].leaf_id == "root/p/x"
     assert out[0].services == ["sx", "sz", "sy1", "sy2"]
@@ -154,11 +172,11 @@ def test_merge_id_tiebreak_is_lexicographic():
     for name in ("X", "Y", "Z"):
         leaf(tax, p.node_id, name, [])
     hits = [
-        LeafHit("root/p/x", ["sx"]),
-        LeafHit("root/p/y", ["sy"]),
-        LeafHit("root/p/z", ["sz"]),
+        hit(tax, "root/p/x", ["sx"]),
+        hit(tax, "root/p/y", ["sy"]),
+        hit(tax, "root/p/z", ["sz"]),
     ]
-    out = merge_small_groups(hits, 2, tax)
+    out = merge_small_groups(hits, 2)
     assert [(h.leaf_id, h.services) for h in out] == [
         ("root/p/x", ["sx", "sy"]),
         ("root/p/z", ["sz"]),
@@ -168,9 +186,10 @@ def test_merge_id_tiebreak_is_lexicographic():
 def reference_merge_small_groups(
     hits: list[LeafHit], merge_threshold: int, taxonomy: Taxonomy
 ) -> list[LeafHit]:
-    """The original O(k^3) merge that asks lca_distance for every candidate
-    pair in every round; the fast merge must return exactly what it does."""
-    groups = [LeafHit(leaf_id=h.leaf_id, services=list(h.services)) for h in hits]
+    """The plain O(k^3) greedy merge: every round scores every candidate
+    pair afresh, with the BFS oracle's distance between their leaves. The
+    path-based merge must return exactly what it does, ties included."""
+    groups = [LeafHit(h.leaf_id, list(h.services), h.path) for h in hits]
     while True:
         small = [i for i, g in enumerate(groups) if len(g.services) < merge_threshold]
         if len(small) < 2:
@@ -180,7 +199,7 @@ def reference_merge_small_groups(
             for b_pos in range(a_pos + 1, len(small)):
                 i, j = small[a_pos], small[b_pos]
                 key = (
-                    taxonomy.lca_distance(groups[i].leaf_id, groups[j].leaf_id),
+                    bfs_distance(taxonomy, groups[i].leaf_id, groups[j].leaf_id),
                     len(groups[i].services) + len(groups[j].services),
                     tuple(sorted((groups[i].leaf_id, groups[j].leaf_id))),
                 )
@@ -188,19 +207,9 @@ def reference_merge_small_groups(
                     best = (key, i, j)
         _, i, j = best
         groups[i] = LeafHit(
-            leaf_id=groups[i].leaf_id, services=groups[i].services + groups[j].services
+            groups[i].leaf_id, groups[i].services + groups[j].services, groups[i].path
         )
         del groups[j]
-
-
-def random_tree(seed: int, n_nodes: int) -> Taxonomy:
-    rng = random.Random(seed)
-    tax = Taxonomy()
-    ids = ["root"]
-    for i in range(n_nodes):
-        node = tax.add_child(rng.choice(ids), f"n{i}")
-        ids.append(node.node_id)
-    return tax
 
 
 @st.composite
@@ -213,7 +222,7 @@ def merge_cases(draw):
     # the leaf-id tie-break, are common
     pool = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
     hits = [
-        LeafHit(leaf_id, [f"{leaf_id}#{n}" for n in range(draw(st.sampled_from(pool)))])
+        hit(tax, leaf_id, [f"{leaf_id}#{n}" for n in range(draw(st.sampled_from(pool)))])
         for leaf_id in hit_leaves
     ]
     return tax, hits, draw(st.integers(1, 40))
@@ -223,13 +232,40 @@ def merge_cases(draw):
 @given(merge_cases())
 def test_merge_matches_reference(case):
     tax, hits, threshold = case
-    out = merge_small_groups(hits, threshold, tax)
+    out = merge_small_groups(hits, threshold)
+    expected = reference_merge_small_groups(hits, threshold, tax)
+    assert [(h.leaf_id, h.services, h.path) for h in out] == [
+        (h.leaf_id, h.services, h.path) for h in expected
+    ]
+
+
+def select_all_oracle(label, request):
+    return ",".join(str(i) for i, _ in parse_options(request.user_prompt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_nodes=st.integers(0, 40), threshold=st.integers(1, 6))
+def test_navigated_paths_give_oracle_distances_and_the_reference_merge(seed, n_nodes, threshold):
+    """Hits straight from a walk of a random tree: each path is its leaf's
+    path from the root, path distances equal the BFS oracle's, and the
+    merge of the hits (leaves of one to five services) equals the
+    reference merge."""
+    tax = random_tree(seed, n_nodes)
+    for i, leaf_id in enumerate(tax.leaves()):
+        tax.node(leaf_id).service_ids = [f"{leaf_id}#{n}" for n in range(1 + i % 5)]
+    [(hits, _)] = navigate(tax, [("q", tax.root_id)], "get_all", gw(oracle=select_all_oracle))
+    assert [h.leaf_id for h in hits] == tax.leaves()
+    assert all(h.path == path_to(tax, h.leaf_id) for h in hits)
+    for a in hits:
+        for b in hits:
+            assert path_distance(a.path, b.path) == bfs_distance(tax, a.leaf_id, b.leaf_id)
+    out = merge_small_groups(hits, threshold)
     expected = reference_merge_small_groups(hits, threshold, tax)
     assert [(h.leaf_id, h.services) for h in out] == [(h.leaf_id, h.services) for h in expected]
 
 
 @pytest.mark.parametrize(
-    "sizes, threshold, parent_maps",
+    "sizes, threshold, merges",
     [
         ([], 30, 0),
         ([5], 30, 0),
@@ -239,26 +275,32 @@ def test_merge_matches_reference(case):
         ([1] * 40, 41, 1),
     ],
 )
-def test_merge_builds_at_most_one_parent_map(monkeypatch, sizes, threshold, parent_maps):
+def test_merge_builds_at_most_one_parent_map(monkeypatch, sizes, threshold, merges):
+    """The merge reads distances off the hits' paths, so whether or not it
+    merges anything (merges is 1 when two groups start below the threshold)
+    it builds no parent map and asks the tree for no distance or node."""
     tax = random_tree(3, 120)
     hits = [
-        LeafHit(leaf_id, [f"{leaf_id}#{n}" for n in range(size)])
+        hit(tax, leaf_id, [f"{leaf_id}#{n}" for n in range(size)])
         for leaf_id, size in zip(tax.leaves(), sizes)
     ]
     assert len(hits) == len(sizes)
     calls = []
-    original = Taxonomy.parent_map
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
+    def counted(name):
+        original = getattr(Taxonomy, name)
 
-    monkeypatch.setattr(Taxonomy, "parent_map", counted)
-    merge_small_groups(hits, threshold, tax)
-    assert len(calls) == parent_maps
+        def wrapper(self, *args):
+            calls.append(name)
+            return original(self, *args)
 
+        return wrapper
 
-# -- full retrieval ------------------------------------------------------------
+    for name in ("parent_map", "distances", "node"):
+        monkeypatch.setattr(Taxonomy, name, counted(name))
+    out = merge_small_groups(hits, threshold)
+    assert calls == []
+    assert (len(out) < len(hits)) == bool(merges)
 
 
 def two_level_tree() -> tuple[Taxonomy, Registry]:

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import re
 import tempfile
-from collections import deque
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import bfs_distance, random_tree
 from taxonav.builder import BuildReport, TaxonomyBuilder
 from taxonav.errors import DataError, SchemaError
 from taxonav.gateway import LlmGateway
@@ -37,26 +36,6 @@ def small_tree() -> Taxonomy:
     b.service_ids = ["s2", "s3"]
     tax.rebuild_assignment()
     return tax
-
-
-def bfs_distance(tax: Taxonomy, a: str, b: str) -> int:
-    """Independent oracle: undirected shortest path over the tree edges."""
-    adj: dict[str, set[str]] = {nid: set() for nid in tax.nodes}
-    for nid, node in tax.nodes.items():
-        for child in node.children:
-            adj[nid].add(child)
-            adj[child].add(nid)
-    seen = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        if cur == b:
-            return seen[cur]
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen[nxt] = seen[cur] + 1
-                queue.append(nxt)
-    raise AssertionError("nodes not connected")
 
 
 def test_add_child_slugs_and_collisions():
@@ -86,17 +65,6 @@ def test_lca_distance_hand_cases():
     assert tax.lca_distance("root/a/a1", "root/a") == 1
     assert tax.lca_distance("root", "root/a/a1") == 2
     assert tax.lca_distance("root/b", "root/b") == 0
-
-
-def random_tree(seed: int, n_nodes: int) -> Taxonomy:
-    rng = random.Random(seed)
-    tax = Taxonomy()
-    ids = ["root"]
-    for i in range(n_nodes):
-        parent = rng.choice(ids)
-        node = tax.add_child(parent, f"n{i}")
-        ids.append(node.node_id)
-    return tax
 
 
 @given(seed=st.integers(0, 10_000), n_nodes=st.integers(1, 25), data=st.data())
