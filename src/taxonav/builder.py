@@ -25,7 +25,6 @@ import logging
 import re
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 from . import prompts
@@ -64,6 +63,8 @@ class BuildConfig:
             raise ConfigError("generic_ratio must be in (0, 1]")
         if self.max_categories < 2:
             raise ConfigError("max_categories must allow at least 2 drafts")
+        if self.max_refine_iterations < 0:
+            raise ConfigError("max_refine_iterations must be non-negative")
         if self.keyword_batch_size < 1:
             raise ConfigError("keyword_batch_size must be positive")
         if self.tiny_merge_threshold < 0:
@@ -90,7 +91,6 @@ class CategoryDraft:
 
 @dataclass
 class ClassificationOutcome:
-    service_id: str
     matched: tuple[int, ...]  # 1-based draft indices
     status: str  # ok | generic | unmatched
 
@@ -238,12 +238,13 @@ class TaxonomyBuilder:
 
     # -- category design ----------------------------------------------------
 
-    def _parse_drafts(self, obj: dict) -> tuple[list[CategoryDraft], str | None, list[str]]:
-        """Validates a design reply. Returns (drafts, fatal_violation, warnings)."""
-        warnings: list[str] = []
+    def _parse_drafts(self, obj: dict, report: BuildReport) -> tuple[list[CategoryDraft], str | None]:
+        """Validates a design reply. Returns (drafts, fatal_violation); a
+        valid reply's warnings go to the report, and a violating reply has
+        none."""
         raw = obj.get("categories")
         if not isinstance(raw, list):
-            return [], "the reply JSON lacks a 'categories' array", warnings
+            return [], "the reply JSON lacks a 'categories' array"
         shared_axis = _normalize_axis(obj.get("axis"))
         drafts: list[CategoryDraft] = []
         for item in raw:
@@ -262,40 +263,40 @@ class TaxonomyBuilder:
             )
         axes = {d.axis for d in drafts if d.axis}
         if len(axes) > 1:
-            return drafts, "the sibling categories mix classification axes (" + ", ".join(sorted(axes)) + ")", warnings
+            return drafts, "the sibling categories mix classification axes (" + ", ".join(sorted(axes)) + ")"
         if len(drafts) < 2:
-            return drafts, "fewer than 2 categories were proposed", warnings
+            return drafts, "fewer than 2 categories were proposed"
         axis = next(iter(axes), "")
         if axis not in AXIS_TAGS:
             if axis:
-                warnings.append(f"unknown axis tag {axis!r} coerced to functional-domain")
+                report.warnings.append(f"unknown axis tag {axis!r} coerced to functional-domain")
             axis = "functional-domain"
         for draft in drafts:
             draft.axis = axis
             if not draft.boundary:
-                warnings.append(f"category {draft.name!r} came without a boundary clause")
+                report.warnings.append(f"category {draft.name!r} came without a boundary clause")
                 draft.boundary = "Services that fit a sibling category better."
         if len(drafts) > self.cfg.max_categories:
-            warnings.append(
+            report.warnings.append(
                 f"designer proposed {len(drafts)} categories; truncated to {self.cfg.max_categories}"
             )
             drafts = drafts[: self.cfg.max_categories]
-        return drafts, None, warnings
+        return drafts, None
 
     def _request_drafts(
-        self, template_name: str, values: dict[str, str], *, label: str, report: BuildReport | None
+        self, template_name: str, values: dict[str, str], *, label: str, report: BuildReport
     ) -> list[CategoryDraft]:
         """One design call with a single validation re-ask, then DesignError."""
 
-        def parse(text: str) -> tuple[list[CategoryDraft], list[str]]:
+        def parse(text: str) -> list[CategoryDraft]:
             try:
                 obj = extract_json_object(text)
             except ReplyParseError as exc:  # malformed JSON counts as a violation
                 raise ReplyParseError(f"the reply was not a valid JSON object ({exc})") from exc
-            drafts, violation, warnings = self._parse_drafts(obj)
+            drafts, violation = self._parse_drafts(obj, report)
             if violation is not None:
                 raise ReplyParseError(violation)
-            return drafts, warnings
+            return drafts
 
         def reask(violation: ReplyParseError) -> str:
             return (
@@ -305,21 +306,16 @@ class TaxonomyBuilder:
 
         system, user = prompts.render(template_name, **values)
         try:
-            drafts, warnings = self.gateway.ask(
-                system, user, label=label, parse=parse, reask=reask
-            )
+            return self.gateway.ask(system, user, label=label, parse=parse, reask=reask)
         except ReplyParseError as exc:
             raise DesignError(f"category design failed after re-ask: {exc}") from exc
-        if report is not None:
-            report.warnings.extend(warnings)
-        return drafts
 
     def design_categories(
         self,
         payload: KeywordTable | list[Service],
         parent_context: str,
         *,
-        report: BuildReport | None = None,
+        report: BuildReport,
     ) -> list[CategoryDraft]:
         """Designs sibling categories from either a keyword table (large
         nodes) or raw service descriptions (small nodes)."""
@@ -370,11 +366,10 @@ class TaxonomyBuilder:
             return drafts
         if obj.get("ok") is True:
             return drafts
-        repaired, violation, warnings = self._parse_drafts(obj)
+        repaired, violation = self._parse_drafts(obj, report)
         if violation is not None:
             report.warnings.append(f"root repair rejected ({violation}); keeping original drafts")
             return drafts
-        report.warnings.extend(warnings)
         logger.info("root validation replaced %d drafts with %d", len(drafts), len(repaired))
         return repaired
 
@@ -385,7 +380,8 @@ class TaxonomyBuilder:
         services: list[Service],
         drafts: list[CategoryDraft],
     ) -> list[ClassificationOutcome]:
-        """One chat call per service against the draft list.
+        """One chat call per service against the draft list. Nothing in the
+        build calls it; it stays while perfbench/spans.py traces it by name.
 
         Status rules: no match (including a reply unparseable after its
         re-ask) is unmatched; matching strictly more than generic_ratio *
@@ -393,10 +389,14 @@ class TaxonomyBuilder:
         """
         return self.gateway.run_parallel(self._classifier(drafts), services)
 
-    def _classifier(self, drafts: list[CategoryDraft]) -> Callable[[Service], ClassificationOutcome]:
-        """The single-service call of classify_services, with its status rules."""
+    def _classifier(
+        self, drafts: list[CategoryDraft], template_name: str = "classify_service"
+    ) -> Callable[[Service], ClassificationOutcome]:
+        """The single-service call of classify_services, with its status
+        rules. With the "classify_single_best" prompt it is the forced choice
+        for generic services, whose pick is the smallest index named."""
         options = prompts.category_options(drafts)
-        template = prompts.load("classify_service")
+        template = prompts.load(template_name)
         threshold = self.cfg.generic_ratio * len(drafts)
 
         def call(svc: Service) -> ClassificationOutcome:
@@ -412,23 +412,9 @@ class TaxonomyBuilder:
                 status = "generic"
             else:
                 status = "ok"
-            return ClassificationOutcome(service_id=svc.id, matched=sel.indices, status=status)
+            return ClassificationOutcome(matched=sel.indices, status=status)
 
         return call
-
-    def classify_single_best(self, service: Service, drafts: list[CategoryDraft]) -> int | None:
-        """Forced-choice placement for generic services; smallest in-range
-        index wins if the reply names several."""
-        system, user = prompts.render(
-            "classify_single_best",
-            service_name=service.name,
-            service_description=service.description,
-            options=prompts.category_options(drafts),
-        )
-        sel = self.gateway.select_indices(
-            system, user, label="build.classify", n_options=len(drafts)
-        )
-        return min(sel.indices) if sel.indices else None
 
     def refine_drafts(
         self,
@@ -437,7 +423,7 @@ class TaxonomyBuilder:
         unmatched: list[Service],
         parent_context: str,
         *,
-        report: BuildReport | None = None,
+        report: BuildReport,
     ) -> list[CategoryDraft] | None:
         """One refinement round; None when the designer reply is unusable."""
 
@@ -468,6 +454,8 @@ class TaxonomyBuilder:
         report: BuildReport,
     ) -> list[tuple[str, list[Service]]]:
         """Splits one node into LLM-designed children, as a level of one node.
+        The build splits whole levels; this stays while perfbench/spans.py
+        traces it by name.
 
         Returns (child_id, child_services) pairs in draft order with any
         catch-all last, or an empty list when the node stays a leaf (the
@@ -585,17 +573,21 @@ class TaxonomyBuilder:
         cfg = self.cfg
         generic = [split.with_status("generic") for split in splits]
         choices = self._map_nodes(
-            [(partial(self.classify_single_best, drafts=s.drafts), g)
+            [(self._classifier(s.drafts, "classify_single_best"), g)
              for s, g in zip(splits, generic)]
         )
         for split, forced_services, forced_choices in zip(splits, generic, choices):
-            forced = {svc.id: choice for svc, choice in zip(forced_services, forced_choices)}
+            forced = {
+                svc.id: choice.matched[0]  # indices come sorted
+                for svc, choice in zip(forced_services, forced_choices)
+                if choice.matched
+            }
             buckets: list[list[Service]] = [[] for _ in split.drafts]
             for svc, outcome in zip(split.services, split.outcomes):
                 if outcome.status == "ok":
                     for idx in outcome.matched:
                         buckets[idx - 1].append(svc)
-                elif forced.get(svc.id) is not None:
+                elif svc.id in forced:
                     buckets[forced[svc.id] - 1].append(svc)
                 else:
                     split.pending.append(svc)
@@ -684,15 +676,7 @@ class TaxonomyBuilder:
         root = taxonomy.root
         order = taxonomy.walk()  # DataError unless the child lists form one tree
         if len(root.children) < 2:
-            report.cross_domain = {
-                "proposals": 0,
-                "accepted": 0,
-                "duplicates": 0,
-                "skipped": 0,
-                "routing_failures": 0,
-                "extra_assignments_distribution": {},
-            }
-            return
+            order = order[:1]  # no other domain to surface under: no leaf is asked
         domain_ids = set(root.children)
         domain_by_name = {
             _normalize_name(taxonomy.node(cid).name): cid for cid in root.children
@@ -866,7 +850,10 @@ def _resolve_path(taxonomy: Taxonomy, reply: str) -> str | None:
             path_line = line
     if path_line is None:
         return None
-    parts = [re.sub(r'^["\'\s\-\d.]+|["\'\s]+$', "", p) for p in path_line.split(">")]
+    # One list marker ("-", "*", "1." or "1)") may lead the line; a part
+    # loses only quotes and spaces, so "3D Printing" keeps its digit.
+    path_line = re.sub(r"^\s*(?:[-*]|\d+[.)])\s", "", path_line)
+    parts = [p.strip("\"' \t") for p in path_line.split(">")]
     parts = [p for p in parts if p]
     if not parts:
         return None

@@ -207,28 +207,14 @@ class Taxonomy:
         return chain[-2] if len(chain) > 1 else chain[-1]
 
     def lca_distance(self, a: str, b: str) -> int:
-        """Tree path length between two nodes: depth(a)+depth(b)-2*depth(lca)."""
-        return self.distances([a, b])[a, b]
-
-    def distances(self, node_ids: list[str]) -> dict[tuple[str, str], int]:
-        """Tree path lengths between every ordered pair of the given nodes,
-        the pair of a node with itself included (0).
-
-        Builds the parent map once and walks one ancestor chain per distinct
-        id, so k ids cost one pass over the tree plus O(k^2 * depth).
-        """
+        """Tree path length between two nodes: depth(a)+depth(b)-2*depth(lca).
+        Raises DataError for an unknown or unreachable node."""
         parents = self.parent_map()
-        steps_up: dict[str, dict[str, int]] = {}
-        for node_id in node_ids:
-            if node_id not in steps_up:
-                chain = self._ancestors(node_id, parents)
-                steps_up[node_id] = {anc: i for i, anc in enumerate(chain)}
-        out: dict[tuple[str, str], int] = {}
-        for a, up_a in steps_up.items():
-            for b, up_b in steps_up.items():
-                # the first ancestor of b that is also an ancestor of a is the LCA
-                out[a, b] = next(up_a[anc] + i for anc, i in up_b.items() if anc in up_a)
-        return out
+        up_a = {anc: i for i, anc in enumerate(self._ancestors(a, parents))}
+        # the first ancestor of b that is also an ancestor of a is the LCA
+        return next(
+            up_a[anc] + i for i, anc in enumerate(self._ancestors(b, parents)) if anc in up_a
+        )
 
     def rebuild_assignment(self) -> None:
         """Derives the assignment map from leaf service lists.

@@ -13,6 +13,7 @@ from taxonav.builder import (
     BuildReport,
     CategoryDraft,
     TaxonomyBuilder,
+    _resolve_path,
     build,
     build_oneshot,
 )
@@ -113,7 +114,7 @@ def test_design_mixed_axes_gets_exactly_one_reask():
     )
     gateway = gw(ScriptRule(pattern=".*", label="build.design", reply=[mixed, design_json("A", "B")]))
     builder = TaxonomyBuilder(gateway)
-    drafts = builder.design_categories([svc("s1")], "ctx")
+    drafts = builder.design_categories([svc("s1")], "ctx", report=BuildReport())
     assert [d.name for d in drafts] == ["A", "B"]
     design_calls = calls(gateway, "build.design")
     assert len(design_calls) == 2
@@ -126,7 +127,7 @@ def test_design_fails_after_reask():
     gateway = gw(ScriptRule(pattern=".*", label="build.design", reply=design_json("OnlyOne")))
     builder = TaxonomyBuilder(gateway)
     with pytest.raises(DesignError, match="fewer than 2"):
-        builder.design_categories([svc("s1")], "ctx")
+        builder.design_categories([svc("s1")], "ctx", report=BuildReport())
     assert len(calls(gateway, "build.design")) == 2
 
 
@@ -162,7 +163,7 @@ def test_design_truncates_to_max_categories():
 def test_design_empty_payload_raises():
     builder = TaxonomyBuilder(gw())
     with pytest.raises(DesignError, match="zero services"):
-        builder.design_categories([], "ctx")
+        builder.design_categories([], "ctx", report=BuildReport())
 
 
 # -- classification statuses -------------------------------------------------
@@ -214,10 +215,16 @@ def test_classify_prompt_text_is_pinned():
 
 
 def test_classify_single_best_takes_min_index():
-    gateway = gw(ScriptRule(pattern=".*", reply="3, 2"))
-    assert TaxonomyBuilder(gateway).classify_single_best(svc("s1"), six_drafts()) == 2
-    gateway = gw(ScriptRule(pattern=".*", reply="none"))
-    assert TaxonomyBuilder(gateway).classify_single_best(svc("s1"), six_drafts()) is None
+    """The forced choice for a generic service is the classifier on the
+    single-best prompt; its pick is the smallest index the reply names."""
+    gateway = gw(ScriptRule(pattern=".*", label="build.classify", reply="3, 2"))
+    forced = TaxonomyBuilder(gateway)._classifier(six_drafts(), "classify_single_best")
+    assert forced(svc("s1")).matched[0] == 2
+    (call,) = gateway.chat_backend.transcript
+    assert "Choose the single best category" in call.request.user_prompt
+    gateway = gw(ScriptRule(pattern=".*", label="build.classify", reply="none"))
+    forced = TaxonomyBuilder(gateway)._classifier(six_drafts(), "classify_single_best")
+    assert forced(svc("s1")).matched == ()
 
 
 # -- the refine loop ----------------------------------------------------------
@@ -611,6 +618,31 @@ def test_cross_domain_index_refers_to_the_services_the_prompt_listed():
     assert tax.node("root/travel/flights").service_ids == ["f1", "f2", "f3"]
 
 
+@pytest.mark.parametrize("domains", [0, 1])
+def test_cross_domain_with_fewer_than_two_domains_asks_nothing(domains):
+    tax = Taxonomy()
+    parent = tax.root_id
+    if domains:
+        parent = tax.add_child(parent, "Only").node_id
+        tax.add_child(parent, "Leaf")
+    for leaf_id in tax.leaves():
+        tax.node(leaf_id).service_ids = ["s1"]
+    tax.rebuild_assignment()
+    gateway = gw()
+    report = BuildReport()
+    TaxonomyBuilder(gateway).cross_domain_assign(tax, Registry([svc("s1")]), report)
+    assert gateway.chat_backend.transcript == []
+    assert report.cross_domain == {
+        "proposals": 0,
+        "accepted": 0,
+        "duplicates": 0,
+        "skipped": 0,
+        "routing_failures": 0,
+        "extra_assignments_distribution": {},
+    }
+    assert report.warnings == []
+
+
 # -- one-shot builder ---------------------------------------------------------
 
 
@@ -745,6 +777,38 @@ def test_oneshot_prunes_leaves_left_empty_and_their_childless_parents():
     prompts = [c.request.user_prompt for c in calls(gateway, "oneshot.classify")]
     assert len(prompts) == 4
     assert all(outline + "\n" in prompt for prompt in prompts)
+
+
+def three_d_tree() -> Taxonomy:
+    tax = Taxonomy()
+    media = tax.add_child("root", "Media")
+    printing = tax.add_child(media.node_id, "3D Printing")
+    tax.add_child(printing.node_id, "Models")
+    tax.add_child(printing.node_id, "Slicers")
+    return tax
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        "Media > 3D Printing > Models",
+        "1. Media > 3D Printing > Models",
+        "2) Media > 3D Printing > Models",
+        "- Media > 3D Printing > Models",
+        "* 'Media' > \"3D Printing\" > Models",
+        "The best leaf is:\n  1. Media > 3D Printing > Models ",
+    ],
+)
+def test_oneshot_path_keeps_digit_led_category_names(reply):
+    assert _resolve_path(three_d_tree(), reply) == "root/media/3d-printing/models"
+
+
+def test_oneshot_path_strips_one_marker_from_the_line_only():
+    tax = Taxonomy()
+    tax.add_child(tax.add_child("root", "A").node_id, "B")
+    assert _resolve_path(tax, "1. A > B") == "root/a/b"
+    assert _resolve_path(tax, "- A > B") == "root/a/b"
+    assert _resolve_path(tax, "A > 1. B") is None
 
 
 def test_oneshot_plus_refine_fixes_failures():

@@ -706,6 +706,29 @@ def test_a_retry_backoff_that_is_not_a_finite_non_negative_number_exits_3(tmp_pa
     )
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--theta-kw", "0", "thresholds must be positive"),
+        ("--theta-leaf", "0", "thresholds must be positive"),
+        ("--max-depth", "0", "max_depth must be at least 1"),
+        ("--generic-ratio", "0", "generic_ratio must be in (0, 1]"),
+        ("--max-categories", "1", "max_categories must allow at least 2 drafts"),
+        ("--max-refine-iterations", "-5", "max_refine_iterations must be non-negative"),
+        ("--keyword-batch-size", "0", "keyword_batch_size must be positive"),
+        ("--tiny-merge-threshold", "-1", "tiny_merge_threshold must be non-negative"),
+    ],
+)
+def test_a_build_threshold_out_of_range_exits_3_before_config_is_written(
+    tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "o"
+    code = cli.main(["build", flag, value, "--registry", "r.jsonl", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error category=data: {message}\n"
+    assert not (out / cli.CONFIG_FILE).exists()
+
+
 def test_the_http_backend_serves_both_roles():
     cfg = cli.RuntimeConfig(backend="http", endpoint="http://llm.local/v1", api_key="sk-test")
     gateway = cli.make_gateway(cfg)

@@ -296,7 +296,7 @@ def test_merge_builds_at_most_one_parent_map(monkeypatch, sizes, threshold, merg
 
         return wrapper
 
-    for name in ("parent_map", "distances", "node"):
+    for name in ("parent_map", "lca_distance", "node"):
         monkeypatch.setattr(Taxonomy, name, counted(name))
     out = merge_small_groups(hits, threshold)
     assert calls == []
