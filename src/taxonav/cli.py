@@ -2,11 +2,12 @@
 
 Runtime settings resolve in four layers, later ones winning: built-in
 defaults, a --config JSON file, TAXONAV_* environment variables, then
-explicit flags. Flags, config keys and environment variables fill the
-RuntimeConfig fields of the same name (--embed-model and TAXONAV_EMBED_MODEL
-fill embedding_model). The API key is read only from TAXONAV_API_KEY; it
-cannot appear in a config file and is never written to the persisted
-config.json.
+explicit flags. Flags and config keys fill the RuntimeConfig fields of the
+same name (--embed-model fills embedding_model). Each field's variable is
+TAXONAV_ plus its flag, upper-cased with - turned to _ (--embed-model is
+TAXONAV_EMBED_MODEL); an empty variable counts as unset. The API key is
+read only from TAXONAV_API_KEY; it cannot appear in a config file and is
+never written to the persisted config.json.
 
 Exit codes: 0 success, 2 usage, 3 bad data or configuration, 4 backend
 transport failure, 1 anything else.
@@ -52,15 +53,9 @@ BACKENDS = ("mock", "http")
 CONFIG_FILE = "config.json"
 BUILD_REPORT_FILE = "build_report.json"
 
-# env var suffix -> (RuntimeConfig field, parser)
-_ENV_KEYS = {
-    "ENDPOINT": ("endpoint", str),
-    "API_KEY": ("api_key", str),
-    "CHAT_MODEL": ("chat_model", str),
-    "EMBED_MODEL": ("embedding_model", str),
-    "WORKERS": ("workers", int),
-    "RETRIES": ("retries", int),
-}
+# dataclass field annotation -> the parser of an environment variable's text
+_ENV_PARSERS = {"str": str, "str | None": str, "int": int, "float": float}
+
 
 @dataclass
 class RuntimeConfig:
@@ -77,6 +72,21 @@ class RuntimeConfig:
     script: str | None = None
     api_key: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ConfigError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        if self.retries < 1:
+            raise ConfigError("retries must be >= 1")
+        backoff = self.retry_backoff
+        if not (math.isfinite(backoff) and backoff >= 0):
+            raise ConfigError(f"retry_backoff must be a finite number >= 0, not {backoff!r}")
+        if self.backend == "http" and not self.endpoint:
+            raise ConfigError(
+                "the http backend needs an endpoint (--endpoint, config file, or TAXONAV_ENDPOINT)"
+            )
+
     def public_dict(self) -> dict:
         """Everything except the API key; safe to persist."""
         payload = dataclasses.asdict(self)
@@ -84,56 +94,42 @@ class RuntimeConfig:
         return payload
 
 
+def env_vars() -> dict[str, str]:
+    """RuntimeConfig field -> its environment variable: TAXONAV_ plus its flag
+    (its name for the API key, which has none), upper-cased, - turned to _."""
+    flags = {action.dest: action.option_strings[-1] for action in _backend_parent()._actions}
+    return {name: ENV_PREFIX + flags.get(name, name).lstrip("-").replace("-", "_").upper()
+            for name in field_types(RuntimeConfig)}
+
+
 def resolve_runtime(args: argparse.Namespace) -> RuntimeConfig:
-    values = dataclasses.asdict(RuntimeConfig())
     types = field_types(RuntimeConfig)
-
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
-        doc = _json_object("config file", path)
-        if "api_key" in doc:
-            raise ConfigError(
-                "the API key is read only from the TAXONAV_API_KEY environment "
-                "variable; remove 'api_key' from the config file"
-            )
-        for key, value in doc.items():
-            if key not in values:
-                raise ConfigError(f"unknown config key {key!r} in {path}")
-            ok, what = types[key]
-            if not ok(value):
-                raise ConfigError(f"config key {key!r} in {path} must be {what}, not {value!r:.80}")
-            values[key] = value
-
-    for suffix, (field_name, cast) in _ENV_KEYS.items():
-        raw = os.environ.get(ENV_PREFIX + suffix)
-        if raw:
-            try:
-                values[field_name] = cast(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"environment variable {ENV_PREFIX + suffix} must be a {cast.__name__}"
-                ) from None
-
-    for field_name in values:  # each field but api_key is a backend flag's dest
-        flag_value = getattr(args, field_name, None)
-        if flag_value is not None:
-            values[field_name] = flag_value
-
-    cfg = RuntimeConfig(**values)
-    if cfg.backend not in BACKENDS:
-        raise ConfigError(f"unknown backend {cfg.backend!r}; expected one of {BACKENDS}")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if cfg.retries < 1:
-        raise ConfigError("retries must be >= 1")
-    if not (math.isfinite(cfg.retry_backoff) and cfg.retry_backoff >= 0):
-        raise ConfigError(f"retry_backoff must be a finite number >= 0, not {cfg.retry_backoff!r}")
-    if cfg.backend == "http" and not cfg.endpoint:
+    path = Path(args.config) if args.config else None
+    doc = _json_object("config file", path) if path else {}
+    if "api_key" in doc:
         raise ConfigError(
-            "the http backend needs an endpoint (--endpoint, config file, or TAXONAV_ENDPOINT)"
+            "the API key is read only from the TAXONAV_API_KEY environment "
+            "variable; remove 'api_key' from the config file"
         )
-    return cfg
+    for key in doc:
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r} in {path}")
+
+    values, variables = {}, env_vars()
+    for f in dataclasses.fields(RuntimeConfig):
+        name, var, (ok, what) = f.name, variables[f.name], types[f.name]
+        if name in doc and not ok(doc[name]):
+            raise ConfigError(f"config key {name!r} in {path} must be {what}, not {doc[name]!r:.80}")
+        values[name] = doc.get(name, f.default)
+        if raw := os.environ.get(var):  # an empty variable counts as unset
+            try:
+                values[name] = _ENV_PARSERS[f.type](raw)
+            except ValueError:
+                message = f"environment variable {var} must be {what}, not {raw!r:.80}"
+                raise ConfigError(message) from None
+        if getattr(args, name, None) is not None:  # each field but api_key is a flag's dest
+            values[name] = getattr(args, name)
+    return RuntimeConfig(**values)
 
 
 def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
@@ -209,8 +205,10 @@ def _write_config(out_dir: Path, cfg: RuntimeConfig, extra: dict) -> None:
     dump_json(payload, out_dir / CONFIG_FILE)
 
 
-def _build_config(args: argparse.Namespace) -> BuildConfig:
-    return BuildConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(BuildConfig)})
+def _from_flags(cls: type, args: argparse.Namespace):
+    """The ``cls`` settings (BuildConfig or SearchConfig) read from the flags
+    whose dests are its field names; the class checks its own ranges."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -221,7 +219,7 @@ def _build(args: argparse.Namespace, extra: dict, build: Callable) -> tuple:
     ``build(registry, build_cfg, gateway)`` returns. Returns the service
     count, the tree's stats, the report and --out."""
     cfg = resolve_runtime(args)
-    build_cfg = _build_config(args)
+    build_cfg = _from_flags(BuildConfig, args)
     out_dir = Path(args.out)
     _write_config(
         out_dir, cfg, {"command": args.command, **extra, "build": dataclasses.asdict(build_cfg)}
@@ -260,11 +258,10 @@ def cmd_build_oneshot(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = resolve_runtime(args)
+    search_cfg = _from_flags(SearchConfig, args)
     registry, _ = _load_dataset(args)
     taxonomy = taxonomy_io.load(args.taxonomy)
-    gateway = make_gateway(cfg)
-    search_cfg = SearchConfig(mode=args.mode, merge_threshold=args.theta_merge)
-    result = search.retrieve(args.query, taxonomy, registry, gateway, search_cfg)
+    result = search.retrieve(args.query, taxonomy, registry, make_gateway(cfg), search_cfg)
     payload = result.to_dict()
     if not args.trace:
         del payload["trace"]
@@ -298,16 +295,16 @@ def _evaluate(
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_runtime(args)
+    search_cfg = _from_flags(SearchConfig, args)
 
     def retriever(registry: Registry, gateway: LlmGateway):
         taxonomy = taxonomy_io.load(args.taxonomy)
-        search_cfg = SearchConfig(mode=args.mode, merge_threshold=args.theta_merge)
         return lambda case: search.retrieve(case.text, taxonomy, registry, gateway, search_cfg)
 
     extra = {
         "method": "taxonomy",
         "mode": args.mode,
-        "theta_merge": args.theta_merge,
+        "theta_merge": args.merge_threshold,
         "taxonomy": str(args.taxonomy),
     }
     return _evaluate(args, cfg, extra, args.mode, f"taxonomy/{args.mode}", retriever)
@@ -321,6 +318,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         if args.shape is None:
             raise ConfigError(f"method {method!r} needs --k or --shape to pick a top-K")
         k = baselines.default_k(args.shape)
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be positive, not {k}")
     setting = f"k={k}" if method in ("embed", "rewrite") else ""
 
     def retriever(registry: Registry, gateway: LlmGateway):
@@ -422,7 +421,7 @@ def _search_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("search")
     g.add_argument("--mode", choices=MODES, default=SearchConfig.mode)
-    g.add_argument("--theta-merge", dest="theta_merge", type=int,
+    g.add_argument("--theta-merge", dest="merge_threshold", metavar="THETA_MERGE", type=int,
                    default=SearchConfig.merge_threshold, help="merge result groups smaller than this")
     return p
 

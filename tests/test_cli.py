@@ -18,13 +18,25 @@ from conftest import run_fresh
 from taxonav import cli
 from taxonav import taxonomy as taxonomy_io
 from taxonav.builder import BuildConfig
-from taxonav.errors import DiscoveryError
+from taxonav.errors import ConfigError, DiscoveryError
 from taxonav.eval_harness import PerQueryRecord, Summary, load_records, load_summary
 from taxonav.gateway import HttpBackend
 from taxonav.registry import FieldMap, Registry, Service, field_types, load_queries, load_registry
 from taxonav.search import SearchConfig
 
 # -- fixtures ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_runtime_env():
+    """Unsets every runtime variable of the shell the suite runs in, for each
+    test and for the module's shared fixtures (module scope: cli_world's
+    build runs before any function-scoped fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        for var in cli.env_vars().values():
+            patch.delenv(var, raising=False)
+        yield
+
 
 FAMILIES = ("alpha", "beta", "gamma")
 DESIGN_REPLY = json.dumps(
@@ -261,6 +273,28 @@ def test_search_trace_flag_includes_steps(cli_world, capsys):
     assert kinds == ["navigate", "select"]
 
 
+@pytest.mark.parametrize("command", ["search", "eval"])
+def test_a_merge_threshold_below_1_exits_3_before_config_is_written(
+    cli_world, tmp_path, capsys, command
+):
+    run_dir = tmp_path / "run"
+    where = (["--query", "alpha things"] if command == "search" else
+             ["--queries", str(cli_world["queries"]), "--run-dir", str(run_dir)])
+    code = cli.main(
+        [
+            command,
+            "--registry", str(cli_world["registry"]),
+            "--taxonomy", str(cli_world["out"]),
+            "--script", str(cli_world["search_script"]),
+            "--theta-merge", "0",
+            *where,
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr() == ("", "error category=data: merge_threshold must be positive\n")
+    assert not run_dir.exists()
+
+
 # -- eval and baselines --------------------------------------------------------
 
 
@@ -352,6 +386,25 @@ def test_baseline_embed_without_k_or_shape_fails(cli_world, capsys):
     )
     assert code == 3
     assert "needs --k or --shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["embed", "rewrite"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_a_top_k_below_1_exits_3_before_config_is_written(cli_world, tmp_path, capsys, method, k):
+    run_dir = tmp_path / "run"
+    code = cli.main(
+        [
+            "baseline",
+            "--method", method,
+            "--registry", str(cli_world["registry"]),
+            "--queries", str(cli_world["queries"]),
+            "--run-dir", str(run_dir),
+            "--k", k,
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == f"error category=data: k must be positive, not {k}\n"
+    assert not (run_dir / cli.CONFIG_FILE).exists()
 
 
 def test_baseline_pure_llm(cli_world, capsys):
@@ -597,8 +650,6 @@ REQUIRED = {
 def test_every_runtime_field_but_the_api_key_is_a_flag_that_beats_the_config_file(
     tmp_path, monkeypatch, command
 ):
-    for suffix in cli._ENV_KEYS:
-        monkeypatch.delenv(cli.ENV_PREFIX + suffix, raising=False)
     fields = [f.name for f in dataclasses.fields(cli.RuntimeConfig) if f.name != "api_key"]
     assert sorted(FLAG_VALUES) == sorted(fields)
     flags = {action.dest: action.option_strings[-1] for action in cli._backend_parent()._actions}
@@ -618,6 +669,76 @@ def test_every_runtime_field_but_the_api_key_is_a_flag_that_beats_the_config_fil
         name: type(file)(flag) for name, (file, flag) in FLAG_VALUES.items()
     }
     assert from_flags.api_key is None
+
+
+def test_each_runtime_variable_is_its_flag_under_the_prefix():
+    assert cli.env_vars() == {
+        "backend": "TAXONAV_BACKEND",
+        "endpoint": "TAXONAV_ENDPOINT",
+        "chat_model": "TAXONAV_CHAT_MODEL",
+        "embedding_model": "TAXONAV_EMBED_MODEL",
+        "workers": "TAXONAV_WORKERS",
+        "retries": "TAXONAV_RETRIES",
+        "retry_backoff": "TAXONAV_RETRY_BACKOFF",
+        "cache_dir": "TAXONAV_CACHE_DIR",
+        "script": "TAXONAV_SCRIPT",
+        "api_key": "TAXONAV_API_KEY",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_VALUES))
+def test_a_runtime_variable_beats_the_config_file_and_loses_to_the_flag(tmp_path, monkeypatch, name):
+    file, flag = FLAG_VALUES[name]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({field: file for field, (file, _) in FLAG_VALUES.items()}))
+    argv = ["build", *REQUIRED["build"], "--config", str(config)]
+    flag_option = {a.dest: a.option_strings[-1] for a in cli._backend_parent()._actions}[name]
+    var = cli.env_vars()[name]
+
+    monkeypatch.setenv(var, flag)
+    from_env = cli.resolve_runtime(cli.build_parser().parse_args(argv))
+    assert getattr(from_env, name) == type(file)(flag)
+
+    monkeypatch.setenv(var, str(file))
+    from_flag = cli.resolve_runtime(cli.build_parser().parse_args([*argv, flag_option, flag]))
+    assert getattr(from_flag, name) == type(file)(flag)
+
+    monkeypatch.setenv(var, "")  # an empty variable counts as unset
+    assert getattr(cli.resolve_runtime(cli.build_parser().parse_args(argv)), name) == file
+
+
+@pytest.mark.parametrize(
+    "var, value, message",
+    [
+        ("TAXONAV_BACKEND", "bogus", "unknown backend 'bogus'; expected one of ('mock', 'http')"),
+        ("TAXONAV_RETRY_BACKOFF", "nan", "retry_backoff must be a finite number >= 0, not nan"),
+        ("TAXONAV_RETRIES", "0", "retries must be >= 1"),
+    ],
+)
+def test_a_runtime_variable_out_of_range_exits_3_before_config_is_written(
+    tmp_path, monkeypatch, capsys, var, value, message
+):
+    monkeypatch.setenv(var, value)
+    out = tmp_path / "o"
+    code = cli.main(["build", "--registry", "r.jsonl", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error category=data: {message}\n"
+    assert not (out / cli.CONFIG_FILE).exists()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"backend": "bogus"}, "unknown backend"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"retries": 0}, "retries must be >= 1"),
+        ({"retry_backoff": -1.0}, "retry_backoff must be a finite number >= 0"),
+        ({"backend": "http"}, "the http backend needs an endpoint"),
+    ],
+)
+def test_a_runtime_config_built_directly_checks_itself(settings, message):
+    with pytest.raises(ConfigError, match=message):
+        cli.RuntimeConfig(**settings)
 
 
 def test_api_key_comes_from_env_and_is_never_persisted(tmp_path, monkeypatch):
@@ -740,10 +861,19 @@ def test_the_http_backend_serves_both_roles():
 
 
 def test_malformed_env_value_is_rejected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TAXONAV_WORKERS", "many")
-    code = cli.main(["build", "--registry", "r.jsonl", "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "TAXONAV_WORKERS must be a int" in capsys.readouterr().err
+    for var, value, what in [
+        ("TAXONAV_WORKERS", "many", "an integer"),
+        ("TAXONAV_RETRY_BACKOFF", "soon", "a finite number"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setenv(var, value)
+            out = tmp_path / var
+            code = cli.main(["build", "--registry", "r.jsonl", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error category=data: environment variable {var} must be {what}, not {value!r}\n"
+        )
+        assert not (out / cli.CONFIG_FILE).exists()
 
 
 def test_http_backend_requires_endpoint(tmp_path, capsys):
@@ -891,9 +1021,9 @@ def test_a_bad_field_map_exits_3_with_only_a_taxonomy(cli_world, capsys, field_m
 def test_build_and_search_flag_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(["eval", "--registry", "r", "--queries", "q",
                                           "--taxonomy", "t", "--run-dir", "d"])
-    assert SearchConfig(mode=args.mode, merge_threshold=args.theta_merge) == SearchConfig()
+    assert cli._from_flags(SearchConfig, args) == SearchConfig()
     args = cli.build_parser().parse_args(["build", "--registry", "r", "--out", "o"])
-    assert cli._build_config(args) == BuildConfig()
+    assert cli._from_flags(BuildConfig, args) == BuildConfig()
 
 
 def test_help_of_every_subcommand_names_the_threshold_metavars(capsys):
