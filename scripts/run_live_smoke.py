@@ -1,38 +1,48 @@
 #!/usr/bin/env python3
-"""Live smoke run against a real OpenAI-compatible endpoint.
+"""Acceptance criterion 9, live: taxonomy search against full-catalog prompting.
 
-Evaluates taxonomy search and the pure-catalog baseline over a real dataset,
-then checks cost and quality bands: taxonomy search should spend roughly
-3k-15k tokens per query versus 50k-90k for the baseline, and its hit rate
-must stay within two points of the baseline. Requires TAXONAV_ENDPOINT and
-TAXONAV_API_KEY in the environment; the key is never read from flags."""
+Runs `taxonav eval` into OUT/run_taxonomy and `taxonav baseline --method
+pure-llm` into OUT/run_pure_llm, both with --dataset live --backend http and
+every argument not named here, so backend flags, --config and TAXONAV_*
+variables work as for `taxonav build`. Then checks the dataset profile and
+the bands: roughly 3k-15k tokens per query versus 50k-90k, with hit rate
+within two points of the baseline. The registry and queries are read as JSONL
+in the package's own field names. Exits 0 when every check passes, 1 when
+one fails, 3 when the dataset cannot be read, else with a failed run's CLI code."""
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
+import sys
 from pathlib import Path
 
-from taxonav import taxonomy as taxonomy_io
-from taxonav.baselines import pure_llm_retrieve
-from taxonav.cli import RuntimeConfig, make_gateway
-from taxonav.errors import ConfigError
-from taxonav.eval_harness import EvalConfig, evaluate, write_run
-from taxonav.registry import load_queries, load_registry
-from taxonav.search import SearchConfig, retrieve
-
-logger = logging.getLogger("run_live_smoke")
+from taxonav import cli
+from taxonav.errors import DataError
+from taxonav.eval_harness import load_summary
+from taxonav.registry import load_queries, load_registry, mean_ground_truth_size, save_queries
 
 TAXONOMY_TOKEN_BAND = (3_000, 15_000)
 PURE_LLM_TOKEN_BAND = (50_000, 90_000)
 HIT_RATE_MARGIN = 0.02
+# the expected dataset profile, each figure accepted within +-PROFILE_TOLERANCE of it
+EXPECTED_SERVICES = 352
+EXPECTED_QUERIES = 324
+EXPECTED_MEAN_TRUTH = 12.7
+PROFILE_TOLERANCE = 0.5
 
 
-def band_check(name: str, value: float, lo: float, hi: float) -> bool:
-    ok = lo <= value <= hi
-    print(f"{'PASS' if ok else 'FAIL'}: {name} = {value:.1f} (band {lo}-{hi})")
+def check(ok: bool, line: str) -> bool:
+    print(f"{'PASS' if ok else 'FAIL'}: {line}")
     return ok
+
+
+def in_band(name: str, value: float, lo: float, hi: float) -> bool:
+    return check(lo <= value <= hi, f"{name} = {value:.1f} (band {lo:g}-{hi:g})")
+
+
+def near(name: str, value: float, expected: float) -> bool:
+    slack = PROFILE_TOLERANCE * expected
+    return in_band(name, value, expected - slack, expected + slack)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,64 +50,50 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--registry", required=True)
     parser.add_argument("--queries", required=True)
     parser.add_argument("--taxonomy", required=True, help="directory with a built taxonomy")
-    parser.add_argument("--out", required=True, help="directory for the two run artifacts")
-    parser.add_argument("--chat-model", dest="chat_model", default=None)
-    parser.add_argument("--embed-model", dest="embedding_model", default=None)
-    parser.add_argument("--limit", type=int, default=None, help="cap the number of queries")
-    parser.add_argument("--workers", type=int, default=8)
-    parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    parser.add_argument("--out", required=True, help="directory for the two run directories")
+    parser.add_argument("--limit", type=int, default=None, metavar="N",
+                        help="run only the first N queries, written to OUT/queries.jsonl")
+    args, passed_on = parser.parse_known_args(argv)
+    if args.limit is not None and args.limit < 1:
+        parser.error("--limit must be at least 1")
 
-    endpoint = os.environ.get("TAXONAV_ENDPOINT", "")
-    if not endpoint:
-        raise ConfigError("set TAXONAV_ENDPOINT to an OpenAI-compatible base URL")
-    cfg = RuntimeConfig(
-        backend="http",
-        endpoint=endpoint,
-        api_key=os.environ.get("TAXONAV_API_KEY"),
-        workers=args.workers,
-    )
-    if args.chat_model:
-        cfg.chat_model = args.chat_model
-    if args.embedding_model:
-        cfg.embedding_model = args.embedding_model
-    gateway = make_gateway(cfg)
+    try:
+        registry = load_registry(args.registry)
+        queries = load_queries(args.queries, registry)
+    except DataError as exc:
+        print(f"error category=data: {exc}", file=sys.stderr)
+        return 3
+    ok = near("services", len(registry), EXPECTED_SERVICES)
+    ok &= near("queries", len(queries), EXPECTED_QUERIES)
+    ok &= near("mean ground-truth size", mean_ground_truth_size(queries), EXPECTED_MEAN_TRUTH)
 
-    registry = load_registry(args.registry)
-    queries = load_queries(args.queries, registry)
-    if args.limit:
-        queries = queries[: args.limit]
-    taxonomy = taxonomy_io.load(args.taxonomy)
     out = Path(args.out)
+    query_file = args.queries
+    if args.limit is not None:
+        query_file = out / "queries.jsonl"
+        save_queries(queries[: args.limit], query_file)
+    shared = ["--dataset", "live", "--backend", "http", "--registry", args.registry,
+              "--queries", str(query_file), *passed_on]
+    runs = {
+        "taxonomy": ["eval", "--taxonomy", args.taxonomy],
+        "pure_llm": ["baseline", "--method", "pure-llm"],
+    }
+    summaries = {}
+    for name, command in runs.items():
+        run_dir = out / f"run_{name}"
+        code = cli.main([*command, "--run-dir", str(run_dir), *shared])
+        if code:
+            return code
+        summaries[name] = load_summary(run_dir)
 
-    search_cfg = SearchConfig(mode="get_all")
-    tax_summary, tax_records = evaluate(
-        lambda case: retrieve(case.text, taxonomy, registry, gateway, search_cfg),
-        queries,
-        EvalConfig(method="taxonomy", dataset="live", setting="get_all", workers=args.workers),
+    tax, pure = summaries["taxonomy"], summaries["pure_llm"]
+    ok &= in_band("taxonomy tokens/query", tax["tokens_per_query"], *TAXONOMY_TOKEN_BAND)
+    ok &= in_band("pure-llm tokens/query", pure["tokens_per_query"], *PURE_LLM_TOKEN_BAND)
+    ok &= check(
+        tax["hit_rate"] >= pure["hit_rate"] - HIT_RATE_MARGIN,
+        f"hit rate {tax['hit_rate']:.3f} vs pure-llm {pure['hit_rate']:.3f} "
+        f"(margin {HIT_RATE_MARGIN})",
     )
-    write_run(out / "run_taxonomy", tax_summary, tax_records)
-
-    pure_summary, pure_records = evaluate(
-        lambda case: pure_llm_retrieve(case.text, registry, gateway),
-        queries,
-        EvalConfig(method="pure-llm", dataset="live", setting="", workers=args.workers),
-    )
-    write_run(out / "run_pure_llm", pure_summary, pure_records)
-
-    ok = band_check(
-        "taxonomy tokens/query", tax_summary.tokens_per_query, *TAXONOMY_TOKEN_BAND
-    )
-    ok &= band_check(
-        "pure-llm tokens/query", pure_summary.tokens_per_query, *PURE_LLM_TOKEN_BAND
-    )
-    margin_ok = tax_summary.hit_rate >= pure_summary.hit_rate - HIT_RATE_MARGIN
-    print(
-        f"{'PASS' if margin_ok else 'FAIL'}: hit rate {tax_summary.hit_rate:.3f} vs "
-        f"pure-llm {pure_summary.hit_rate:.3f} (margin {HIT_RATE_MARGIN})"
-    )
-    ok &= margin_ok
     return 0 if ok else 1
 
 

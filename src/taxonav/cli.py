@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -39,6 +38,7 @@ from .registry import (
     decode_json,
     dump_json,
     field_types,
+    json_text,
     load_queries,
     load_registry,
     mean_ground_truth_size,
@@ -265,7 +265,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     payload = result.to_dict()
     if not args.trace:
         del payload["trace"]
-    print(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True))
+    sys.stdout.write(json_text(payload))
     return 0
 
 
@@ -352,7 +352,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.taxonomy:
         tax_stats = taxonomy_io.stats(taxonomy_io.load(args.taxonomy))
         payload["taxonomy"] = dataclasses.asdict(tax_stats)
-    print(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True))
+    sys.stdout.write(json_text(payload))
     return 0
 
 

@@ -32,7 +32,8 @@ from .registry import (
     read_json,
     write_atomic,
 )
-from .search import RetrievalResult
+from .gateway import metered
+from .search import RetrievalResult, usage_fields
 
 logger = logging.getLogger(__name__)
 
@@ -140,20 +141,21 @@ def evaluate(
 ) -> tuple[Summary, list[PerQueryRecord]]:
     """Runs the retriever over every query in parallel, in stable order.
 
-    A query whose retrieval raises a package error is recorded as a failure
-    with an empty return instead of aborting the run.
+    A query whose retrieval raises a package error is recorded as a failure,
+    with an empty return and the calls it made, instead of aborting the run.
     """
     if not queries:
         raise ConfigError("cannot evaluate over an empty query list")
 
     def run_one(query: QueryCase) -> PerQueryRecord:
         error = None
-        try:
-            result = retrieve_fn(query)
-        except DiscoveryError as exc:
-            logger.error("retrieval failed for query %s: %s", query.id, exc)
-            result = RetrievalResult(service_ids=[])
-            error = str(exc)
+        with metered() as usage:
+            try:
+                result = retrieve_fn(query)
+            except DiscoveryError as exc:
+                logger.error("retrieval failed for query %s: %s", query.id, exc)
+                result = RetrievalResult(service_ids=[], **usage_fields(usage.snapshot()))
+                error = str(exc)
         hit, recall, precision = score_query(result.service_ids, query.ground_truth)
         return PerQueryRecord(
             query_id=query.id,

@@ -16,7 +16,8 @@ assignment rebuild and statistics) raises the first as DataError.
 
 Persistence splits into two files: taxonomy.json (nodes, child order,
 boundaries, leaf service lists) and class.json (service id -> ordered leaf
-ids, primary placement first). ``load`` checks the type of every field.
+ids, primary placement first). ``load`` checks the type of every field,
+and raises the first ``_assignment_faults`` where the files disagree.
 """
 
 from __future__ import annotations
@@ -279,10 +280,40 @@ class Violation:
     detail: str
 
 
+def _assignment_faults(nodes: dict[str, TaxonomyNode], assignment: dict) -> list[Violation]:
+    """Every way the assignment map and the leaf service lists disagree, in
+    the order met: an entry that is no non-empty list; a leaf id that is
+    unknown, not a leaf, or a leaf without the service; then, leaf by leaf,
+    each service the map does not list under its leaf."""
+    held = {node_id: set(node.service_ids) for node_id, node in nodes.items() if not node.children}
+    listed: dict[str, set[str]] = {node_id: set() for node_id in held}
+    faults = []  # (service id, detail)
+    for sid, leaf_ids in assignment.items():
+        if not isinstance(leaf_ids, list) or not leaf_ids:
+            faults.append((sid, f"service {sid!r} must map to a non-empty list"))
+            continue
+        for leaf_id in leaf_ids:
+            leaf = nodes.get(leaf_id) if isinstance(leaf_id, str) else None
+            if leaf is None:
+                faults.append((sid, f"service {sid!r} references unknown leaf {leaf_id!r}"))
+            elif leaf.children:
+                faults.append((sid, f"service {sid!r} references non-leaf {leaf_id!r}"))
+            elif sid in held[leaf_id]:
+                listed[leaf_id].add(sid)
+            else:
+                faults.append((sid, f"service {sid!r} assigned to leaf {leaf_id!r} "
+                                    "but missing from its service list"))
+    for leaf_id, sids in held.items():
+        if len(listed[leaf_id]) < len(sids):  # only then can a service here be unlisted
+            faults += [(sid, f"leaf {leaf_id!r} holds service {sid!r} absent from the assignment map")
+                       for sid in nodes[leaf_id].service_ids if sid not in listed[leaf_id]]
+    return [Violation("assignment-mismatch", sid, detail) for sid, detail in faults]
+
+
 def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list[Violation]:
     """Reports violations instead of raising: every tree-shape fault of
     ``_walk``, then over-depth nodes, duplicate and dangling services,
-    uncovered services and assignment entries that no leaf backs."""
+    uncovered services, and every assignment fault ``load`` would raise."""
     order, violations = _walk(taxonomy.nodes, taxonomy.root_id)
     held: dict[str, set[str]] = {}
     for node_id in sorted(taxonomy.nodes):
@@ -311,14 +342,7 @@ def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list
         if svc.id not in covered:
             violations.append(Violation("uncovered", svc.id, "service appears in no leaf"))
 
-    for sid, leaf_ids in taxonomy.assignment.items():
-        for leaf_id in leaf_ids:
-            node = taxonomy.nodes.get(leaf_id)
-            if node is None or not node.is_leaf() or sid not in held[leaf_id]:
-                violations.append(
-                    Violation("assignment-mismatch", sid, f"assignment names leaf {leaf_id!r}")
-                )
-    return violations
+    return violations + _assignment_faults(taxonomy.nodes, taxonomy.assignment)
 
 
 # -- persistence -----------------------------------------------------------
@@ -436,30 +460,9 @@ def load(directory: str | Path) -> Taxonomy:
     if faults:
         raise SchemaError(f"{tax_path}: {faults[0].detail}")
 
-    held = {node_id: set(node.service_ids) for node_id, node in nodes.items() if node.is_leaf()}
-    for sid, leaf_ids in assignment.items():
-        if not isinstance(leaf_ids, list) or not leaf_ids:
-            raise SchemaError(f"{class_path}: service {sid!r} must map to a non-empty list")
-        for leaf_id in leaf_ids:
-            leaf = nodes.get(leaf_id) if isinstance(leaf_id, str) else None
-            if leaf is None:
-                raise SchemaError(f"{class_path}: service {sid!r} references unknown leaf {leaf_id!r}")
-            if leaf.children:
-                raise SchemaError(f"{class_path}: service {sid!r} references non-leaf {leaf_id!r}")
-            if sid not in held[leaf_id]:
-                raise SchemaError(
-                    f"{class_path}: service {sid!r} assigned to leaf {leaf_id!r} "
-                    "but missing from its service list"
-                )
-
-    for node in nodes.values():
-        if node.is_leaf():
-            for sid in node.service_ids:
-                if sid not in assignment or node.node_id not in assignment[sid]:
-                    raise SchemaError(
-                        f"{class_path}: leaf {node.node_id!r} holds service {sid!r} "
-                        "absent from the assignment map"
-                    )
+    faults = _assignment_faults(nodes, assignment)
+    if faults:
+        raise SchemaError(f"{class_path}: {faults[0].detail}")
 
     taxonomy = Taxonomy(nodes=nodes, root_id=root_id, assignment=assignment)
     logger.info(

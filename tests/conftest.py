@@ -89,16 +89,22 @@ def make_oracle_gateway(world, **kwargs) -> LlmGateway:
     )
 
 
-def run_fresh(source: str, *argv: str) -> str:
-    """Runs ``source`` with ``argv`` in a new interpreter that imports this
-    taxonav, and returns its stdout: for checks on ``sys.modules``, which a
-    test process has long since filled."""
+def run_python(*args: str, timeout: float | None = 120) -> subprocess.CompletedProcess:
+    """Runs ``python args`` in a new interpreter that imports this taxonav,
+    with this process's environment, and returns the finished process."""
     src = str(Path(taxonav.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", source, *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_fresh(source: str, *argv: str) -> str:
+    """Runs ``source`` with ``argv`` in a new interpreter and returns its
+    stdout: for checks on ``sys.modules``, which a test process has long
+    since filled."""
+    result = run_python("-c", source, *argv)
     assert result.returncode == 0, result.stderr
     return result.stdout
 

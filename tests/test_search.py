@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RecordingChatBackend, bfs_distance, random_tree
-from taxonav.errors import ConfigError, DataError
+from taxonav.errors import ConfigError, DataError, TransportError
 from taxonav.eval_harness import EvalConfig, evaluate
-from taxonav.gateway import LlmGateway, ScriptRule
+from taxonav.gateway import LlmGateway, ScriptRule, estimate_tokens
 from taxonav.registry import QueryCase, Registry, Service
 from taxonav.search import (
     NAVIGATE_INSTRUCTIONS,
@@ -606,3 +606,30 @@ def test_a_walk_that_revisits_a_node_raises_data_error():
         EvalConfig(method="taxonomy", workers=1),
     )
     assert "node 'root' twice" in records[0].error
+
+
+def test_a_failed_query_records_the_calls_it_made_before_failing():
+    tax = Taxonomy()
+    leaf(tax, "root", "A", ["s1", "s2"])
+    leaf(tax, "root", "B", ["s3"])
+
+    def oracle(label, request):
+        if label == "search.select":
+            raise TransportError("select timed out")
+        return "1"
+
+    backend = RecordingChatBackend(oracle=oracle)
+    gateway = LlmGateway(chat_backend=backend, retries=1)
+    query = QueryCase(id="q1", text="find s1", ground_truth=frozenset({"s1"}))
+    _, records = evaluate(
+        lambda q: retrieve(q.text, tax, make_registry(["s1", "s2", "s3"]), gateway),
+        [query],
+        EvalConfig(method="taxonomy", workers=1),
+    )
+    [navigate_call] = backend.transcript
+    request = navigate_call.request
+    record = records[0]
+    assert "select timed out" in record.error
+    assert (record.calls, record.prompt_tokens, record.output_tokens) == (
+        1, estimate_tokens(request.system_prompt + request.user_prompt), estimate_tokens("1"),
+    )

@@ -328,6 +328,21 @@ def test_load_rejects_assignment_missing_leaf_service(tmp_path):
         load(tmp_path)
 
 
+def test_validate_reports_the_assignment_fault_that_load_raises(tmp_path):
+    tax = small_tree()
+    tax.node("root/b").service_ids.append("s1")  # the map lists s1 under root/a/a1 only
+    assert [(v.kind, v.subject, v.detail) for v in validate(tax, registry_for(tax))] == [
+        ("assignment-mismatch", "s1",
+         "leaf 'root/b' holds service 's1' absent from the assignment map"),
+    ]
+    save(tax, tmp_path)
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == (
+        f"{tmp_path / 'class.json'}: leaf 'root/b' holds service 's1' absent from the assignment map"
+    )
+
+
 def test_load_rejects_unknown_leaf_reference(tmp_path):
     save(small_tree(), tmp_path)
     doc = json.loads((tmp_path / "class.json").read_text())
@@ -391,7 +406,9 @@ def cyclic_tree() -> Taxonomy:
     """root -> a -> root, with a leaf b under a."""
     tax = Taxonomy()
     a = tax.add_child("root", "A")
-    tax.add_child(a.node_id, "B").service_ids = ["s1"]
+    b = tax.add_child(a.node_id, "B")
+    b.service_ids = ["s1"]
+    tax.assignment = {"s1": [b.node_id]}
     a.children.append("root")
     return tax
 
