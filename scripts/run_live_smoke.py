@@ -6,20 +6,23 @@ pure-llm` into OUT/run_pure_llm, both with --dataset live --backend http and
 every argument not named here, so backend flags, --config and TAXONAV_*
 variables work as for `taxonav build`. Then checks the dataset profile and
 the bands: roughly 3k-15k tokens per query versus 50k-90k, with hit rate
-within two points of the baseline. The registry and queries are read as JSONL
-in the package's own field names. Exits 0 when every check passes, 1 when
-one fails, 3 when the dataset cannot be read, else with a failed run's CLI code."""
+within two points of the baseline. The registry and queries are read with
+--format and --field-map as the two runs read them. Exits 0 when every check
+passes, 1 when one fails, 3 when the dataset cannot be read, else with a
+failed run's CLI code (4 when every query of a run failed)."""
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from taxonav import cli
-from taxonav.errors import DataError
+from taxonav.errors import ConfigError, DataError
 from taxonav.eval_harness import load_summary
-from taxonav.registry import load_queries, load_registry, mean_ground_truth_size, save_queries
+from taxonav.registry import _iter_records, mean_ground_truth_size, write_atomic
 
 TAXONOMY_TOKEN_BAND = (3_000, 15_000)
 PURE_LLM_TOKEN_BAND = (50_000, 90_000)
@@ -46,34 +49,40 @@ def near(name: str, value: float, expected: float) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--registry", required=True)
+    # --registry, --format and --field-map as the CLI defines them
+    parser = argparse.ArgumentParser(description=__doc__, parents=[cli._dataset_parent()])
     parser.add_argument("--queries", required=True)
     parser.add_argument("--taxonomy", required=True, help="directory with a built taxonomy")
     parser.add_argument("--out", required=True, help="directory for the two run directories")
     parser.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="run only the first N queries, written to OUT/queries.jsonl")
+                        help="run only the first N queries, written to OUT/queries.FORMAT")
     args, passed_on = parser.parse_known_args(argv)
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be at least 1")
 
+    out = Path(args.out)
+    query_file = args.queries
     try:
-        registry = load_registry(args.registry)
-        queries = load_queries(args.queries, registry)
-    except DataError as exc:
+        registry, queries = cli._load_dataset(args, args.queries)
+        if args.limit is not None:  # the first N records, in the input's own format and keys
+            query_file = out / f"queries.{args.format}"
+            records = _iter_records(Path(args.queries), args.format)
+            head = [record for _, record in islice(records, args.limit)]
+            if args.format == "jsonl":
+                lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in head]
+            else:
+                lines = [json.dumps(head, ensure_ascii=False) + "\n"]
+            write_atomic({query_file: lines})
+    except (DataError, ConfigError) as exc:
         print(f"error category=data: {exc}", file=sys.stderr)
         return 3
     ok = near("services", len(registry), EXPECTED_SERVICES)
     ok &= near("queries", len(queries), EXPECTED_QUERIES)
     ok &= near("mean ground-truth size", mean_ground_truth_size(queries), EXPECTED_MEAN_TRUTH)
 
-    out = Path(args.out)
-    query_file = args.queries
-    if args.limit is not None:
-        query_file = out / "queries.jsonl"
-        save_queries(queries[: args.limit], query_file)
+    dataset = ["--format", args.format, *(["--field-map", args.field_map] if args.field_map else [])]
     shared = ["--dataset", "live", "--backend", "http", "--registry", args.registry,
-              "--queries", str(query_file), *passed_on]
+              "--queries", str(query_file), *dataset, *passed_on]
     runs = {
         "taxonomy": ["eval", "--taxonomy", args.taxonomy],
         "pure_llm": ["baseline", "--method", "pure-llm"],

@@ -10,7 +10,8 @@ read only from TAXONAV_API_KEY; it cannot appear in a config file and is
 never written to the persisted config.json.
 
 Exit codes: 0 success, 2 usage, 3 bad data or configuration, 4 backend
-transport failure, 1 anything else.
+transport failure or an eval run in which every query failed, 1 anything
+else.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .registry import (
     load_queries,
     load_registry,
     mean_ground_truth_size,
+    read_json,
     registry_stats,
 )
 from .search import MODES, SearchConfig
@@ -156,12 +158,10 @@ def _json_object(what: str, path: Path | None = None, *, text: str | None = None
     Raises ConfigError naming ``what`` and the path when the file cannot be
     read, is not JSON, or does not hold an object."""
     where = what if path is None else f"{what} {path}"
-    if text is None:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read {where}: {exc}") from exc
-    doc = decode_json(text, ConfigError, where)
+    if path is None:
+        doc = decode_json(text, ConfigError, where)
+    else:
+        doc = read_json(path, ConfigError, where)
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must hold a JSON object")
     return doc
@@ -199,7 +199,6 @@ def _load_dataset(
 
 def _write_config(out_dir: Path, cfg: RuntimeConfig, extra: dict) -> None:
     """Persists the effective run configuration before any work happens."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = cfg.public_dict()
     payload.update(extra)
     dump_json(payload, out_dir / CONFIG_FILE)
@@ -275,7 +274,8 @@ def _evaluate(
 ) -> int:
     """Writes config.json, then scores the per-query retriever that
     ``retriever(registry, gateway)`` returns, writes the run to --run-dir and
-    prints its summary line under ``title``."""
+    prints its summary line under ``title``. Returns 4 when every query
+    failed, else 0."""
     run_dir = Path(args.run_dir)
     _write_config(run_dir, cfg, {"command": args.command, **extra, "dataset": args.dataset})
 
@@ -290,6 +290,10 @@ def _evaluate(
         f"{title}: hit_rate={summary.hit_rate:.3f} recall={summary.recall:.3f} "
         f"over {summary.query_count} queries -> {run_dir}"
     )
+    if summary.failure_count == summary.query_count:
+        records_file = run_dir / eval_harness.PER_QUERY_FILE
+        count = summary.query_count
+        return _fail("backend", f"every query failed ({count} of {count}); see {records_file}", 4)
     return 0
 
 
@@ -511,8 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("internal", exc, 1)
 
 
-def _fail(category: str, exc: Exception, code: int) -> int:
-    print(f"error category={category}: {exc}", file=sys.stderr)
+def _fail(category: str, error: object, code: int) -> int:
+    print(f"error category={category}: {error}", file=sys.stderr)
     return code
 
 

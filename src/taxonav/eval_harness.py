@@ -14,6 +14,7 @@ recomputable from the per-query lines bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from collections.abc import Callable, Iterable, Sequence
@@ -198,10 +199,7 @@ def write_run(run_dir: str | Path, summary: Summary, records: Sequence[PerQueryR
 
 
 def load_summary(run_dir: str | Path) -> dict:
-    path = Path(run_dir) / SUMMARY_FILE
-    if not path.exists():
-        raise SchemaError(f"run {run_dir} has no {SUMMARY_FILE}")
-    summary = read_json(path, SchemaError)
+    summary = read_json(Path(run_dir) / SUMMARY_FILE, SchemaError)
     if not isinstance(summary, dict):
         raise SchemaError(f"run {run_dir}: {SUMMARY_FILE} must hold a JSON object")
     check_fields(summary, field_types(Summary), f"run {run_dir}: summary", SchemaError)
@@ -210,8 +208,6 @@ def load_summary(run_dir: str | Path) -> dict:
 
 def load_records(run_dir: str | Path) -> list[PerQueryRecord]:
     path = Path(run_dir) / PER_QUERY_FILE
-    if not path.exists():
-        raise SchemaError(f"run {run_dir} has no {PER_QUERY_FILE}")
     return [
         PerQueryRecord.from_dict(record, f"{path}: line {lineno}: per-query record")
         for lineno, record in iter_jsonl(path, SchemaError)
@@ -262,14 +258,13 @@ class ComparisonTable:
         return "\n".join(lines)
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fields = list(field_types(Summary))
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({key: row[key] for key in fields})
+        fields = list(field_types(Summary))
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=fields)
+        writer.writeheader()
+        for row in self.rows:
+            writer.writerow({key: row[key] for key in fields})
+        write_atomic({Path(path): [text.getvalue()]})
 
 
 def compare(run_dirs: Sequence[str | Path]) -> ComparisonTable:

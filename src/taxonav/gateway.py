@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, TypeVar
 
 from .errors import (
     ConfigError,
+    DataError,
     GatewayError,
     IndexParseError,
     MalformedReplyError,
@@ -482,7 +483,7 @@ class MockEmbeddingBackend:
         return list(vec)
 
     def embed(self, texts: list[str], model: str) -> list[list[float]]:
-        return [list(self.vectors.get(t, self._fallback(t))) for t in texts]
+        return [list(self.vectors[t]) if t in self.vectors else self._fallback(t) for t in texts]
 
 
 class _Pool:
@@ -675,37 +676,45 @@ class LlmGateway:
             if key in self._memory_cache:
                 return self._memory_cache[key]
         if self.cache_dir is not None:
-            path = self.cache_dir / f"{key}.npy"
-            if path.exists():
-                import numpy as np
+            import numpy as np
 
-                try:
-                    vec = np.load(path)
-                except (OSError, ValueError, EOFError) as exc:
-                    logger.warning("unreadable embedding cache entry %s (%s)", path, exc)
-                    return None
-                with self._cache_lock:
-                    self._memory_cache[key] = vec
-                return vec
+            path = self.cache_dir / f"{key}.npy"
+            try:
+                vec = np.load(path)
+            except FileNotFoundError:  # a miss
+                return None
+            except (OSError, ValueError, EOFError) as exc:
+                logger.warning("unreadable embedding cache entry %s (%s)", path, exc)
+                return None
+            with self._cache_lock:
+                self._memory_cache[key] = vec
+            return vec
         return None
 
     def _cache_store(self, key: str, vec: np.ndarray) -> None:
         """Writes to a temporary file in the cache directory and renames it
-        into place, so a reader never sees a partly written entry."""
+        into place, so a reader never sees a partly written entry. An entry
+        that cannot be written raises DataError naming it, and leaves no
+        temporary file."""
         with self._cache_lock:
             self._memory_cache[key] = vec
         if self.cache_dir is not None:
             import numpy as np
 
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            path, tmp = self.cache_dir / f"{key}.npy", None
             try:
+                with suppress(FileExistsError):  # a regular file there fails mkstemp
+                    self.cache_dir.mkdir(parents=True)
+                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
                 with os.fdopen(fd, "wb") as fh:
                     np.save(fh, vec)
-                os.replace(tmp, self.cache_dir / f"{key}.npy")
-            except BaseException:
-                with suppress(OSError):
-                    os.unlink(tmp)
+                os.replace(tmp, path)
+            except BaseException as exc:
+                if tmp is not None:
+                    with suppress(OSError):
+                        os.unlink(tmp)
+                if isinstance(exc, OSError):
+                    raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
                 raise
 
     def embed(self, texts: Sequence[str], *, model: str | None = None) -> list[np.ndarray]:

@@ -99,19 +99,24 @@ _encode = json.encoder.encode_basestring
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError, error: type[DataError]) -> DataError:
-    """The error for a file that is not UTF-8 text, naming the line (ended
-    by LF, CRLF or CR) and the byte offset of its first undecodable byte.
-    The file is read again whole: ``exc`` may come from a part of it."""
+def _read_error(
+    path: Path, exc: OSError | UnicodeDecodeError, error: type[DiscoveryError], where: str
+) -> DiscoveryError:
+    """The error, led by ``where``, for a file that cannot be read or is not
+    UTF-8 text. The latter names the line (ended by LF, CRLF or CR) and the
+    byte offset of the first undecodable byte, found by reading the file
+    again whole, since ``exc`` may come from a part of it."""
+    if isinstance(exc, OSError):
+        return error(f"{where}: cannot read ({exc.strerror})")
     try:
         path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as whole:
-        exc = whole
-    else:  # the file changed since the failed read
-        return error(f"{path}: not UTF-8 ({exc.reason})")
-    head = exc.object[: exc.start].decode("utf-8")
-    line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-    return error(f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})")
+        head = whole.object[: whole.start].decode("utf-8")
+        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return error(f"{where}: line {line}: not UTF-8 ({whole.reason} at byte {whole.start})")
+    except OSError:
+        pass
+    return error(f"{where}: not UTF-8 ({exc.reason})")  # the file changed since the failed read
 
 
 def decode_json(text: str, error: type[DiscoveryError], where: str) -> object:
@@ -180,27 +185,29 @@ def check_fields(
             raise error(f"{where} field {key!r} must be {what}")
 
 
-def read_json(path: Path, error: type[DataError] = DataError) -> object:
-    """The JSON value of a whole UTF-8 file. Raises ``error`` naming the
-    file when it is not UTF-8 text or not one JSON value."""
+def read_json(path: Path, error: type[DiscoveryError] = DataError, where: str | None = None) -> object:
+    """The JSON value of a whole UTF-8 file. Raises ``error``, led by
+    ``where`` (default: the path), when the file cannot be read, is not
+    UTF-8 text or is not one JSON value."""
+    where = where or str(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, error) from exc
-    return decode_json(text, error, str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _read_error(path, exc, error, where) from exc
+    return decode_json(text, error, where)
 
 
 def iter_jsonl(path: Path, error: type[DataError] = DataError) -> Iterator[tuple[int, object]]:
     """Yields (line number, record) for each non-blank line of a jsonl file,
-    read one line at a time. Raises ``error`` naming the line that is not
-    UTF-8 text or not one JSON value.
+    read one line at a time. Raises ``error`` naming the file when it cannot
+    be read, or the line that is not UTF-8 text or not one JSON value.
 
     Lines end at a newline (CRLF and CR too), never at the other Unicode
     line breaks, such as U+2028, that json.dumps writes unescaped inside
     strings.
     """
-    with path.open(encoding="utf-8") as fh:
-        try:
+    try:
+        with path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -212,8 +219,8 @@ def iter_jsonl(path: Path, error: type[DataError] = DataError) -> Iterator[tuple
                 if end != len(line):  # not one JSON value: decode_json raises the error
                     record = decode_json(line, error, f"{path}: line {lineno}")
                 yield lineno, record
-        except UnicodeDecodeError as exc:  # raised by the read, which decodes ahead
-            raise _not_utf8(path, exc, error) from exc
+    except (OSError, UnicodeDecodeError) as exc:  # the read decodes ahead of the line
+        raise _read_error(path, exc, error, str(path)) from exc
 
 
 def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
@@ -221,8 +228,6 @@ def _iter_records(path: Path, format: str) -> Iterator[tuple[int, object]]:
     index in a json array. ``_where`` turns the number into an error locator."""
     if format not in FORMATS:
         raise DataError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
     if format == "jsonl":
         yield from iter_jsonl(path)
         return
@@ -278,16 +283,17 @@ def load_registry(
 def write_atomic(files: dict[Path, Iterable[str]]) -> None:
     """Writes each path's text, chunk by chunk, to a temporary file in the
     path's directory, then renames every temporary file onto its path; no
-    path ever holds part of a write. Text UTF-8 cannot encode, such as a
-    lone surrogate, raises DataError naming its path. On any error before
-    the renames, every temporary file is removed and every path is left as
-    it was."""
+    path ever holds part of a write, and no newline is translated. A path
+    that cannot be written, or text UTF-8 cannot encode, raises DataError
+    naming its path. On any error before the renames, every temporary file
+    is removed and every path is left as it was."""
     temps: list[Path] = []
     try:
         for path, chunks in files.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
+            with suppress(FileExistsError):  # a regular file there fails the open below
+                path.parent.mkdir(parents=True)
             tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-            with tmp.open("x", encoding="utf-8") as fh:
+            with tmp.open("x", encoding="utf-8", newline="") as fh:
                 temps.append(tmp)
                 try:
                     fh.writelines(chunks)
@@ -296,10 +302,12 @@ def write_atomic(files: dict[Path, Iterable[str]]) -> None:
                     raise DataError(f"{path}: cannot write as UTF-8 ({exc.reason}: {bad!r})") from exc
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in temps:
             with suppress(OSError):
                 tmp.unlink()
+        if isinstance(exc, OSError):
+            raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
         raise
 
 

@@ -421,9 +421,6 @@ def load(directory: str | Path) -> Taxonomy:
     directory = Path(directory)
     tax_path = directory / TAXONOMY_FILE
     class_path = directory / CLASS_FILE
-    for path in (tax_path, class_path):
-        if not path.exists():
-            raise DataError(f"missing taxonomy file: {path}")
     doc = read_json(tax_path, SchemaError)
     assignment = read_json(class_path, SchemaError)
 

@@ -518,3 +518,40 @@ def test_live_smoke_runs_the_cli_with_its_runtime_settings(
         assert (config["chat_model"], config["workers"], config["retries"]) == ("real-chat", 2, 5)
         assert (config["backend"], config["dataset"]) == ("mock", "live")
         assert json.loads((run_dir / "summary.json").read_text())["query_count"] == 5
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "json"])
+def test_live_smoke_reads_the_dataset_through_its_field_map(world200, latent_build, tmp_path, fmt):
+    """A dataset keyed tool_id: the script's own read, its --limit file and
+    both runs go through the one --format and --field-map."""
+    def write(path: Path, records: list[dict]) -> None:
+        if fmt == "jsonl":
+            path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        else:
+            path.write_text(json.dumps(records))
+
+    taxonomy_io.save(latent_build[0], tmp_path / "taxonomy")
+    write(tmp_path / f"registry.{fmt}",
+          [{"tool_id": s.id, "name": s.name, "description": s.description} for s in world200.registry])
+    queries = [{"tool_id": q.id, "text": q.text, "ground_truth": sorted(q.ground_truth)}
+               for q in world200.queries]
+    write(tmp_path / f"queries.{fmt}", queries)
+    (tmp_path / "script.json").write_text(json.dumps({"default_reply": "1"}))
+
+    out = tmp_path / "smoke"
+    result = run_python(
+        str(LIVE_SMOKE_SCRIPT),
+        *("--registry", str(tmp_path / f"registry.{fmt}"), "--queries", str(tmp_path / f"queries.{fmt}")),
+        *("--taxonomy", str(tmp_path / "taxonomy"), "--out", str(out), "--limit", "2"),
+        *("--format", fmt, "--field-map", '{"id": "tool_id", "query_id": "tool_id"}'),
+        *("--backend", "mock", "--script", str(tmp_path / "script.json")),
+    )
+    assert result.returncode == 1, result.stderr  # mock token counts miss the live bands
+    written = (out / f"queries.{fmt}").read_text()
+    if fmt == "jsonl":
+        assert [json.loads(line) for line in written.splitlines()] == queries[:2]
+    else:
+        assert json.loads(written) == queries[:2]
+    for run in ("run_taxonomy", "run_pure_llm"):
+        summary = json.loads((out / run / "summary.json").read_text())
+        assert (summary["query_count"], summary["failure_count"]) == (2, 0)

@@ -431,6 +431,23 @@ def test_baseline_pure_llm(cli_world, capsys):
     assert summary["calls_per_query"] == 1.0
 
 
+def test_an_eval_in_which_every_query_fails_exits_4_and_writes_the_run(cli_world, tmp_path, capsys):
+    (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code = cli.main(
+        ["eval", "--registry", str(cli_world["registry"]), "--queries", str(cli_world["queries"]),
+         "--taxonomy", str(cli_world["out"]), "--run-dir", str(run_dir),
+         "--script", str(tmp_path / "empty.json")]
+    )
+    assert code == 4
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["failure_count"] == summary["query_count"] == 2
+    assert capsys.readouterr().err.endswith(
+        "error category=backend: every query failed (2 of 2); "
+        f"see {run_dir / 'per_query.jsonl'}\n"
+    )
+
+
 def test_compare_renders_table_and_csv(cli_world, capsys, tmp_path):
     csv_path = tmp_path / "table.csv"
     run_dirs = [str(cli_world["root"] / "run_tax"), str(cli_world["root"] / "run_embed")]
@@ -926,9 +943,9 @@ def test_an_input_file_that_is_not_utf8_exits_3(cli_world, tmp_path, capsys, fla
          "--out", str(tmp_path / "o")]
     )
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error category=data: cannot read {what} {path}: ")
-    assert "can't decode byte 0xff in position 2: invalid start byte" in err
+    assert capsys.readouterr().err == (
+        f"error category=data: {what} {path}: line 1: not UTF-8 (invalid start byte at byte 2)\n"
+    )
 
 
 def test_a_registry_that_is_not_utf8_exits_3(cli_world, tmp_path, capsys):
@@ -948,6 +965,7 @@ DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit
 READS = {
     "registry.jsonl": ["stats", "--registry", "{path}"],
     "registry.json": ["stats", "--registry", "{path}", "--format", "json"],
+    "queries.jsonl": ["stats", "--registry", "{registry}", "--queries", "{path}"],
     "config.json": ["build", "--registry", "{registry}", "--config", "{path}", "--out", "{dir}/o"],
     "script.json": ["build", "--registry", "{registry}", "--script", "{path}", "--out", "{dir}/o"],
     "field_map.json": ["stats", "--registry", "{registry}", "--field-map", "{path}"],
@@ -991,6 +1009,49 @@ def test_an_input_the_json_decoder_rejects_exits_3(cli_world, tmp_path, capsys, 
     fields = {"path": path, "dir": tmp_path, "registry": cli_world["registry"]}
     assert cli.main([arg.format(**fields) for arg in READS[name]]) == 3
     assert capsys.readouterr().err.startswith("error category=data: " + message.format(**fields))
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+@pytest.mark.parametrize("name", sorted(READS))
+def test_an_input_that_cannot_be_read_exits_3(cli_world, tmp_path, capsys, name, kind):
+    path = tmp_path / "in" / name
+    if kind == "directory":
+        path.mkdir(parents=True)
+    reason = "Is a directory" if kind == "directory" else "No such file or directory"
+    lead = {"config.json": "config file ", "script.json": "mock script ",
+            "field_map.json": "field map file "}.get(name, "")
+    fields = {"path": path, "dir": path.parent, "registry": cli_world["registry"]}
+    assert cli.main([arg.format(**fields) for arg in READS[name]]) == 3
+    assert capsys.readouterr().err == f"error category=data: {lead}{path}: cannot read ({reason})\n"
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["build", "--registry", "{registry}", "--out", "{target}", "--theta-leaf", "1000"],
+         "/config.json"),
+        (["eval", "--registry", "{registry}", "--queries", "{queries}", "--taxonomy", "{taxonomy}",
+          "--run-dir", "{target}"], "/config.json"),
+        (["compare", "{run}", "--csv", "{target}"], ""),
+        (["baseline", "--method", "embed", "--k", "2", "--registry", "{registry}",
+          "--queries", "{queries}", "--run-dir", "{run}", "--cache-dir", "{target}"],
+         r"/[0-9a-f]{64}\.npy"),
+    ],
+    ids=["build-out", "eval-run-dir", "compare-csv", "baseline-cache-dir"],
+)
+def test_an_output_under_a_regular_file_exits_3(cli_world, tmp_path, capsys, argv, entry):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "out"
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "summary.json").write_text(json.dumps(SUMMARY), encoding="utf-8")
+    fields = {"target": target, "run": run, "registry": cli_world["registry"],
+              "queries": cli_world["queries"], "taxonomy": cli_world["out"]}
+    assert cli.main([arg.format(**fields) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    named = re.escape(f"error category=data: {target}") + entry
+    assert re.fullmatch(named + re.escape(": cannot write (Not a directory)\n"), err), err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_an_inline_field_map_that_is_not_json_exits_3(cli_world, capsys):

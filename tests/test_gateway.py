@@ -569,12 +569,13 @@ def test_embed_checks_dimensions_across_batches():
     assert len(backend.batches) == 2
 
 
-def test_embed_memory_and_disk_cache(tmp_path):
+def test_embed_memory_and_disk_cache(tmp_path, caplog):
     backend = RecordingEmbeddingBackend()
     gw = LlmGateway(embedding_backend=backend, cache_dir=tmp_path)
     gw.embed(["a", "b"])
     gw.embed(["a", "b"])
     assert len(backend.batches) == 1
+    assert caplog.records == []  # a missing entry is a plain miss, not an unreadable one
 
     fresh_backend = RecordingEmbeddingBackend()
     gw2 = LlmGateway(embedding_backend=fresh_backend, cache_dir=tmp_path)
@@ -596,6 +597,16 @@ def test_truncated_cache_entry_is_a_cache_miss(tmp_path, keep_bytes):
     assert np.allclose(out[0], expected)
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # rewritten, no temp file
     assert np.allclose(np.load(entry), expected)
+
+
+def test_mock_embed_builds_a_fallback_only_for_an_unscripted_text(monkeypatch):
+    backend = MockEmbeddingBackend(vectors={"a": [1.0] * 8, "b": [2.0] * 8})
+    fallback, made = backend._fallback, []
+    monkeypatch.setattr(backend, "_fallback", lambda text: made.append(text) or fallback(text))
+    assert backend.embed(["a", "b", "a"], "m") == [[1.0] * 8, [2.0] * 8, [1.0] * 8]
+    assert made == []
+    assert backend.embed(["a", "c"], "m")[1] == fallback("c")
+    assert made == ["c"]
 
 
 def test_embed_vectors_are_unit_norm():

@@ -25,6 +25,7 @@ from taxonav.registry import (
     registry_stats,
     save_queries,
     save_registry,
+    write_atomic,
 )
 
 
@@ -91,8 +92,18 @@ def test_load_registry_unknown_format(tmp_path):
 
 
 def test_load_registry_missing_file(tmp_path):
-    with pytest.raises(DataError, match="not found"):
+    with pytest.raises(DataError) as exc:
         load_registry(tmp_path / "missing.jsonl")
+    assert str(exc.value) == f"{tmp_path / 'missing.jsonl'}: cannot read (No such file or directory)"
+
+
+def test_write_atomic_onto_a_directory_names_it_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(DataError) as exc:
+        write_atomic({tmp_path / "taken": ["b"], tmp_path / "a.txt": ["a"]})
+    assert str(exc.value) == f"{tmp_path / 'taken'}: cannot write (Is a directory)"
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
 
 
 def test_field_map_renames_keys(tmp_path):

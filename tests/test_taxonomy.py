@@ -279,8 +279,14 @@ def test_save_writes_the_json_dumps_bytes_and_load_reads_them_back(tax):
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(DataError, match="missing taxonomy file"):
+    with pytest.raises(SchemaError) as exc:
         load(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'taxonomy.json'}: cannot read (No such file or directory)"
+    save(small_tree(), tmp_path)
+    (tmp_path / "class.json").unlink()
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'class.json'}: cannot read (No such file or directory)"
 
 
 def test_load_invalid_json(tmp_path):
