@@ -5,13 +5,15 @@ holding more services than the leaf threshold (and above the depth cap) is
 split by an LLM-designed set of sibling categories, with a classification /
 refinement loop that tightens boundaries until every service lands cleanly
 or the iteration budget runs out. All nodes of one level are split
-together, each LLM phase as one bounded parallel map over the level.
-Oversized nodes are first compressed into a keyword frequency table so the
-designer prompt stays small. After the tree settles, a cross-domain pass
-lets services surface under additional top-level domains, which is where
-the multi-parent structure comes from. Its candidates are routed to a leaf
-by search's own walker (``search.navigate``), all of them one level at a
-time, with the single-branch rule.
+together: each node's split is a generator that yields its calls in waves,
+and the calls of every node, whatever step it is at, run as one bounded
+parallel map per wave. Oversized nodes are first compressed into a
+keyword frequency table so the designer prompt stays small. After the tree
+settles, a cross-domain pass lets services surface under additional
+top-level domains, which is where the multi-parent structure comes from.
+Its candidates are routed to a leaf by search's own walker
+(``search.navigate``), all of them one level at a time, as get_one walks
+that follow a single branch.
 
 The second builder produces the whole tree from one design call plus one
 classification call per service. It exists as a baseline and deliberately
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import prompts
@@ -137,34 +140,6 @@ def _fill_phases(report: BuildReport, usage: UsageMeter) -> None:
     report.tokens_by_phase = {
         phase: b["prompt_tokens"] + b["output_tokens"] for phase, b in phases.items()
     }
-
-
-@dataclass
-class _Split:
-    """One node's state while the nodes of its level are split together.
-
-    The phases write warnings and counters to ``log``, a report of the
-    node's own, which is merged into the build's report in BFS node order
-    once the level is done, so the report does not depend on call timing.
-    """
-
-    node_id: str
-    services: list[Service]
-    parent_context: str
-    log: BuildReport = field(default_factory=BuildReport)
-    table: KeywordTable | None = None
-    failure: DesignError | None = None
-    drafts: list[CategoryDraft] = field(default_factory=list)
-    outcomes: list[ClassificationOutcome] = field(default_factory=list)
-    refine_rounds: int = 0
-    buckets: list[list[Service]] = field(default_factory=list)
-    pending: list[Service] = field(default_factory=list)
-    survivors: list[int] = field(default_factory=list)
-    displaced: list[Service] = field(default_factory=list)
-    placements: list[tuple[CategoryDraft, list[Service]]] = field(default_factory=list)
-
-    def with_status(self, status: str) -> list[Service]:
-        return [s for s, o in zip(self.services, self.outcomes) if o.status == status]
 
 
 def _absorb(report: BuildReport, part: BuildReport) -> None:
@@ -471,15 +446,14 @@ class TaxonomyBuilder:
     ) -> list[list[tuple[str, list[Service]]]]:
         """Splits the given (node_id, services) nodes of one level together.
 
-        Keyword tables for nodes above the keyword threshold are extracted
-        first, one node after another. Then each LLM phase runs as one
-        run_parallel over every node still in it: design, each classify
-        round and its refine calls, the forced single-best placement, and
-        the tiny-merge re-classification; the root's audit runs between
-        design and classification. Every map item is one call plus its own
-        re-ask, so the gateway's workers bound the calls in flight. Tree and
-        report changes are applied afterwards in node order, so the result
-        does not depend on call timing.
+        Each node's split is a generator of call waves (``_split_steps``).
+        Priming the generators in node order extracts the keyword tables one
+        node after another. Then the pending calls of every node, whatever
+        step it is at, run as one run_parallel wave, and each node is sent
+        its own results in order. Every call is one chat call plus its own
+        re-ask, so the gateway's workers bound the calls in flight. Children
+        and each node's own report are added in node order once the level is
+        done, so the result does not depend on call timing.
 
         Returns, per node, (child_id, child_services) pairs in draft order
         with any catch-all last, or an empty list when the node stays a leaf:
@@ -487,190 +461,154 @@ class TaxonomyBuilder:
         even after the re-ask. The report records why. A design failure at
         the root raises DesignError.
         """
-        splits: list[_Split] = []
-        for node_id, services in level:
-            node = taxonomy.node(node_id)
-            if node_id == taxonomy.root_id:
-                parent_context = "These services form the root of the catalog."
-            else:
-                parent_context = f'The parent category is "{node.name}": {node.description}'
-            split = _Split(node_id, services, parent_context)
-            if len(services) > self.cfg.keyword_threshold:
-                split.table = self.extract_keywords(services)
-            splits.append(split)
+        steps = [self._split_steps(taxonomy, node_id, services) for node_id, services in level]
+        waves = [next(step) for step in steps]
+        ends: list = [None] * len(steps)  # each node's (log, placements)
+        while live := [i for i, wave in enumerate(waves) if wave is not None]:
+            thunks = [thunk for i in live for thunk in waves[i]]
+            results = iter(self.gateway.run_parallel(lambda thunk: thunk(), thunks))
+            for i in live:
+                try:
+                    waves[i] = steps[i].send([next(results) for _ in waves[i]])
+                except StopIteration as stop:
+                    waves[i], ends[i] = None, stop.value
+        children: list[list[tuple[str, list[Service]]]] = []
+        for (node_id, _), (log, placements) in zip(level, ends):
+            children.append([])
+            for draft, members in placements:
+                child = taxonomy.add_child(node_id, draft.name, draft.description, draft.boundary)
+                child.service_ids = [s.id for s in members]
+                children[-1].append((child.node_id, members))
+            if placements:
+                taxonomy.node(node_id).service_ids = []
+            _absorb(report, log)
+        return children
 
-        def design(split: _Split) -> list[CategoryDraft] | DesignError:
-            payload = split.table if split.table is not None else split.services
+    def _split_steps(
+        self, taxonomy: Taxonomy, node_id: str, services: list[Service]
+    ) -> Generator[list[Callable[[], object]], list, tuple[BuildReport, list]]:
+        """One node's split, start to end. Each yield is a wave of calls, as
+        thunks, and is sent their results in order. Returns the node's own
+        report and its (draft, services) placements: ok services go to every
+        matched child, generic services to a single forced choice, the rest
+        to the catch-all. Children at or below the tiny threshold are deleted
+        and their services re-classified among the survivors. No placements
+        means the node stays a leaf.
+
+        Warnings and counters go to the node's own report, which the level
+        merges into the build's report in node order.
+        """
+        cfg = self.cfg
+        log = BuildReport()
+        is_root = node_id == taxonomy.root_id
+        if is_root:
+            parent_context = "These services form the root of the catalog."
+        else:
+            node = taxonomy.node(node_id)
+            parent_context = f'The parent category is "{node.name}": {node.description}'
+        table = self.extract_keywords(services) if len(services) > cfg.keyword_threshold else None
+
+        def design() -> list[CategoryDraft] | DesignError:
+            payload = table if table is not None else services
             try:
-                return self.design_categories(payload, split.parent_context, report=split.log)
+                return self.design_categories(payload, parent_context, report=log)
             except DesignError as exc:
                 return exc
 
-        for split, drafts in zip(splits, self.gateway.run_parallel(design, splits)):
-            if isinstance(drafts, DesignError):
-                split.failure = drafts
+        [drafts] = yield [design]
+        if isinstance(drafts, DesignError):
+            if is_root:
+                raise DesignError(f"unrecoverable design failure at the root: {drafts}") from drafts
+            log.warnings.append(f"{node_id}: design failed ({drafts}); kept as a leaf")
+            log.oversized_leaves.append(node_id)
+            return log, []
+        if is_root:
+            drafts = self.validate_root(drafts, table, services, log)
+
+        rounds = 0
+        while True:
+            classify = self._classifier(drafts)
+            outcomes = yield [partial(classify, svc) for svc in services]
+            generic = [s for s, o in zip(services, outcomes) if o.status == "generic"]
+            unmatched = [s for s, o in zip(services, outcomes) if o.status == "unmatched"]
+            if not (generic or unmatched) or rounds == cfg.max_refine_iterations:
+                break
+            [refined] = yield [
+                partial(self.refine_drafts, drafts, generic, unmatched, parent_context, report=log)
+            ]
+            if refined is None:
+                log.warnings.append(f"{node_id}: refinement reply unusable; boundaries kept as-is")
+                break
+            drafts = refined
+            rounds += 1
+        log.refine_iterations[node_id] = rounds
+
+        single_best = self._classifier(drafts, "classify_single_best")
+        choices = yield [partial(single_best, svc) for svc in generic]
+        forced = {
+            svc.id: choice.matched[0]  # indices come sorted
+            for svc, choice in zip(generic, choices)
+            if choice.matched
+        }
+        buckets: list[list[Service]] = [[] for _ in drafts]
+        catchall: list[Service] = []
+        for svc, outcome in zip(services, outcomes):
+            if outcome.status == "ok":
+                for idx in outcome.matched:
+                    buckets[idx - 1].append(svc)
+            elif svc.id in forced:
+                buckets[forced[svc.id] - 1].append(svc)
             else:
-                split.drafts = drafts
-        live = [split for split in splits if split.failure is None]
-        for split in live:
-            if split.node_id == taxonomy.root_id:
-                split.drafts = self.validate_root(
-                    split.drafts, split.table, split.services, split.log
-                )
-
-        self._classify_and_refine(live)
-        self._place(live)
-        return [self._apply_split(taxonomy, split, report) for split in splits]
-
-    def _map_nodes(self, work: list[tuple[Callable, list]]) -> list[list]:
-        """Runs fn(item) for every item of every (fn, items) pair in one
-        run_parallel; returns each pair's results in item order."""
-        jobs = [(fn, item) for fn, items in work for item in items]
-        results = iter(self.gateway.run_parallel(lambda job: job[0](job[1]), jobs))
-        return [[next(results) for _ in items] for _, items in work]
-
-    def _classify_and_refine(self, splits: list[_Split]) -> None:
-        """Classifies every node's services, then refines the drafts of the
-        nodes with generic or unmatched services, until none is left to
-        refine; each round is one map of classify calls and one of refines."""
-
-        def refine(split: _Split) -> list[CategoryDraft] | None:
-            return self.refine_drafts(
-                split.drafts,
-                split.with_status("generic"),
-                split.with_status("unmatched"),
-                split.parent_context,
-                report=split.log,
+                catchall.append(svc)
+        tiny = [i for i, b in enumerate(buckets) if len(b) <= cfg.tiny_merge_threshold]
+        survivors = [i for i in range(len(buckets)) if i not in tiny]
+        if len(survivors) < 2:
+            log.warnings.append(
+                f"{node_id}: fewer than 2 children survived the tiny merge; kept as a leaf"
             )
+            if len(services) > cfg.leaf_threshold:
+                log.oversized_leaves.append(node_id)
+            return log, []
+        log.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
 
-        refining = splits
-        while refining:
-            rounds = self._map_nodes([(self._classifier(s.drafts), s.services) for s in refining])
-            to_refine = []
-            for split, outcomes in zip(refining, rounds):
-                split.outcomes = outcomes
-                stray = any(o.status != "ok" for o in outcomes)
-                if stray and split.refine_rounds < self.cfg.max_refine_iterations:
-                    to_refine.append(split)
-            refining = []
-            for split, drafts in zip(to_refine, self.gateway.run_parallel(refine, to_refine)):
-                if drafts is None:
-                    split.log.warnings.append(
-                        f"{split.node_id}: refinement reply unusable; boundaries kept as-is"
-                    )
-                else:
-                    split.drafts = drafts
-                    split.refine_rounds += 1
-                    refining.append(split)
-        for split in splits:
-            split.log.refine_iterations[split.node_id] = split.refine_rounds
-
-    def _place(self, splits: list[_Split]) -> None:
-        """Fills each node's placements: ok services go to every matched
-        child, generic services to a single forced choice, the rest to the
-        catch-all pool. Children at or below the tiny threshold are deleted
-        and their services re-classified among the survivors."""
-        cfg = self.cfg
-        generic = [split.with_status("generic") for split in splits]
-        choices = self._map_nodes(
-            [(self._classifier(s.drafts, "classify_single_best"), g)
-             for s, g in zip(splits, generic)]
-        )
-        for split, forced_services, forced_choices in zip(splits, generic, choices):
-            forced = {
-                svc.id: choice.matched[0]  # indices come sorted
-                for svc, choice in zip(forced_services, forced_choices)
-                if choice.matched
-            }
-            buckets: list[list[Service]] = [[] for _ in split.drafts]
-            for svc, outcome in zip(split.services, split.outcomes):
-                if outcome.status == "ok":
-                    for idx in outcome.matched:
-                        buckets[idx - 1].append(svc)
-                elif svc.id in forced:
-                    buckets[forced[svc.id] - 1].append(svc)
-                else:
-                    split.pending.append(svc)
-            tiny = [i for i, b in enumerate(buckets) if len(b) <= cfg.tiny_merge_threshold]
-            survivors = [i for i in range(len(buckets)) if i not in tiny]
-            if len(survivors) < 2:
-                split.log.warnings.append(
-                    f"{split.node_id}: fewer than 2 children survived the tiny merge; "
-                    "kept as a leaf"
-                )
-                if len(split.services) > cfg.leaf_threshold:
-                    split.log.oversized_leaves.append(split.node_id)
-                continue
-            split.log.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
-            split.buckets, split.survivors = buckets, survivors
-            split.displaced = [svc for i in tiny for svc in buckets[i]]
-
-        merging = [split for split in splits if split.survivors]
-        reclassified = self._map_nodes(
-            [(self._classifier([s.drafts[i] for i in s.survivors]), s.displaced) for s in merging]
-        )
-        for split, outcomes in zip(merging, reclassified):
-            buckets, survivors = split.buckets, split.survivors
-            for svc, outcome in zip(split.displaced, outcomes):
-                if outcome.matched:
-                    for idx in outcome.matched:
-                        buckets[survivors[idx - 1]].append(svc)
-                else:
-                    split.pending.append(svc)
-            catchall = split.pending
-            if catchall and len(catchall) <= cfg.tiny_merge_threshold:
-                # A tiny catch-all would immediately violate the tiny rule, so
-                # force its services into the largest surviving child instead.
-                largest = max(survivors, key=lambda i: (len(buckets[i]), -i))
-                buckets[largest].extend(catchall)
-                split.log.forced_placements += len(catchall)
-                split.log.warnings.append(
-                    f"{split.node_id}: {len(catchall)} stray services forced into "
-                    f"{split.drafts[largest].name!r}"
-                )
-                catchall = []
-            split.placements = [(split.drafts[i], buckets[i]) for i in survivors]
-            if catchall:
-                split.placements.append((
-                    CategoryDraft(
-                        name=CATCHALL_NAME,
-                        description="Services that did not fit any sibling category.",
-                        boundary="Anything that clearly belongs to a named sibling.",
-                        axis="",
-                    ),
-                    catchall,
-                ))
-                split.log.catchall_placements += len(catchall)
-
-    def _apply_split(
-        self, taxonomy: Taxonomy, split: _Split, report: BuildReport
-    ) -> list[tuple[str, list[Service]]]:
-        """Adds one node's children to the tree and its log to the report."""
-        if split.failure is not None:
-            if split.node_id == taxonomy.root_id:
-                raise DesignError(
-                    f"unrecoverable design failure at the root: {split.failure}"
-                ) from split.failure
-            split.log.warnings.append(
-                f"{split.node_id}: design failed ({split.failure}); kept as a leaf"
+        displaced = [svc for i in tiny for svc in buckets[i]]
+        reclassify = self._classifier([drafts[i] for i in survivors])
+        outcomes = yield [partial(reclassify, svc) for svc in displaced]
+        for svc, outcome in zip(displaced, outcomes):
+            if outcome.matched:
+                for idx in outcome.matched:
+                    buckets[survivors[idx - 1]].append(svc)
+            else:
+                catchall.append(svc)
+        if catchall and len(catchall) <= cfg.tiny_merge_threshold:
+            # A tiny catch-all would immediately violate the tiny rule, so
+            # force its services into the largest surviving child instead.
+            largest = max(survivors, key=lambda i: (len(buckets[i]), -i))
+            buckets[largest].extend(catchall)
+            log.forced_placements += len(catchall)
+            log.warnings.append(
+                f"{node_id}: {len(catchall)} stray services forced into {drafts[largest].name!r}"
             )
-            split.log.oversized_leaves.append(split.node_id)
-        children: list[tuple[str, list[Service]]] = []
-        for draft, members in split.placements:
-            child = taxonomy.add_child(split.node_id, draft.name, draft.description, draft.boundary)
-            child.service_ids = [s.id for s in members]
-            children.append((child.node_id, members))
-        if children:
-            taxonomy.node(split.node_id).service_ids = []
-        _absorb(report, split.log)
-        return children
+            catchall = []
+        placements = [(drafts[i], buckets[i]) for i in survivors]
+        if catchall:
+            placements.append((
+                CategoryDraft(
+                    name=CATCHALL_NAME,
+                    description="Services that did not fit any sibling category.",
+                    boundary="Anything that clearly belongs to a named sibling.",
+                    axis="",
+                ),
+                catchall,
+            ))
+            log.catchall_placements += len(catchall)
+        return log, placements
 
     # -- cross-domain pass -----------------------------------------------------
 
     def cross_domain_assign(self, taxonomy: Taxonomy, registry: Registry, report: BuildReport) -> None:
         """One proposal call per leaf; each valid candidate is then routed to
-        a leaf under the named top-level domain by a single-branch search
-        walk, all candidates together, one map of calls per level. Results
+        a leaf under the named top-level domain by a get_one search walk, all candidates together, one map of calls per level. Results
         apply in (leaf, candidate) order; re-proposing an existing placement
         changes nothing."""
         root = taxonomy.root
@@ -736,9 +674,7 @@ class TaxonomyBuilder:
                 routed.append((registry.get(leaf.service_ids[idx - 1]), target_id))
 
         walks = [(f"{svc.name}: {svc.description}", target_id) for svc, target_id in routed]
-        results = navigate(
-            taxonomy, walks, "get_one", self.gateway, label="build.cross_domain", single_branch=True
-        )
+        results = navigate(taxonomy, walks, "get_one", self.gateway, label="build.cross_domain")
         for (svc, _), (hits, _) in zip(routed, results):
             if not hits:
                 stats["routing_failures"] += 1

@@ -257,6 +257,7 @@ def load_registry(
     fm = field_map or FieldMap()
     id_key, name_key, description_key, source_key = fm.id, fm.name, fm.description, fm.source
     services = []
+    seen: set[str] = set()
     for number, record in _iter_records(path, format):
         if not isinstance(record, dict):
             raise DataError(f"{_where(path, format, number)}: expected a JSON object")
@@ -271,6 +272,9 @@ def load_registry(
             where = _where(path, format, number)
             for key in (id_key, name_key, description_key):
                 _required(record, key, where)
+        if sid in seen:
+            raise DataError(f"{_where(path, format, number)}: duplicate service id {sid!r}")
+        seen.add(sid)
         source = record.get(source_key)
         services.append(
             Service(sid, name, description, source if isinstance(source, str) and source else None)
@@ -282,11 +286,12 @@ def load_registry(
 
 def write_atomic(files: dict[Path, Iterable[str]]) -> None:
     """Writes each path's text, chunk by chunk, to a temporary file in the
-    path's directory, then renames every temporary file onto its path; no
-    path ever holds part of a write, and no newline is translated. A path
-    that cannot be written, or text UTF-8 cannot encode, raises DataError
-    naming its path. On any error before the renames, every temporary file
-    is removed and every path is left as it was."""
+    path's directory, then renames every temporary file onto its path, one
+    after another; no path ever holds part of a write, and no newline is
+    translated. A path that cannot be written, or text UTF-8 cannot encode,
+    raises DataError naming its path, and no temporary file is left. On an
+    error before the renames every path is left as it was; when a rename
+    fails, the paths renamed before it already hold their new text."""
     temps: list[Path] = []
     try:
         for path, chunks in files.items():
@@ -341,15 +346,20 @@ def load_queries(
     format: str = "jsonl",
     field_map: FieldMap | None = None,
 ) -> list[QueryCase]:
-    """Loads query cases and checks every ground-truth id against the registry."""
+    """Loads query cases, checks that their ids are unique and every
+    ground-truth id against the registry."""
     path = Path(path)
     fm = field_map or FieldMap()
     queries = []
+    seen: set[str] = set()
     for number, record in _iter_records(path, format):
         where = _where(path, format, number)
         if not isinstance(record, dict):
             raise DataError(f"{where}: expected a JSON object")
         qid = _required(record, fm.query_id, where)
+        if qid in seen:
+            raise DataError(f"{where}: duplicate query id {qid!r}")
+        seen.add(qid)
         text = _required(record, fm.query_text, where)
         truth = record.get(fm.ground_truth)
         if not isinstance(truth, list) or not truth:

@@ -9,14 +9,16 @@ Each hit carries the child-index path its walk took, so the merge reads
 distances off the paths and a query touches only the nodes it visits.
 
 The three modes (get_all, get_important, get_one) share all machinery and
-differ only in the instruction sentence injected into the two prompts.
+differ in the instruction sentence injected into the two prompts; besides,
+a get_one walk follows only the smallest chosen branch, and its result is
+capped to one service.
 
 Parallel fan-out is level-synchronous with results merged in child-index
 order, so retrieval is deterministic for a fixed backend script. The walker,
 ``navigate``, takes many (query, start node) walks and advances all of them
 one level per parallel map; a retrieval is one walk from the root, and the
-builder's cross-domain pass routes all its candidates as single-branch walks
-from their target domains.
+builder's cross-domain pass routes all its candidates as get_one walks from
+their target domains.
 """
 
 from __future__ import annotations
@@ -127,7 +129,6 @@ def navigate(
     gateway: LlmGateway,
     *,
     label: str = "search.navigate",
-    single_branch: bool = False,
 ) -> list[tuple[list[LeafHit], list[TraceStep]]]:
     """Walks each (query, start node id) pair down the tree, one chat call
     per visited internal node; returns each walk's hits and trace steps.
@@ -135,7 +136,7 @@ def navigate(
     All walks still descending advance one level together, as one parallel
     map of calls; hits and trace steps come back in depth-first child-index
     order regardless of thread scheduling. An empty or unparseable selection
-    prunes that subtree. With single_branch a walk follows only the smallest
+    prunes that subtree. In get_one mode a walk follows only the smallest
     chosen index. A walk that reaches a node it has already expanded raises
     DataError, so a cyclic node table cannot loop forever.
     """
@@ -187,7 +188,7 @@ def navigate(
                     ),
                 )
             )
-            followed = sel.indices[:1] if single_branch else sel.indices
+            followed = sel.indices[:1] if mode == "get_one" else sel.indices
             frontier.extend((w, path + (idx,), node.children[idx - 1]) for idx in followed)
 
     return [

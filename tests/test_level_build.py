@@ -8,8 +8,10 @@ and ``world200`` with two cross-domain candidates per leaf. The first two
 digests were taken from the node-by-node builder that preceded the
 level-wide one, the third from the builder that routed each candidate by
 its own serial descent, so they also prove the old and new code produce
-the same bytes. The other tests check that calls in flight stay within the
-gateway's ``workers`` and that no ``run_parallel`` runs inside another.
+the same bytes. The other tests check that a node split alone gets what it
+gets among its siblings, that siblings at different steps share each wave
+of calls, that calls in flight stay within the gateway's ``workers`` and
+that no ``run_parallel`` runs inside another.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import pytest
 
 from conftest import RecordingChatBackend
 from taxonav import taxonomy as taxonomy_io
-from taxonav.builder import BuildConfig, build
+from taxonav.builder import BuildConfig, BuildReport, TaxonomyBuilder, _absorb, build
 from taxonav.gateway import LlmGateway, MockChatBackend
 from taxonav.registry import Registry, Service
 from taxonav.synthetic import LatentOracle, parse_options
+from taxonav.taxonomy import Taxonomy
 
 ARTIFACTS = ("taxonomy.json", "class.json", "build_report.json")
 
@@ -308,6 +311,55 @@ def test_scripted_world_exercises_every_level_phase():
         < first("refinement reply unusable")
     )
     assert report.calls_by_phase["keyword"] == 3  # root, Alpha and Beta
+
+
+def scripted_level_one() -> tuple[TaxonomyBuilder, Taxonomy, list]:
+    """The scripted world's tree after the root split, and its level 1."""
+    services = list(scripted_registry())
+    taxonomy = Taxonomy()
+    taxonomy.root.service_ids = [s.id for s in services]
+    gateway = LlmGateway(chat_backend=MockChatBackend(oracle=scripted_oracle))
+    builder = TaxonomyBuilder(gateway, SCRIPTED_CONFIG)
+    [level] = builder._split_level(taxonomy, [(taxonomy.root_id, services)], BuildReport())
+    return builder, taxonomy, level
+
+
+def test_a_node_split_alone_matches_its_split_among_siblings():
+    builder, taxonomy, level = scripted_level_one()
+    assert [node_id for node_id, _ in level] == ["root/alpha", "root/gamma", "root/beta"]
+    together = BuildReport()
+    children = builder._split_level(taxonomy, level, together)
+    alone = BuildReport()
+    for entry, node_children in zip(level, children):
+        builder, own_taxonomy, _ = scripted_level_one()
+        log = BuildReport()
+        assert builder._split_level(own_taxonomy, [entry], log) == [node_children]
+        for child_id, members in node_children:
+            assert own_taxonomy.node(child_id) == taxonomy.node(child_id)
+            assert own_taxonomy.node(child_id).service_ids == [s.id for s in members]
+        assert own_taxonomy.node(entry[0]) == taxonomy.node(entry[0])
+        _absorb(alone, log)
+    assert alone == together
+    assert together.warnings and together.refine_iterations and together.oversized_leaves
+
+
+def test_nodes_at_different_steps_share_a_wave(monkeypatch):
+    """Level 1 of the scripted world: Gamma stops after its design, Beta
+    after one refine round, Alpha after two, yet each wave is one map."""
+    sizes = []
+    original = LlmGateway.run_parallel
+
+    def counted(self, fn, items):
+        items = list(items)
+        sizes.append(len(items))
+        return original(self, fn, items)
+
+    monkeypatch.setattr(LlmGateway, "run_parallel", counted)
+    _scripted_build()
+    # root classify; level 1: design, classify, refine, classify, refine,
+    # Alpha's classify with Beta's forced choice, Alpha's forced choice with
+    # Beta's re-classification; then the cross-domain proposals
+    assert [n for n in sizes if n > 1] == [34, 3, 25, 2, 25, 2, 13, 2, 7]
 
 
 # -- concurrency ------------------------------------------------------------------

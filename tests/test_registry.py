@@ -106,6 +106,20 @@ def test_write_atomic_onto_a_directory_names_it_and_leaves_no_temp_file(tmp_path
     assert os.listdir(tmp_path / "taken") == []
 
 
+def test_a_failed_later_rename_leaves_the_earlier_paths_replaced(tmp_path):
+    """Every file is written before any rename, but the renames run one
+    after another, so they are not all-or-nothing."""
+    first, second = tmp_path / "first.txt", tmp_path / "second"
+    first.write_text("old", encoding="utf-8")
+    second.mkdir()
+    with pytest.raises(DataError) as exc:
+        write_atomic({first: ["new"], second: ["text"]})
+    assert str(exc.value) == f"{second}: cannot write (Is a directory)"
+    assert first.read_text(encoding="utf-8") == "new"
+    assert os.listdir(second) == []
+    assert sorted(os.listdir(tmp_path)) == ["first.txt", "second"]
+
+
 def test_field_map_renames_keys(tmp_path):
     path = tmp_path / "tools.jsonl"
     path.write_text(json.dumps({"tool_id": "t1", "tool_name": "T", "desc": "does x"}) + "\n")
@@ -232,7 +246,7 @@ def test_decode_json_maps_every_rejection_to_the_given_error(text, message, erro
          "line 5: missing or empty field 'description'"),
         (A + "\r\n\r\n" + B + "\r\n" + '{"name": "C", "description": "f"}\r\n',
          "line 4: missing or empty field 'id'"),
-        (A + "\r\n" + B + "\r\n" + A + "\r\n", "duplicate service id 'a'"),
+        (A + "\r\n" + B + "\r\n" + A + "\r\n", "line 3: duplicate service id 'a'"),
         (A + "\n" + "{'id': 'b'}\n",
          "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
         (A + "\n" + B + "}\n", "line 2: invalid JSON (Extra data)"),
@@ -259,8 +273,7 @@ def test_load_registry_error_messages(tmp_path, text, error):
     path.write_bytes(text.encode("utf-8"))
     with pytest.raises(DataError) as exc:
         load_registry(path)
-    prefix = "" if error.startswith("duplicate") else f"{path}: "
-    assert str(exc.value) == prefix + error
+    assert str(exc.value) == f"{path}: {error}"
 
 
 @pytest.mark.parametrize(
@@ -272,9 +285,10 @@ def test_load_registry_error_messages(tmp_path, text, error):
         (A, "expected a JSON array of records"),
         ("[" + A + ", " + DEEP + "]", "JSON nests too deeply"),
         ("[" + A + ", " + HUGE + "]", f"unreadable JSON ({digit_limit_message()})"),
+        ("[" + A + ", " + A + "]", "record 1: duplicate service id 'a'"),
     ],
     ids=["non-object", "missing-field", "extra-data", "not-an-array", "deep-nesting",
-         "huge-integer"],
+         "huge-integer", "duplicate-id"],
 )
 def test_load_registry_json_array_error_messages(tmp_path, text, error):
     path = tmp_path / "services.json"
@@ -340,11 +354,12 @@ Q1 = '{"id": "q1", "text": "find a", "ground_truth": ["s1"]}'
         (Q1 + "\n" + '{"id": "q2", "text": "t", "ground_truth": "s1"}\n',
          "line 2: query 'q2' has no ground-truth ids"),
         (Q1 + "\n" + '{"id": "q2", "text": "t"}\n', "line 2: query 'q2' has no ground-truth ids"),
+        (Q1 + "\n\n" + Q1 + "\n", "line 3: duplicate query id 'q1'"),
     ],
     ids=[
         "two-objects-on-one-line", "object-split-over-two-lines", "array-line", "missing-field",
         "blank-id", "crlf-blank-lines-bad-ground-truth", "non-string-ground-truth",
-        "empty-ground-truth", "string-ground-truth", "missing-ground-truth",
+        "empty-ground-truth", "string-ground-truth", "missing-ground-truth", "duplicate-id",
     ],
 )
 def test_load_queries_error_messages(tmp_path, text, error):
@@ -455,10 +470,11 @@ services = st.lists(
 @given(services=services, data=st.data())
 def test_writers_match_json_dumps_and_round_trip(tmp_path_factory, services, data):
     reg = Registry(services)
+    query_ids = data.draw(st.lists(field_text, max_size=3 if services else 0, unique=True))
     queries = [
-        QueryCase(id=data.draw(field_text), text=data.draw(field_text),
+        QueryCase(id=query_id, text=data.draw(field_text),
                   ground_truth=frozenset(data.draw(st.lists(st.sampled_from(reg.ids), min_size=1))))
-        for _ in range(data.draw(st.integers(0, 3) if services else st.just(0)))
+        for query_id in query_ids
     ]
     registry_text = "".join(
         json.dumps(

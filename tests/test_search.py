@@ -457,6 +457,18 @@ def test_get_one_caps_even_a_multi_index_reply():
     assert result.selection_calls == 1
 
 
+def test_get_one_follows_only_the_smallest_chosen_branch():
+    tax, registry = make_balanced_taxonomy(branching=2, depth=2, leaf_size=1)
+    gateway = gw(
+        ScriptRule(pattern=r"Categories:", label="search.navigate", reply="1, 2"),
+        ScriptRule(pattern=r"Services:", label="search.select", reply="1"),
+    )
+    result = retrieve("q", tax, registry, gateway, SearchConfig(mode="get_one"))
+    assert result.navigation_calls == 2  # the root, then its first child only
+    assert result.selection_calls == 1
+    assert result.service_ids == ["svc-1-1-01"]
+
+
 def test_retrieval_is_deterministic(world200, gateway_factory):
     from taxonav.builder import BuildConfig, build
 
@@ -548,8 +560,8 @@ def subset_oracle(label, request):
     return ", ".join(chosen) or "0"
 
 
-@pytest.mark.parametrize("single_branch", [False, True])
-def test_many_walks_match_one_walk_each(monkeypatch, single_branch):
+@pytest.mark.parametrize("mode", ["get_all", "get_one"])
+def test_many_walks_match_one_walk_each(monkeypatch, mode):
     tax, _ = make_balanced_taxonomy(branching=3, depth=3, leaf_size=2)
     walks = [
         ("find alpha", tax.root_id),
@@ -559,7 +571,7 @@ def test_many_walks_match_one_walk_each(monkeypatch, single_branch):
         ("find alpha", tax.root_id),
     ]
     alone = [
-        navigate(tax, [walk], "get_all", gw(oracle=subset_oracle), single_branch=single_branch)[0]
+        navigate(tax, [walk], mode, gw(oracle=subset_oracle))[0]
         for walk in walks
     ]
     maps = []
@@ -570,12 +582,10 @@ def test_many_walks_match_one_walk_each(monkeypatch, single_branch):
         return original(self, fn, items)
 
     monkeypatch.setattr(LlmGateway, "run_parallel", counted)
-    together = navigate(
-        tax, walks, "get_all", gw(oracle=subset_oracle), single_branch=single_branch
-    )
+    together = navigate(tax, walks, mode, gw(oracle=subset_oracle))
     assert together == alone
     hit_counts = [len(hits) for hits, _ in together]
-    if single_branch:
+    if mode == "get_one":
         assert max(hit_counts) == 1
     else:
         assert sum(hit_counts) > len(walks)  # the walks fan out
