@@ -86,19 +86,15 @@ class EmbeddingIndex:
 
     service_ids: list[str]
     matrix: np.ndarray
-    model: str
 
 
-def build_embedding_index(
-    registry: Registry, gateway: LlmGateway, model: str | None = None
-) -> EmbeddingIndex:
+def build_embedding_index(registry: Registry, gateway: LlmGateway) -> EmbeddingIndex:
     if len(registry) == 0:
         raise ConfigError("cannot build an embedding index over an empty registry")
     import numpy as np
 
-    model = model or gateway.embedding_model
-    vectors = gateway.embed([svc.description for svc in registry], model=model)
-    return EmbeddingIndex(service_ids=registry.ids, matrix=np.stack(vectors), model=model)
+    vectors = gateway.embed([svc.description for svc in registry])
+    return EmbeddingIndex(service_ids=registry.ids, matrix=np.stack(vectors))
 
 
 def rank_by_vector(vector: np.ndarray, index: EmbeddingIndex, k: int) -> list[str]:
@@ -119,35 +115,25 @@ def rank_by_vector(vector: np.ndarray, index: EmbeddingIndex, k: int) -> list[st
 def topk_retrieve(
     query: str, index: EmbeddingIndex, k: int, gateway: LlmGateway
 ) -> RetrievalResult:
-    vector = gateway.embed([query], model=index.model)[0]
+    vector = gateway.embed([query])[0]
     return RetrievalResult(service_ids=rank_by_vector(vector, index, k))
 
 
 # -- rewrite-then-retrieve ----------------------------------------------------
 
 
-@dataclass
-class RewriteExtraction:
-    server_hint: str
-    tool_description: str
-
-
-def parse_tool_assistant(text: str) -> RewriteExtraction | None:
-    """Parses the <tool_assistant> block; None when the block or the tool
-    line is missing or empty."""
+def parse_tool_assistant(text: str) -> str | None:
+    """The text of the tool line of the <tool_assistant> block; None when
+    the block or the tool line is missing or empty."""
     match = re.search(r"<tool_assistant>(.*?)</tool_assistant>", text, re.DOTALL | re.IGNORECASE)
     if not match:
         return None
     body = match.group(1)
-    server = re.search(r"server\s*:\s*(.+)", body, re.IGNORECASE)
     tool = re.search(r"tool\s*:\s*(.+)", body, re.IGNORECASE)
     tool_text = tool.group(1).strip() if tool else ""
     if not tool_text:
         return None
-    return RewriteExtraction(
-        server_hint=server.group(1).strip() if server else "",
-        tool_description=tool_text,
-    )
+    return tool_text
 
 
 def rewrite_retrieve(
@@ -157,11 +143,11 @@ def rewrite_retrieve(
     embedding then drives top-K. A reply without a usable block gets one
     re-ask; after that the raw query embedding is used and flagged."""
 
-    def parse(text: str) -> RewriteExtraction:
-        extraction = parse_tool_assistant(text)
-        if extraction is None:
+    def parse(text: str) -> str:
+        tool_text = parse_tool_assistant(text)
+        if tool_text is None:
             raise ReplyParseError("no usable <tool_assistant> block")
-        return extraction
+        return tool_text
 
     system, user = prompts.render("rewrite_extract", task=query)
     flags: list[str] = []
@@ -170,14 +156,14 @@ def rewrite_retrieve(
             search_text = gateway.ask(
                 system, user, label="baseline.rewrite",
                 parse=parse, reask=lambda _: REWRITE_REASK_SUFFIX,
-            ).tool_description
+            )
         except ReplyParseError:
             flags.append("rewrite_fallback")
             logger.warning(
                 "rewrite reply had no usable <tool_assistant> block; using the raw query"
             )
             search_text = query
-    vector = gateway.embed([search_text], model=index.model)[0]
+    vector = gateway.embed([search_text])[0]
     return RetrievalResult(
         service_ids=rank_by_vector(vector, index, k), **usage_fields(usage.snapshot()), flags=flags
     )

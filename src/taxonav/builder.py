@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -131,6 +131,14 @@ def _normalize_name(name: str) -> str:
     return re.sub(r"\s+", " ", name).strip().lower()
 
 
+def _named_items(items: list) -> Iterator[tuple[str, str, dict]]:
+    """(name, description, item) for each object of a reply's list that has
+    a name; any other item is skipped."""
+    for item in items:
+        if isinstance(item, dict) and (name := str(item.get("name") or "").strip()):
+            yield name, str(item.get("description") or "").strip(), item
+
+
 def _fill_phases(report: BuildReport, usage: UsageMeter) -> None:
     """Calls and tokens per phase, the label after its "build." or
     "oneshot." prefix, from the meter of the build's metered() scope."""
@@ -213,34 +221,30 @@ class TaxonomyBuilder:
 
     # -- category design ----------------------------------------------------
 
-    def _parse_drafts(self, obj: dict, report: BuildReport) -> tuple[list[CategoryDraft], str | None]:
-        """Validates a design reply. Returns (drafts, fatal_violation); a
-        valid reply's warnings go to the report, and a violating reply has
-        none."""
+    def _parse_drafts(self, obj: dict, report: BuildReport) -> list[CategoryDraft]:
+        """Validates a design reply, or raises ReplyParseError naming what
+        it violates. A valid reply's warnings go to the report, and a
+        violating reply has none."""
         raw = obj.get("categories")
         if not isinstance(raw, list):
-            return [], "the reply JSON lacks a 'categories' array"
+            raise ReplyParseError("the reply JSON lacks a 'categories' array")
         shared_axis = _normalize_axis(obj.get("axis"))
-        drafts: list[CategoryDraft] = []
-        for item in raw:
-            if not isinstance(item, dict):
-                continue
-            name = str(item.get("name") or "").strip()
-            if not name:
-                continue
-            drafts.append(
-                CategoryDraft(
-                    name=name,
-                    description=str(item.get("description") or "").strip(),
-                    boundary=str(item.get("not_here") or "").strip(),
-                    axis=_normalize_axis(item.get("axis")) or shared_axis or "",
-                )
+        drafts = [
+            CategoryDraft(
+                name=name,
+                description=description,
+                boundary=str(item.get("not_here") or "").strip(),
+                axis=_normalize_axis(item.get("axis")) or shared_axis or "",
             )
+            for name, description, item in _named_items(raw)
+        ]
         axes = {d.axis for d in drafts if d.axis}
         if len(axes) > 1:
-            return drafts, "the sibling categories mix classification axes (" + ", ".join(sorted(axes)) + ")"
+            raise ReplyParseError(
+                "the sibling categories mix classification axes (" + ", ".join(sorted(axes)) + ")"
+            )
         if len(drafts) < 2:
-            return drafts, "fewer than 2 categories were proposed"
+            raise ReplyParseError("fewer than 2 categories were proposed")
         axis = next(iter(axes), "")
         if axis not in AXIS_TAGS:
             if axis:
@@ -256,7 +260,7 @@ class TaxonomyBuilder:
                 f"designer proposed {len(drafts)} categories; truncated to {self.cfg.max_categories}"
             )
             drafts = drafts[: self.cfg.max_categories]
-        return drafts, None
+        return drafts
 
     def _request_drafts(
         self, template_name: str, values: dict[str, str], *, label: str, report: BuildReport
@@ -268,10 +272,7 @@ class TaxonomyBuilder:
                 obj = extract_json_object(text)
             except ReplyParseError as exc:  # malformed JSON counts as a violation
                 raise ReplyParseError(f"the reply was not a valid JSON object ({exc})") from exc
-            drafts, violation = self._parse_drafts(obj, report)
-            if violation is not None:
-                raise ReplyParseError(violation)
-            return drafts
+            return self._parse_drafts(obj, report)
 
         def reask(violation: ReplyParseError) -> str:
             return (
@@ -318,8 +319,10 @@ class TaxonomyBuilder:
         services: list[Service],
         report: BuildReport,
     ) -> list[CategoryDraft]:
-        """Root-only audit: one chat call that either confirms the top-level
-        set or supplies a full replacement (at most one repair round)."""
+        """Root-only audit: one chat call, with no re-ask, that either
+        confirms the top-level set or supplies a full replacement. An
+        unparseable reply or an invalid replacement keeps the drafts, with
+        one warning."""
         if keyword_table is not None:
             payload_header = "Keyword frequencies observed across the catalog:"
             payload = keyword_table.render()
@@ -336,14 +339,11 @@ class TaxonomyBuilder:
         response = self.gateway.chat(system, user, label="build.design")
         try:
             obj = extract_json_object(response.text)
-        except ReplyParseError:
-            report.warnings.append("root validation reply unparseable; keeping unvalidated drafts")
-            return drafts
-        if obj.get("ok") is True:
-            return drafts
-        repaired, violation = self._parse_drafts(obj, report)
-        if violation is not None:
-            report.warnings.append(f"root repair rejected ({violation}); keeping original drafts")
+            if obj.get("ok") is True:
+                return drafts
+            repaired = self._parse_drafts(obj, report)
+        except ReplyParseError as exc:
+            report.warnings.append(f"root repair rejected ({exc}); keeping original drafts")
             return drafts
         logger.info("root validation replaced %d drafts with %d", len(drafts), len(repaired))
         return repaired
@@ -607,10 +607,12 @@ class TaxonomyBuilder:
     # -- cross-domain pass -----------------------------------------------------
 
     def cross_domain_assign(self, taxonomy: Taxonomy, registry: Registry, report: BuildReport) -> None:
-        """One proposal call per leaf; each valid candidate is then routed to
-        a leaf under the named top-level domain by a get_one search walk, all candidates together, one map of calls per level. Results
-        apply in (leaf, candidate) order; re-proposing an existing placement
-        changes nothing."""
+        """One proposal call per non-empty leaf; a reply with no candidate
+        list, junk included, is one warning. Each valid candidate is then
+        routed to a leaf under the named top-level domain by a get_one
+        search walk, all candidates together, one map of calls per level.
+        Results apply in (leaf, candidate) order; re-proposing an existing
+        placement changes nothing."""
         root = taxonomy.root
         order = taxonomy.walk()  # DataError unless the child lists form one tree
         if len(root.children) < 2:
@@ -626,7 +628,8 @@ class TaxonomyBuilder:
         for node_id in order[1:]:
             if node_id in domain_ids:
                 domain_id = node_id
-            if taxonomy.nodes[node_id].is_leaf():
+            node = taxonomy.nodes[node_id]
+            if node.is_leaf() and node.service_ids:
                 leaf_ids.append(node_id)
                 own_domain[node_id] = domain_id
         template = prompts.load("cross_domain_candidates")
@@ -634,10 +637,7 @@ class TaxonomyBuilder:
         extra_counts: dict[str, int] = {}
 
         def propose(leaf_id: str) -> dict | None:
-            leaf = taxonomy.node(leaf_id)
-            leaf_services = [registry.get(sid) for sid in leaf.service_ids]
-            if not leaf_services:
-                return None
+            leaf_services = [registry.get(sid) for sid in taxonomy.node(leaf_id).service_ids]
             own = taxonomy.node(own_domain[leaf_id]).name
             system, user = template.render(
                 own_domain=own, domains=domain_names, options=prompts.service_options(leaf_services)
@@ -649,18 +649,14 @@ class TaxonomyBuilder:
         routed: list[tuple[Service, str]] = []
         replies = self.gateway.run_parallel(propose, leaf_ids)
         for leaf_id, obj in zip(leaf_ids, replies):
-            if obj is None:
-                continue
-            candidates = obj.get("candidates")
+            candidates = (obj or {}).get("candidates")  # None: junk after the re-ask
             if not isinstance(candidates, list):
-                report.warnings.append(f"{leaf_id}: cross-domain reply lacked a candidate list")
+                report.warnings.append(f"{leaf_id}: cross-domain reply had no candidate list")
                 continue
             leaf = taxonomy.node(leaf_id)
             for cand in candidates:
                 stats["proposals"] += 1
-                if not isinstance(cand, dict):
-                    stats["skipped"] += 1
-                    continue
+                cand = cand if isinstance(cand, dict) else {}  # skipped below
                 idx = cand.get("index")
                 target_id = domain_by_name.get(_normalize_name(str(cand.get("domain") or "")))
                 if (
@@ -738,21 +734,14 @@ def _tree_from_design(obj: dict, report: BuildReport) -> Taxonomy:
     """Materializes the strict-JSON design tree; bounds are advisory."""
     categories = obj.get("categories")
     if not isinstance(categories, list) or not categories:
-        raise DesignError("one-shot design reply lacks a 'categories' array")
+        raise DesignError("one-shot design reply has no non-empty 'categories' array")
     taxonomy = Taxonomy()
     taxonomy.root.name = "All services"
 
     def add_level(parent_id: str, items: list, level: int) -> int:
         added = 0
-        for item in items:
-            if not isinstance(item, dict):
-                continue
-            name = str(item.get("name") or "").strip()
-            if not name:
-                continue
-            node = taxonomy.add_child(
-                parent_id, name, str(item.get("description") or "").strip()
-            )
+        for name, description, item in _named_items(items):
+            node = taxonomy.add_child(parent_id, name, description)
             added += 1
             children = item.get("children")
             if isinstance(children, list) and level < 3:
@@ -852,9 +841,7 @@ def build_oneshot(
             "oneshot_design", axis_prefix=axis_prefix, payload_header=payload_header, payload=payload
         )
         design = gateway.chat_json(system, user, label="oneshot.design")
-        if design is None:
-            raise DesignError("one-shot design produced no parsable JSON tree")
-        taxonomy = _tree_from_design(design, report)
+        taxonomy = _tree_from_design(design or {}, report)  # None: junk after the re-ask
 
         classify_template = prompts.load("oneshot_classify")
 
@@ -890,13 +877,10 @@ def build_oneshot(
                     failures=prompts.service_options(failed_services[:20]),
                 )
                 refined = gateway.chat_json(sys_p, user_p, label="oneshot.refine")
-                if refined is None:
-                    report.warnings.append("one-shot refinement reply unusable; stopping early")
-                    break
                 try:
-                    taxonomy = _tree_from_design(refined, report)
+                    taxonomy = _tree_from_design(refined or {}, report)
                 except DesignError as exc:
-                    report.warnings.append(f"one-shot refinement rejected: {exc}")
+                    report.warnings.append(f"one-shot refinement rejected ({exc}); stopping early")
                     break
                 failures = classify_all()
                 cycles += 1

@@ -717,8 +717,9 @@ class LlmGateway:
                     raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
                 raise
 
-    def embed(self, texts: Sequence[str], *, model: str | None = None) -> list[np.ndarray]:
-        """The unit-norm vector of each text, with content-hash caching.
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """The unit-norm vector of each text under the gateway's embedding
+        model, with content-hash caching.
 
         Cache misses go to the backend EMBED_BATCH_SIZE texts per request,
         the batches in parallel on the gateway's pool. Each batch is cached
@@ -726,7 +727,7 @@ class LlmGateway:
         vectors returned, cached or new, must all have one dimension."""
         if self.embedding_backend is None:
             raise GatewayError("no embedding backend configured")
-        model = model or self.embedding_model
+        model = self.embedding_model  # part of each cache key
         texts = list(texts)
         resolved: dict[str, np.ndarray] = {}
         misses: list[str] = []

@@ -315,7 +315,6 @@ def retrieve(
     with metered() as usage:
         [(hits, nav_steps)] = navigate(taxonomy, [(query, taxonomy.root_id)], cfg.mode, gateway)
         groups = merge_small_groups(dedup(hits), cfg.merge_threshold)
-        groups = [g for g in groups if g.services]
         selections = gateway.run_parallel(
             lambda g: select_services(g, query, cfg.mode, registry, gateway), groups
         )

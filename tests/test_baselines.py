@@ -82,7 +82,7 @@ def unit(v) -> np.ndarray:
 
 def hand_index() -> EmbeddingIndex:
     matrix = np.stack([unit([1.0, 0.0]), unit([0.6, 0.8]), unit([0.0, 1.0])])
-    return EmbeddingIndex(service_ids=["a", "b", "c"], matrix=matrix, model="m")
+    return EmbeddingIndex(service_ids=["a", "b", "c"], matrix=matrix)
 
 
 def test_rank_by_vector_hand_case():
@@ -109,7 +109,7 @@ def test_topk_matches_brute_force_scan():
         matrix = rng.standard_normal((n, dim))
         matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
         ids = [f"svc-{i:02d}" for i in range(n)]
-        index = EmbeddingIndex(service_ids=ids, matrix=matrix, model="m")
+        index = EmbeddingIndex(service_ids=ids, matrix=matrix)
         query = unit(rng.standard_normal(dim))
         sims = [float(row @ query) for row in matrix]
         expected = [
@@ -173,18 +173,13 @@ GOOD_BLOCK = "<tool_assistant>\nserver: travel platform\ntool: books plane ticke
 
 
 def test_parse_tool_assistant_cases():
-    parsed = parse_tool_assistant(f"Sure.\n{GOOD_BLOCK}\nDone.")
-    assert parsed is not None
-    assert parsed.server_hint == "travel platform"
-    assert parsed.tool_description == "books plane tickets"
+    assert parse_tool_assistant(f"Sure.\n{GOOD_BLOCK}\nDone.") == "books plane tickets"
 
     assert parse_tool_assistant("no block here") is None
     assert parse_tool_assistant("<tool_assistant>server: x</tool_assistant>") is None
     assert parse_tool_assistant("<tool_assistant>tool:</tool_assistant>") is None
 
-    upper = parse_tool_assistant("<TOOL_ASSISTANT>TOOL: Send Mail</TOOL_ASSISTANT>")
-    assert upper is not None and upper.tool_description == "Send Mail"
-    assert upper.server_hint == ""
+    assert parse_tool_assistant("<TOOL_ASSISTANT>TOOL: Send Mail</TOOL_ASSISTANT>") == "Send Mail"
 
 
 def test_rewrite_embeds_the_tool_description():

@@ -160,6 +160,27 @@ def test_design_truncates_to_max_categories():
     assert any("truncated" in w for w in report.warnings)
 
 
+def test_design_skips_items_that_are_not_objects_or_have_no_name():
+    reply = json.dumps(
+        {
+            "axis": "functional-domain",
+            "categories": [
+                "Loose",
+                {"description": "nameless"},
+                {"name": "  ", "not_here": "n"},
+                {"name": "A", "description": "a", "not_here": "n"},
+                {"name": "B", "description": "b", "not_here": "n"},
+            ],
+        }
+    )
+    gateway = gw(ScriptRule(pattern=".*", label="build.design", reply=reply))
+    report = BuildReport()
+    drafts = TaxonomyBuilder(gateway).design_categories([svc("s1")], "ctx", report=report)
+    assert [(d.name, d.description) for d in drafts] == [("A", "a"), ("B", "b")]
+    assert len(calls(gateway, "build.design")) == 1
+    assert report.warnings == []
+
+
 def test_design_empty_payload_raises():
     builder = TaxonomyBuilder(gw())
     with pytest.raises(DesignError, match="zero services"):
@@ -430,6 +451,32 @@ def test_validate_root_rejects_bad_repair():
     assert any("root repair rejected" in w for w in report.warnings)
 
 
+@pytest.mark.parametrize(
+    "audit_reply, cause",
+    [
+        ("no verdict", "no JSON object in reply 'no verdict'"),
+        ('{"ok": false}', "the reply JSON lacks a 'categories' array"),
+    ],
+)
+def test_validate_root_unusable_audit_keeps_drafts_after_one_call(audit_reply, cause):
+    rules = [
+        ScriptRule(pattern="Design sibling categories", label="build.design",
+                   reply=design_json("Alpha", "Beta")),
+        ScriptRule(pattern="Audit the proposed", label="build.design", reply=audit_reply),
+        ScriptRule(pattern=r"Service:\ns0[1-5]:", label="build.classify", reply="1"),
+        ScriptRule(pattern=r"Service:", label="build.classify", reply="2"),
+        ScriptRule(pattern="ALSO appear", label="build.cross_domain", reply='{"candidates": []}'),
+    ]
+    gateway = gw(*rules)
+    taxonomy, report = build(
+        ten_services(), BuildConfig(leaf_threshold=5, generic_ratio=0.5), gateway
+    )
+    design_prompts = [c.request.user_prompt for c in calls(gateway, "build.design")]
+    assert ["Audit the proposed" in p for p in design_prompts] == [False, True]
+    assert sorted(taxonomy.node(c).name for c in taxonomy.root.children) == ["Alpha", "Beta"]
+    assert report.warnings == [f"root repair rejected ({cause}); keeping original drafts"]
+
+
 # -- whole builds -------------------------------------------------------------
 
 
@@ -595,6 +642,39 @@ def test_cross_domain_skips_bad_candidates_and_routing_failures():
     assert report.cross_domain["skipped"] == 3
     assert report.cross_domain["routing_failures"] == 1
     assert report.cross_domain["accepted"] == 0
+
+
+def test_cross_domain_reply_junk_after_its_reask_is_one_warning():
+    tax, registry = two_domain_taxonomy()
+    gateway = gw(*cross_rules("no candidates here"))
+    report = BuildReport()
+    TaxonomyBuilder(gateway).cross_domain_assign(tax, registry, report)
+    prompts_sent = [c.request.user_prompt for c in calls(gateway, "build.cross_domain")]
+    # Travel's ask and its one re-ask, then Finance's ask; nothing is routed
+    assert [('domain "Travel"' in p, p.endswith("nothing else.")) for p in prompts_sent] == [
+        (True, False), (True, True), (False, False)
+    ]
+    assert report.warnings == ["root/travel/flights: cross-domain reply had no candidate list"]
+    assert report.cross_domain["proposals"] == 0
+
+
+def test_cross_domain_counts_a_reply_without_a_list_and_skips_bad_candidates():
+    tax, registry = two_domain_taxonomy()
+    tax.add_child("root/travel", "Trains", "rail")  # an empty leaf is not asked
+    finance = '{"candidates": ["p1", 7, null, {"index": 9, "domain": "Travel"}]}'
+    gateway = gw(*cross_rules('{"candidates": "f1"}', finance_reply=finance))
+    report = BuildReport()
+    TaxonomyBuilder(gateway).cross_domain_assign(tax, registry, report)
+    assert len(calls(gateway, "build.cross_domain")) == 2  # one ask per non-empty leaf
+    assert report.warnings == ["root/travel/flights: cross-domain reply had no candidate list"]
+    assert report.cross_domain == {
+        "proposals": 4,
+        "accepted": 0,
+        "duplicates": 0,
+        "skipped": 4,
+        "routing_failures": 0,
+        "extra_assignments_distribution": {},
+    }
 
 
 def test_cross_domain_index_refers_to_the_services_the_prompt_listed():
@@ -853,5 +933,65 @@ def test_oneshot_rejects_unknown_variant_and_empty_registry():
 
 def test_oneshot_design_junk_raises():
     gateway = gw(ScriptRule(pattern=".*", label="oneshot.design", reply="not a tree"))
-    with pytest.raises(DesignError, match="no parsable JSON tree"):
+    with pytest.raises(DesignError, match="no non-empty 'categories' array"):
         build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
+    assert [c.label for c in gateway.chat_backend.transcript] == ["oneshot.design"] * 2  # one re-ask
+
+
+def test_oneshot_design_with_empty_categories_raises():
+    gateway = gw(ScriptRule(pattern=".*", label="oneshot.design", reply='{"categories": []}'))
+    with pytest.raises(DesignError, match="no non-empty 'categories' array"):
+        build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
+    assert [c.label for c in gateway.chat_backend.transcript] == ["oneshot.design"]
+
+
+@pytest.mark.parametrize("reply, refine_calls", [("not a tree", 2), ('{"categories": []}', 1)])
+def test_oneshot_refine_unusable_reply_warns_once_and_stops(reply, refine_calls):
+    rules = oneshot_rules("Nonsense > Path")
+    rules[1] = ScriptRule(pattern=".*", label="oneshot.refine", reply=reply)
+    gateway = gw(*rules)
+    taxonomy, report = build_oneshot(oneshot_registry(), "refine", BuildConfig(), gateway)
+    assert report.calls_by_phase == {"classify": 4, "design": 1, "refine": refine_calls}
+    assert [w for w in report.warnings if "refinement" in w] == [
+        "one-shot refinement rejected (one-shot design reply has no non-empty"
+        " 'categories' array); stopping early"
+    ]
+    assert [f["service_id"] for f in report.classification_failures] == ["bad1"]
+    assert taxonomy.node("root/work/docs/editors").service_ids == ["e1", "e2"]
+
+
+def test_oneshot_design_skips_items_that_are_not_objects_or_have_no_name():
+    tree = {
+        "categories": [
+            "Loose",
+            {"description": "nameless"},
+            {
+                "name": "Work",
+                "description": "work tools",
+                "children": [
+                    {
+                        "name": "Docs",
+                        "children": [
+                            7,
+                            {"name": "Editors", "description": "edit"},
+                            {"name": " ", "description": "blank"},
+                            {"name": "Viewers"},
+                        ],
+                    }
+                ],
+            },
+        ]
+    }
+    rules = oneshot_rules("Work > Docs > Viewers")
+    rules[0] = ScriptRule(pattern=".*", label="oneshot.design", reply=json.dumps(tree))
+    gateway = gw(*rules)
+    taxonomy, report = build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
+    assert report.calls_by_phase == {"classify": 4, "design": 1}
+    assert taxonomy.walk() == [
+        "root", "root/work", "root/work/docs", "root/work/docs/editors", "root/work/docs/viewers"
+    ]
+    assert report.warnings == [
+        "root/work/docs: 2 children outside the requested (3, 5) range",
+        "root/work: 1 children outside the requested (3, 5) range",
+        "1 top-level categories outside the requested (6, 10) range",
+    ]
