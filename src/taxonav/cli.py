@@ -140,7 +140,18 @@ def make_gateway(cfg: RuntimeConfig) -> LlmGateway:
         chat_backend = MockChatBackend.from_script(script)
         embedding_backend = MockEmbeddingBackend.from_script(script)
     else:
-        chat_backend = embedding_backend = HttpBackend(cfg.endpoint, api_key=cfg.api_key)
+        import requests
+        from requests.adapters import HTTPAdapter
+
+        # requests pools 10 connections per host by default; with more workers
+        # each map would close the surplus and the next map reopen them
+        session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=cfg.workers)
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
+        chat_backend = embedding_backend = HttpBackend(
+            cfg.endpoint, api_key=cfg.api_key, session=session
+        )
     return LlmGateway(
         chat_backend=chat_backend,
         embedding_backend=embedding_backend,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import attrgetter, itemgetter
 from statistics import fmean
@@ -237,36 +238,52 @@ def merge_small_groups(hits: list[LeafHit], merge_threshold: int) -> list[LeafHi
 
     Distances come from the hits' walk paths, so every hit must come from
     one walk. Cost: with k groups initially below the threshold, the
-    O(k^2) pairwise distances take O(depth) each and no tree access.
-    Representatives never change, so each greedy round then compares
-    precomputed (distance, sorted leaf ids) keys plus the current sizes:
-    O(k^2) per round, O(k^3) in all.
+    O(k^2) pair keys (distance, combined size, sorted leaf ids, positions)
+    are built once, at O(depth) each and with no tree access, into a heap.
+    Only sizes change between rounds, and only upward, so a stored key is
+    never above the pair's current one: a popped key with an out-of-date
+    size is pushed back with the current size, and a popped key that is
+    current is the round's minimum. A merge re-keys each pair of the grown
+    group at most once, so the merge costs O(k^2 log k) in all.
     """
-    groups = [LeafHit(h.leaf_id, list(h.services), h.path) for h in hits]
-    small_groups = [g for g in groups if len(g.services) < merge_threshold]
-    if len(small_groups) < 2:
+    groups: list[LeafHit | None] = [LeafHit(h.leaf_id, list(h.services), h.path) for h in hits]
+    where = [p for p, g in enumerate(groups) if len(g.services) < merge_threshold]
+    if len(where) < 2:
         return groups
-    pair_keys = {
-        (a.leaf_id, b.leaf_id): (
+    small = [groups[p] for p in where]
+    size = [len(g.services) for g in small]
+    # equal keys need a repeated leaf id; the positions then put the
+    # earliest pair first
+    heap = [
+        (
             path_distance(a.path, b.path),
-            tuple(sorted((a.leaf_id, b.leaf_id))),
+            size[i] + size[j],
+            min(a.leaf_id, b.leaf_id),
+            max(a.leaf_id, b.leaf_id),
+            i,
+            j,
         )
-        for a, b in combinations(small_groups, 2)
-    }
-
-    def merge_key(pair: tuple[int, int]) -> tuple:
-        a, b = groups[pair[0]], groups[pair[1]]
-        distance, ids = pair_keys[a.leaf_id, b.leaf_id]
-        return (distance, len(a.services) + len(b.services), ids)
-
-    while True:
-        small = [i for i, g in enumerate(groups) if len(g.services) < merge_threshold]
-        if len(small) < 2:
-            return groups
-        # equal keys need a repeated leaf id; min then keeps the earliest pair
-        i, j = min(combinations(small, 2), key=merge_key)
-        groups[i].services += groups[j].services
-        del groups[j]
+        for (i, a), (j, b) in combinations(enumerate(small), 2)
+    ]
+    heapify(heap)
+    live = [True] * len(small)  # still below the threshold and not merged away
+    left = len(small)
+    while left >= 2:
+        distance, total, low, high, i, j = heappop(heap)
+        if not (live[i] and live[j]):
+            continue
+        if total != size[i] + size[j]:
+            heappush(heap, (distance, size[i] + size[j], low, high, i, j))
+            continue
+        small[i].services += small[j].services
+        size[i] = total
+        live[j] = False
+        groups[where[j]] = None
+        left -= 1
+        if total >= merge_threshold:
+            live[i] = False
+            left -= 1
+    return [g for g in groups if g is not None]
 
 
 def select_services(

@@ -6,6 +6,9 @@ recoverable from any prompt. The oracle answers builder and search prompts
 purely from those labels, which makes end-to-end pipeline runs fully
 deterministic and lets tests assert exact call counts and perfect
 retrieval without any network.
+
+``make_queries`` groups the registry into its cells in one pass, in the
+registry's current order, so q queries over n services cost O(n + q).
 """
 
 from __future__ import annotations
@@ -38,12 +41,18 @@ class LatentWorld:
     query_target: dict[str, tuple[str, str]] = field(default_factory=dict)
     query_truth: dict[str, list[str]] = field(default_factory=dict)
 
+    def cells(self) -> dict[tuple[str, str], list[str]]:
+        """The service ids of each non-empty (domain, subdomain) cell, in the
+        registry's current order, from one pass over the registry. Nothing
+        is cached, because a caller may swap ``registry`` for a reordered
+        one after ``make_world``."""
+        cells: dict[tuple[str, str], list[str]] = {}
+        for sid in self.registry.ids:
+            cells.setdefault((self.domain_of[sid], self.subdomain_of[sid]), []).append(sid)
+        return cells
+
     def leaf_services(self, domain: str, sub: str) -> list[str]:
-        return [
-            sid
-            for sid in self.registry.ids
-            if self.domain_of[sid] == domain and self.subdomain_of[sid] == sub
-        ]
+        return self.cells().get((domain, sub), [])
 
 
 def _slug(text: str) -> str:
@@ -72,8 +81,9 @@ def make_world(
     world = LatentWorld(registry=Registry([]), domains=domains)
     for cell_idx, (domain, sub) in enumerate(cells):
         count = base + (1 if cell_idx < remainder else 0)
+        slug = _slug(sub)
         for i in range(count):
-            sid = f"{_slug(sub)}-{i:03d}"
+            sid = f"{slug}-{i:03d}"
             services.append(
                 Service(
                     id=sid,
@@ -91,13 +101,21 @@ def make_world(
 
 
 def make_queries(world: LatentWorld, n: int = 50, seed: int = 7) -> list[QueryCase]:
-    """Each query targets 1-3 services inside a single latent leaf."""
+    """Each query targets 1-3 adjacent services inside a single latent leaf.
+
+    The cells are grouped once, in one pass over the registry, so the cost
+    is O(services + queries). The grouping follows the registry's current
+    order, not the order ``make_world`` wrote: each query's ground truth is
+    a slice of its cell's members, so a reordered registry gives other
+    slices from the same draws.
+    """
     rng = random.Random(seed)
     cells = [(d, s) for d in world.domains for s in world.domains[d]]
+    members_of = world.cells()
     queries: list[QueryCase] = []
     for qi in range(n):
         domain, sub = cells[rng.randrange(len(cells))]
-        members = world.leaf_services(domain, sub)
+        members = members_of.get((domain, sub), [])
         size = min(rng.randint(1, 3), len(members))
         start = rng.randrange(len(members) - size + 1)
         truth = members[start : start + size]

@@ -891,6 +891,21 @@ def test_oneshot_path_strips_one_marker_from_the_line_only():
     assert _resolve_path(tax, "A > 1. B") is None
 
 
+@pytest.mark.parametrize(
+    "reply, recorded",
+    [("Work / Docs / Viewers", "Work / Docs / Viewers"), (" > > ", "> >")],
+    ids=["no separator", "no parts"],
+)
+def test_oneshot_reply_without_a_path_is_a_classification_failure(reply, recorded):
+    # not even a tree whose root is its only leaf takes such a reply
+    assert _resolve_path(Taxonomy(), reply) is None
+    gateway = gw(*oneshot_rules(reply))
+    taxonomy, report = build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
+    assert report.classification_failures == [{"service_id": "bad1", "reply": recorded}]
+    assert "bad1" not in taxonomy.assignment
+    assert report.assigned_services == 3
+
+
 def test_oneshot_plus_refine_fixes_failures():
     gateway = gw(*oneshot_rules(["Nonsense > Path", "Work > Docs > Viewers"]))
     taxonomy, report = build_oneshot(oneshot_registry(), "+refine", BuildConfig(), gateway)

@@ -877,6 +877,14 @@ def test_the_http_backend_serves_both_roles():
     )
 
 
+@pytest.mark.parametrize("workers", [1, 8, 20])
+def test_the_http_session_pools_a_connection_per_worker(workers):
+    cfg = cli.RuntimeConfig(backend="http", endpoint="http://llm.local/v1", workers=workers)
+    session = cli.make_gateway(cfg).chat_backend.session
+    for url in ("http://llm.local/v1/chat/completions", "https://llm.example/v1/embeddings"):
+        assert session.get_adapter(url).poolmanager.connection_pool_kw["maxsize"] == workers
+
+
 def test_malformed_env_value_is_rejected(tmp_path, monkeypatch, capsys):
     for var, value, what in [
         ("TAXONAV_WORKERS", "many", "an integer"),

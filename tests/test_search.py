@@ -3,6 +3,9 @@ merging, per-group selection, and the three disclosure modes."""
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,6 +240,59 @@ def test_merge_matches_reference(case):
     assert [(h.leaf_id, h.services, h.path) for h in out] == [
         (h.leaf_id, h.services, h.path) for h in expected
     ]
+
+
+def rescoring_merge_small_groups(hits: list[LeafHit], merge_threshold: int) -> list[LeafHit]:
+    """The O(k^3) path-based merge that the heap replaced, verbatim: each
+    round takes the min over every pair of the current small groups, so
+    equal keys keep the earliest pair."""
+    groups = [LeafHit(h.leaf_id, list(h.services), h.path) for h in hits]
+    small_groups = [g for g in groups if len(g.services) < merge_threshold]
+    if len(small_groups) < 2:
+        return groups
+    pair_keys = {
+        (a.leaf_id, b.leaf_id): (
+            path_distance(a.path, b.path),
+            tuple(sorted((a.leaf_id, b.leaf_id))),
+        )
+        for a, b in combinations(small_groups, 2)
+    }
+
+    def merge_key(pair: tuple[int, int]) -> tuple:
+        a, b = groups[pair[0]], groups[pair[1]]
+        distance, ids = pair_keys[a.leaf_id, b.leaf_id]
+        return (distance, len(a.services) + len(b.services), ids)
+
+    while True:
+        small = [i for i, g in enumerate(groups) if len(g.services) < merge_threshold]
+        if len(small) < 2:
+            return groups
+        i, j = min(combinations(small, 2), key=merge_key)
+        groups[i].services += groups[j].services
+        del groups[j]
+
+
+def test_merge_matches_the_rescoring_merge():
+    """Seeded cases of 0-20 groups on the leaves of a random tree, drawn
+    with repeats, so equal keys and with them the earliest-pair rule are
+    common; sizes come from a small pool and thresholds run from 1 to 40."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        tax = random_tree(seed, rng.randint(0, 30))
+        leaves = tax.leaves()
+        pool = [rng.randint(0, 40) for _ in range(rng.randint(1, 4))]
+        hits = []
+        for g in range(rng.randint(0, 20)):
+            leaf_id = rng.choice(leaves)
+            hits.append(hit(tax, leaf_id, [f"{leaf_id}#{g}.{n}" for n in range(rng.choice(pool))]))
+        given_hits = [(h.leaf_id, list(h.services), h.path) for h in hits]
+        threshold = rng.randint(1, 40)
+        out = merge_small_groups(hits, threshold)
+        expected = rescoring_merge_small_groups(hits, threshold)
+        assert [(h.leaf_id, h.services, h.path) for h in out] == [
+            (h.leaf_id, h.services, h.path) for h in expected
+        ], seed
+        assert [(h.leaf_id, h.services, h.path) for h in hits] == given_hits, seed
 
 
 def select_all_oracle(label, request):

@@ -1,0 +1,106 @@
+"""The synthetic query set: the same queries and ground truth from one pass
+over the registry, in the registry's current order."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from taxonav.registry import Registry
+from taxonav.synthetic import LatentWorld, make_queries, make_world
+
+# sha256 of each query's (id, text, sorted truth), then query_truth and
+# query_target, as written by the generator that scanned the whole registry
+# once per query. The shuffle seed reorders the registry after make_world.
+QUERY_DIGESTS = [
+    # (world shape, queries, seed, shuffle seed, digest)
+    ((4, 4, 200), 50, 7, None, "13c285ba8f5e870d910ddd8d1dcd3f323d866b27e10c3a049d44c945b52a871e"),
+    ((6, 6, 1440), 200, 3, None, "d9b1be91f76ac1e924fe2dcca0c09f673eca6c561d877de753bac4315b6de7c1"),
+    ((3, 3, 180), 100, 5, 5, "00eb8cd2771f15c283c2d8abee9298f6f31b09b1c05a73fc30fd4cb5b1266868"),
+    ((6, 6, 1440), 200, 2, 2, "565a9536bd0435b36da8eb6ecd90eb1d9a0d261eeb4ce78abd14b6b79746be88"),
+    # one cell has no service, and then every cell
+    ((2, 3, 5), 40, 11, None, "13e4d20c5b9d7a35b3103003b815a73e1a5e7733dda348f546b8326df3ad6b58"),
+    ((2, 2, 0), 5, 1, None, "e6b5bcbebc5df6b89fe0b4e4ea3b8a7fa21f3a10f50ffe66f4bb96ed2ec7b83d"),
+]
+
+
+def world_of(shape: tuple[int, int, int], shuffle: int | None) -> LatentWorld:
+    world = make_world(*shape)
+    if shuffle is not None:
+        services = list(world.registry)
+        random.Random(shuffle).shuffle(services)
+        world.registry = Registry(services)
+    return world
+
+
+def query_digest(world: LatentWorld, queries) -> str:
+    h = hashlib.sha256()
+    for q in queries:
+        h.update(json.dumps([q.id, q.text, sorted(q.ground_truth)]).encode())
+    h.update(json.dumps(world.query_truth).encode())
+    h.update(json.dumps(world.query_target).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape, n, seed, shuffle, expected", QUERY_DIGESTS)
+def test_queries_match_golden_digests(shape, n, seed, shuffle, expected):
+    world = world_of(shape, shuffle)
+    queries = make_queries(world, n=n, seed=seed)
+    assert world.queries == queries
+    assert query_digest(world, queries) == expected
+
+
+def test_ground_truth_follows_the_registry_order_after_a_shuffle():
+    plain = world_of((6, 6, 1440), None)
+    shuffled = world_of((6, 6, 1440), 2)
+    plain_queries = make_queries(plain, n=200, seed=2)
+    shuffled_queries = make_queries(shuffled, n=200, seed=2)
+    assert [q.text for q in plain_queries] == [q.text for q in shuffled_queries]
+    assert [q.ground_truth for q in plain_queries] != [q.ground_truth for q in shuffled_queries]
+    for q in shuffled_queries:
+        truth = shuffled.query_truth[q.text]
+        members = shuffled.leaf_services(*shuffled.query_target[q.text])
+        start = members.index(truth[0])
+        assert members[start : start + len(truth)] == truth
+
+
+def test_cells_partition_the_registry_in_its_order():
+    world = world_of((3, 4, 50), 9)
+    cells = world.cells()
+    assert sorted(cells) == sorted((d, s) for d in world.domains for s in world.domains[d])
+    assert sorted(sid for members in cells.values() for sid in members) == sorted(world.registry.ids)
+    position = {sid: i for i, sid in enumerate(world.registry.ids)}
+    for (domain, sub), members in cells.items():
+        assert members == sorted(members, key=position.__getitem__)
+        assert world.leaf_services(domain, sub) == members
+        assert {world.domain_of[s] for s in members} == {domain}
+        assert {world.subdomain_of[s] for s in members} == {sub}
+    assert world.leaf_services("Travel", "No Such Cell") == []
+
+
+class CountingRegistry(Registry):
+    """Counts reads of the registry's ids and iterations over it."""
+
+    def __init__(self, services):
+        super().__init__(services)
+        self.reads = 0
+
+    @property
+    def ids(self) -> list[str]:
+        self.reads += 1
+        return super().ids
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_make_queries_reads_the_registry_once(n):
+    world = make_world(4, 4, 200)
+    world.registry = CountingRegistry(list(world.registry))
+    make_queries(world, n=n)
+    assert world.registry.reads == 1
