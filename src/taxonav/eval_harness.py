@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import logging
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -117,21 +117,35 @@ class Summary:
         return {**asdict(self), "precision_is_secondary": True}
 
 
-def summarize(records: Sequence[PerQueryRecord], cfg: EvalConfig) -> Summary:
-    """Macro averages over per-query records, in record order."""
-    if not records:
+def summarize(records: Iterable[PerQueryRecord], cfg: EvalConfig) -> Summary:
+    """Macro averages over per-query records, in record order, in one pass
+    over any iterable: only each field's values are kept, not the records."""
+    hits: list[int] = []
+    recalls: list[float] = []
+    precisions: list[float] = []
+    tokens: list[int] = []
+    calls: list[int] = []
+    failures = 0
+    for r in records:
+        hits.append(r.hit)
+        recalls.append(r.recall)
+        precisions.append(r.precision)
+        tokens.append(r.prompt_tokens + r.output_tokens)
+        calls.append(r.calls)
+        failures += bool(r.error)
+    if not hits:
         raise ConfigError("cannot summarize an empty record list")
     return Summary(
         method=cfg.method,
         dataset=cfg.dataset,
         setting=cfg.setting,
-        query_count=len(records),
-        failure_count=sum(1 for r in records if r.error),
-        hit_rate=fmean(r.hit for r in records),
-        recall=fmean(r.recall for r in records),
-        precision=fmean(r.precision for r in records),
-        tokens_per_query=fmean(r.prompt_tokens + r.output_tokens for r in records),
-        calls_per_query=fmean(r.calls for r in records),
+        query_count=len(hits),
+        failure_count=failures,
+        hit_rate=fmean(hits),
+        recall=fmean(recalls),
+        precision=fmean(precisions),
+        tokens_per_query=fmean(tokens),
+        calls_per_query=fmean(calls),
     )
 
 
@@ -206,23 +220,26 @@ def load_summary(run_dir: str | Path) -> dict:
     return summary
 
 
-def load_records(run_dir: str | Path) -> list[PerQueryRecord]:
+def _iter_records(run_dir: str | Path) -> Iterator[PerQueryRecord]:
+    """per_query.jsonl's records, read one line at a time."""
     path = Path(run_dir) / PER_QUERY_FILE
-    return [
-        PerQueryRecord.from_dict(record, f"{path}: line {lineno}: per-query record")
-        for lineno, record in iter_jsonl(path, SchemaError)
-    ]
+    for lineno, record in iter_jsonl(path, SchemaError):
+        yield PerQueryRecord.from_dict(record, f"{path}: line {lineno}: per-query record")
+
+
+def load_records(run_dir: str | Path) -> list[PerQueryRecord]:
+    return list(_iter_records(run_dir))
 
 
 def recompute_summary(run_dir: str | Path) -> Summary:
     """Rebuilds the summary from per_query.jsonl; must match summary.json
-    exactly (same arithmetic, same order)."""
+    exactly (same arithmetic, same order). Records are summarized as they
+    are read, so no more than one is held at a time."""
     existing = load_summary(run_dir)
-    records = load_records(run_dir)
     cfg = EvalConfig(
         method=existing["method"], dataset=existing["dataset"], setting=existing["setting"]
     )
-    return summarize(records, cfg)
+    return summarize(_iter_records(run_dir), cfg)
 
 
 @dataclass

@@ -17,7 +17,9 @@ assignment rebuild and statistics) raises the first as DataError.
 Persistence splits into two files: taxonomy.json (nodes, child order,
 boundaries, leaf service lists) and class.json (service id -> ordered leaf
 ids, primary placement first). ``load`` checks the type of every field,
-and raises the first ``_assignment_faults`` where the files disagree.
+raises the first ``_assignment_faults`` where the files disagree, and keeps
+one string object per id. ``save`` hands the writer one node record, or
+about a thousand class.json entries, at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import json
 import logging
 import re
 import statistics
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .errors import DataError, SchemaError
@@ -280,33 +283,51 @@ class Violation:
     detail: str
 
 
-def _assignment_faults(nodes: dict[str, TaxonomyNode], assignment: dict) -> list[Violation]:
+def _assignment_faults(
+    nodes: dict[str, TaxonomyNode], assignment: dict, share: bool = False
+) -> list[Violation]:
     """Every way the assignment map and the leaf service lists disagree, in
     the order met: an entry that is no non-empty list; a leaf id that is
-    unknown, not a leaf, or a leaf without the service; then, leaf by leaf,
-    each service the map does not list under its leaf."""
-    held = {node_id: set(node.service_ids) for node_id, node in nodes.items() if not node.children}
-    listed: dict[str, set[str]] = {node_id: set() for node_id in held}
+    unknown, not a leaf, a leaf without the service, or listed twice in the
+    entry; then, leaf by leaf, each service the map does not list under its
+    leaf.
+
+    With ``share``, the same pass makes the two files' strings one: each
+    leaf id of an entry becomes that node's ``node_id`` object, and each
+    service in a leaf's list the map's key object, both replaced in place.
+    Without it (``validate``) nothing is changed."""
+    # leaf id -> {service: its index in the leaf's list} for each service not
+    # yet listed under that leaf; an entry pops what it lists
+    unlisted = {
+        node_id: dict(zip(node.service_ids, range(len(node.service_ids))))
+        for node_id, node in nodes.items() if not node.children
+    }
+    held: dict[str, set[str]] = {}  # leaf id -> its services, built on a fault only
     faults = []  # (service id, detail)
     for sid, leaf_ids in assignment.items():
         if not isinstance(leaf_ids, list) or not leaf_ids:
             faults.append((sid, f"service {sid!r} must map to a non-empty list"))
             continue
-        for leaf_id in leaf_ids:
+        for i, leaf_id in enumerate(leaf_ids):
             leaf = nodes.get(leaf_id) if isinstance(leaf_id, str) else None
             if leaf is None:
                 faults.append((sid, f"service {sid!r} references unknown leaf {leaf_id!r}"))
             elif leaf.children:
                 faults.append((sid, f"service {sid!r} references non-leaf {leaf_id!r}"))
-            elif sid in held[leaf_id]:
-                listed[leaf_id].add(sid)
+            elif (index := unlisted[leaf_id].pop(sid, None)) is not None:
+                if share:
+                    leaf_ids[i] = leaf.node_id
+                    leaf.service_ids[index] = sid
             else:
-                faults.append((sid, f"service {sid!r} assigned to leaf {leaf_id!r} "
-                                    "but missing from its service list"))
-    for leaf_id, sids in held.items():
-        if len(listed[leaf_id]) < len(sids):  # only then can a service here be unlisted
+                if leaf_id not in held:
+                    held[leaf_id] = set(leaf.service_ids)
+                faults.append((sid, f"service {sid!r} lists leaf {leaf_id!r} twice"
+                               if sid in held[leaf_id] else f"service {sid!r} assigned to leaf "
+                               f"{leaf_id!r} but missing from its service list"))
+    for leaf_id, rest in unlisted.items():
+        if rest:
             faults += [(sid, f"leaf {leaf_id!r} holds service {sid!r} absent from the assignment map")
-                       for sid in nodes[leaf_id].service_ids if sid not in listed[leaf_id]]
+                       for sid in nodes[leaf_id].service_ids if sid in rest]
     return [Violation("assignment-mismatch", sid, detail) for sid, detail in faults]
 
 
@@ -384,23 +405,40 @@ def _node_json(node: TaxonomyNode) -> str:
     )
 
 
+def _taxonomy_chunks(taxonomy: Taxonomy) -> Iterator[str]:
+    """taxonomy.json, one node record at a time."""
+    lead = '{\n  "nodes": [\n    '
+    for node_id in sorted(taxonomy.nodes):
+        yield lead + _node_json(taxonomy.nodes[node_id])
+        lead = ",\n    "
+    yield f'\n  ],\n  "root": {_encode(taxonomy.root_id)}\n}}\n'
+
+
+def _class_chunks(assignment: dict[str, list[str]]) -> Iterator[str]:
+    """class.json, about a thousand entries at a time."""
+    if not assignment:
+        yield "{}\n"
+        return
+    entries = (f"{_encode(sid)}: {_class_strings(leaf_ids)}" for sid, leaf_ids in assignment.items())
+    lead = "{\n  "
+    while batch := list(islice(entries, 1000)):
+        yield lead + ",\n  ".join(batch)
+        lead = ",\n  "
+    yield "\n}\n"
+
+
 def save(taxonomy: Taxonomy, directory: str | Path) -> None:
     """Writes taxonomy.json and class.json, byte for byte what json.dumps
     writes with indent=2 (and sort_keys=True for taxonomy.json), at a
-    fraction of the cost of its pure-Python indenting encoder. Raises
+    fraction of the cost of its pure-Python indenting encoder. The text is
+    handed to the writer in pieces, so no whole file is ever held. Raises
     DataError, before either file is replaced, if the child lists are not one
     tree or a string cannot be written as UTF-8."""
     taxonomy.walk()
     directory = Path(directory)
-    nodes = ",\n    ".join(_node_json(taxonomy.nodes[node_id]) for node_id in sorted(taxonomy.nodes))
-    entries = ",\n  ".join(
-        f"{_encode(sid)}: {_class_strings(leaf_ids)}" for sid, leaf_ids in taxonomy.assignment.items()
-    )
     write_atomic({
-        directory / TAXONOMY_FILE: [
-            f'{{\n  "nodes": [\n    {nodes}\n  ],\n  "root": {_encode(taxonomy.root_id)}\n}}\n'
-        ],
-        directory / CLASS_FILE: [f"{{\n  {entries}\n}}\n" if entries else "{}\n"],
+        directory / TAXONOMY_FILE: _taxonomy_chunks(taxonomy),
+        directory / CLASS_FILE: _class_chunks(taxonomy.assignment),
     })
 
 
@@ -418,6 +456,20 @@ _NODE_FIELDS = {
 
 
 def load(directory: str | Path) -> Taxonomy:
+    """Reads the taxonomy that ``save`` wrote to ``directory``.
+
+    Raises SchemaError naming the file and the first fault: a file that is
+    not the expected JSON, a node record field of the wrong type, a
+    duplicate node id, a root with no record, the first ``_walk`` fault of
+    the child lists, or the first ``_assignment_faults`` fault where
+    class.json and the leaf service lists disagree.
+
+    The loaded tree keeps one string object per id, shared by the pass that
+    checks class.json: each service in a leaf's list is the assignment
+    map's key object, and each leaf id in an assignment list is that node's
+    ``node_id``. The lists both files were read into become the tree's own,
+    uncopied.
+    """
     directory = Path(directory)
     tax_path = directory / TAXONOMY_FILE
     class_path = directory / CLASS_FILE
@@ -431,7 +483,6 @@ def load(directory: str | Path) -> Taxonomy:
     if not isinstance(assignment, dict):
         raise SchemaError(f"{class_path}: expected an object mapping service id to leaf ids")
 
-    # The lists read_json built become the taxonomy's own, uncopied.
     nodes: dict[str, TaxonomyNode] = {}
     for idx, record in enumerate(doc["nodes"]):
         if not isinstance(record, dict):
@@ -457,7 +508,7 @@ def load(directory: str | Path) -> Taxonomy:
     if faults:
         raise SchemaError(f"{tax_path}: {faults[0].detail}")
 
-    faults = _assignment_faults(nodes, assignment)
+    faults = _assignment_faults(nodes, assignment, share=True)
     if faults:
         raise SchemaError(f"{class_path}: {faults[0].detail}")
 

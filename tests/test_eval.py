@@ -128,6 +128,15 @@ def test_summarize_small_hand_case_and_empty():
         summarize([], EvalConfig(method="m"))
 
 
+def test_summarize_takes_one_pass_over_any_iterable():
+    cfg = EvalConfig(method="m", dataset="d", setting="s")
+    from_list = summarize(ten_records(), cfg)
+    from_generator = summarize((r for r in ten_records()), cfg)
+    assert from_generator.to_dict() == from_list.to_dict()
+    with pytest.raises(ConfigError, match="empty record list"):
+        summarize(iter([]), cfg)
+
+
 # -- evaluate -------------------------------------------------------------------
 
 

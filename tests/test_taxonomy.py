@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from taxonav.builder import BuildReport, TaxonomyBuilder
 from taxonav.errors import DataError, SchemaError
 from taxonav.gateway import LlmGateway
 from taxonav.registry import Registry, Service
+from taxonav.synthetic import make_balanced_taxonomy
 from taxonav.taxonomy import (
     Taxonomy,
     TaxonomyNode,
@@ -276,6 +278,80 @@ def test_save_writes_the_json_dumps_bytes_and_load_reads_them_back(tax):
         with open(f"{tmp}/class.json", "rb") as fh:
             assert fh.read() == class_text.encode("utf-8")
         assert load(tmp) == tax
+
+
+@pytest.mark.parametrize("n_services", [999, 1000, 1001, 2500])
+def test_save_writes_the_json_dumps_bytes_across_class_batches(tmp_path, n_services):
+    tax = Taxonomy()
+    tax.add_child("root", "A").service_ids = [f"svc-{i}" for i in range(n_services)]
+    tax.rebuild_assignment()
+    save(tax, tmp_path)
+    taxonomy_text, class_text = json_dumps_save(tax)
+    assert (tmp_path / "taxonomy.json").read_bytes() == taxonomy_text.encode("utf-8")
+    assert (tmp_path / "class.json").read_bytes() == class_text.encode("utf-8")
+
+
+def test_save_streams_its_files(tmp_path):
+    """save never holds a whole file: its peak stays far below what it writes."""
+    tax, _ = make_balanced_taxonomy(8, 3, 30)  # 15,360 services
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save(tax, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    written = sum(path.stat().st_size for path in tmp_path.iterdir())
+    assert peak < written / 4
+
+
+def test_load_keeps_one_string_per_id(tmp_path):
+    tax, _ = make_balanced_taxonomy(3, 2, 4)
+    tax.node("root/cat-1/cat-1-2").service_ids.append("svc-1-1-01")  # one service in two leaves
+    tax.rebuild_assignment()
+    save(tax, tmp_path)
+    loaded = load(tmp_path)
+    assert loaded == tax
+    for sid, leaf_ids in loaded.assignment.items():
+        for leaf_id in leaf_ids:
+            leaf = loaded.nodes[leaf_id]
+            assert leaf_id is leaf.node_id
+            assert any(held is sid for held in leaf.service_ids)
+
+
+def test_validate_changes_no_list():
+    tax = small_tree()
+    tax.assignment["s2"].append("root/a/a1")  # a leaf listed twice
+    tax.assignment["s4"] = ["root/b"]  # a leaf without the service
+    tax.assignment = json.loads(json.dumps(tax.assignment))  # string objects the nodes do not hold
+
+    def objects() -> list:
+        return [(id(node.service_ids), [id(sid) for sid in node.service_ids])
+                for node in tax.nodes.values()] + [
+                (id(sid), id(leaf_ids), [id(leaf_id) for leaf_id in leaf_ids])
+                for sid, leaf_ids in tax.assignment.items()]
+
+    before = objects()
+    validate(tax, registry_for(tax))
+    assert objects() == before
+
+
+def test_validate_reports_a_leaf_listed_twice():
+    tax = small_tree()
+    tax.assignment["s2"] = ["root/a/a1", "root/b", "root/a/a1"]
+    assert [(v.kind, v.subject, v.detail) for v in validate(tax, registry_for(tax))] == [
+        ("assignment-mismatch", "s2", "service 's2' lists leaf 'root/a/a1' twice"),
+    ]
+
+
+def test_load_rejects_a_leaf_listed_twice(tmp_path):
+    save(small_tree(), tmp_path)
+    doc = json.loads((tmp_path / "class.json").read_text())
+    doc["s1"] = ["root/a/a1", "root/a/a1"]
+    (tmp_path / "class.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'class.json'}: service 's1' lists leaf 'root/a/a1' twice"
 
 
 def test_load_missing_file(tmp_path):
