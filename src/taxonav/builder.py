@@ -96,6 +96,7 @@ class CategoryDraft:
 class ClassificationOutcome:
     matched: tuple[int, ...]  # 1-based draft indices
     status: str  # ok | generic | unmatched
+    parse_failed: bool = False  # the reply was unparseable after its re-ask
 
 
 @dataclass
@@ -169,13 +170,17 @@ class TaxonomyBuilder:
 
     # -- keyword compression ----------------------------------------------
 
-    def extract_keywords(self, services: list[Service], *, label: str = "build.keyword") -> KeywordTable:
+    def extract_keywords(
+        self, services: list[Service], *, label: str = "build.keyword",
+        report: BuildReport | None = None, node_id: str | None = None,
+    ) -> KeywordTable:
         """Batched keyword extraction; one chat call per batch of services.
 
         Keywords deduplicate case-insensitively; the frequency of a keyword
         is the number of services that mentioned it. A batch whose reply
-        parses to nothing contributes nothing (with a warning); only all
-        batches failing is an error.
+        parses to nothing contributes nothing, with one warning in the
+        report, led by node_id when there is one; only all batches failing
+        is an error.
         """
         cfg = self.cfg
         batches = [
@@ -213,7 +218,10 @@ class TaxonomyBuilder:
                     counts[keyword] = counts.get(keyword, 0) + 1
             if not parsed_any:
                 failed_batches += 1
-                logger.warning("keyword batch of %d services parsed to nothing", len(batch))
+                warning = f"keyword batch of {len(batch)} services parsed to nothing"
+                logger.warning(warning)
+                if report is not None:
+                    report.warnings.append(f"{node_id}: {warning}" if node_id else warning)
         if batches and failed_batches == len(batches):
             raise DataError("keyword extraction failed for every batch")
         entries = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -387,7 +395,7 @@ class TaxonomyBuilder:
                 status = "generic"
             else:
                 status = "ok"
-            return ClassificationOutcome(matched=sel.indices, status=status)
+            return ClassificationOutcome(sel.indices, status, sel.parse_failed)
 
         return call
 
@@ -496,7 +504,9 @@ class TaxonomyBuilder:
         means the node stays a leaf.
 
         Warnings and counters go to the node's own report, which the level
-        merges into the build's report in node order.
+        merges into the build's report in node order. Its last warning counts
+        the node's classification replies that stayed unparseable after their
+        re-ask, if any did.
         """
         cfg = self.cfg
         log = BuildReport()
@@ -506,7 +516,17 @@ class TaxonomyBuilder:
         else:
             node = taxonomy.node(node_id)
             parent_context = f'The parent category is "{node.name}": {node.description}'
-        table = self.extract_keywords(services) if len(services) > cfg.keyword_threshold else None
+        table = None
+        if len(services) > cfg.keyword_threshold:
+            table = self.extract_keywords(services, report=log, node_id=node_id)
+        unparseable = 0  # classification replies, over every wave of the node
+
+        def done(placements: list) -> tuple[BuildReport, list]:
+            if unparseable:
+                log.warnings.append(
+                    f"{node_id}: {unparseable} classification replies unparseable after re-ask"
+                )
+            return log, placements
 
         def design() -> list[CategoryDraft] | DesignError:
             payload = table if table is not None else services
@@ -529,6 +549,7 @@ class TaxonomyBuilder:
         while True:
             classify = self._classifier(drafts)
             outcomes = yield [partial(classify, svc) for svc in services]
+            unparseable += sum(o.parse_failed for o in outcomes)
             generic = [s for s, o in zip(services, outcomes) if o.status == "generic"]
             unmatched = [s for s, o in zip(services, outcomes) if o.status == "unmatched"]
             if not (generic or unmatched) or rounds == cfg.max_refine_iterations:
@@ -545,6 +566,7 @@ class TaxonomyBuilder:
 
         single_best = self._classifier(drafts, "classify_single_best")
         choices = yield [partial(single_best, svc) for svc in generic]
+        unparseable += sum(o.parse_failed for o in choices)
         forced = {
             svc.id: choice.matched[0]  # indices come sorted
             for svc, choice in zip(generic, choices)
@@ -568,12 +590,13 @@ class TaxonomyBuilder:
             )
             if len(services) > cfg.leaf_threshold:
                 log.oversized_leaves.append(node_id)
-            return log, []
+            return done([])
         log.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
 
         displaced = [svc for i in tiny for svc in buckets[i]]
         reclassify = self._classifier([drafts[i] for i in survivors])
         outcomes = yield [partial(reclassify, svc) for svc in displaced]
+        unparseable += sum(o.parse_failed for o in outcomes)
         for svc, outcome in zip(displaced, outcomes):
             if outcome.matched:
                 for idx in outcome.matched:
@@ -602,7 +625,7 @@ class TaxonomyBuilder:
                 catchall,
             ))
             log.catchall_placements += len(catchall)
-        return log, placements
+        return done(placements)
 
     # -- cross-domain pass -----------------------------------------------------
 
@@ -829,7 +852,7 @@ def build_oneshot(
 
     with metered() as usage:
         if variant == "freq":
-            table = builder.extract_keywords(services, label="oneshot.keyword")
+            table = builder.extract_keywords(services, label="oneshot.keyword", report=report)
             payload_header = "Keyword frequencies (keyword, number of services mentioning it):"
             payload = table.render()
         else:

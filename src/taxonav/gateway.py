@@ -486,48 +486,15 @@ class MockEmbeddingBackend:
         return [list(self.vectors[t]) if t in self.vectors else self._fallback(t) for t in texts]
 
 
-class _Pool:
-    """At most ``size`` threads that run jobs from one queue; a new thread
-    starts only when a submitted job would find every other one busy. The
-    threads mark themselves in ``in_map`` and hold no reference to the
-    gateway; ``close`` stops them once the queued jobs are done. They are
+def _serve(jobs: queue.SimpleQueue, in_map: threading.local) -> None:
+    """A pool thread: runs jobs until it takes None. It marks itself in
+    ``in_map`` and holds no reference to the gateway. Pool threads are
     daemon threads because the interpreter joins the others at exit before
-    it runs the gateway's finalizer, which is what calls ``close``."""
-
-    def __init__(self, size: int, in_map: threading.local) -> None:
-        self.size = size
-        self.in_map = in_map
-        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self.threads: list[threading.Thread] = []
-        self.outstanding = 0  # jobs queued or running
-        self.lock = threading.Lock()
-
-    def submit(self, jobs: list[Callable[[], object]]) -> None:
-        with self.lock:
-            self.outstanding += len(jobs)
-            while len(self.threads) < min(self.size, self.outstanding):
-                thread = threading.Thread(
-                    target=self._work, name=f"taxonav-gateway_{len(self.threads)}", daemon=True
-                )
-                thread.start()
-                self.threads.append(thread)
-        for job in jobs:
-            self.jobs.put(job)
-
-    def _work(self) -> None:
-        self.in_map.active = True
-        while (job := self.jobs.get()) is not None:
-            try:
-                job()
-            finally:
-                del job  # an idle thread must not keep its last map, or the gateway, alive
-                with self.lock:
-                    self.outstanding -= 1
-
-    def close(self) -> None:
-        with self.lock:
-            for _ in self.threads:
-                self.jobs.put(None)
+    it runs the gateway's finalizers, which are what send the None."""
+    in_map.active = True
+    while (job := jobs.get()) is not None:
+        job()
+        del job  # an idle thread must not keep its last map, or the gateway, alive
 
 
 class LlmGateway:
@@ -536,9 +503,9 @@ class LlmGateway:
     ``workers`` caps the backend calls in flight across every caller of one
     gateway: each chat or embedding attempt holds one of ``workers`` permits.
     A ``run_parallel`` map runs on its caller's thread, helped by at most
-    ``workers - 1`` jobs on one pool of at most ``workers`` threads that
-    every map shares. The pool threads start as jobs need them, hold no
-    reference to the gateway and exit once it is collected.
+    ``workers - 1`` jobs on one queue that every map shares. Its ``workers``
+    pool threads start together with the gateway's first pooled map, hold
+    no reference to the gateway and exit once it is collected.
     """
 
     def __init__(
@@ -564,7 +531,7 @@ class LlmGateway:
         self._memory_cache: dict[str, np.ndarray] = {}
         self._cache_lock = threading.Lock()
         self._permits = threading.BoundedSemaphore(self.workers)
-        self._pool: _Pool | None = None
+        self._jobs: queue.SimpleQueue | None = None  # the pool's, once started
         self._pool_lock = threading.Lock()
         # active on the pool's threads, and on a caller while it drains a map
         self._in_map = threading.local()
@@ -761,12 +728,19 @@ class LlmGateway:
 
     # -- concurrency -----------------------------------------------------
 
-    def _helpers(self) -> _Pool:
+    def _helpers(self) -> queue.SimpleQueue:
+        """The pool's job queue; the first call starts its threads."""
         with self._pool_lock:
-            if self._pool is None:
-                self._pool = _Pool(self.workers, self._in_map)
-                weakref.finalize(self, self._pool.close)
-            return self._pool
+            if self._jobs is None:
+                jobs: queue.SimpleQueue = queue.SimpleQueue()
+                for i in range(self.workers):
+                    threading.Thread(
+                        target=_serve, args=(jobs, self._in_map),
+                        name=f"taxonav-gateway_{i}", daemon=True,
+                    ).start()
+                    weakref.finalize(self, jobs.put, None)  # the thread's stop, once self goes
+                self._jobs = jobs
+            return self._jobs
 
     def run_parallel(self, fn: Callable, items: Sequence) -> list:
         """Maps fn over items; results in input order.
@@ -827,12 +801,9 @@ class LlmGateway:
                 if last:
                     finished.release()
 
-        self._helpers().submit(
-            [
-                functools.partial(contextvars.copy_context().run, helper)
-                for _ in range(min(self.workers, len(items)) - 1)
-            ]
-        )
+        jobs = self._helpers()
+        for _ in range(min(self.workers, len(items)) - 1):
+            jobs.put(functools.partial(contextvars.copy_context().run, helper))
         in_map.active = True
         try:
             drain()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from string import Template
 
@@ -33,28 +33,23 @@ class PromptTemplate:
         return system.substitute(values), user.substitute(values)
 
 
-_cache: dict[str, PromptTemplate] = {}
-_snippet_cache: dict[str, str] = {}
-
-
+@cache
 def load(name: str) -> PromptTemplate:
-    if name not in _cache:
-        text = (_DIR / f"{name}.txt").read_text(encoding="utf-8")
-        sections: dict[str, list[str]] = {}
-        current: list[str] | None = None
-        for line in text.splitlines():
-            if line.strip() in _SECTION_HEADERS:
-                current = sections.setdefault(line.strip()[1:-1], [])
-                continue
-            if current is not None:
-                current.append(line)
-        if "system" not in sections or "user" not in sections:
-            raise ValueError(f"template {name!r} must contain [system] and [user] sections")
-        _cache[name] = PromptTemplate(
-            system="\n".join(sections["system"]).strip(),
-            user="\n".join(sections["user"]).strip(),
-        )
-    return _cache[name]
+    text = (_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    sections: dict[str, list[str]] = {}
+    current: list[str] | None = None
+    for line in text.splitlines():
+        if line.strip() in _SECTION_HEADERS:
+            current = sections.setdefault(line.strip()[1:-1], [])
+            continue
+        if current is not None:
+            current.append(line)
+    if "system" not in sections or "user" not in sections:
+        raise ValueError(f"template {name!r} must contain [system] and [user] sections")
+    return PromptTemplate(
+        system="\n".join(sections["system"]).strip(),
+        user="\n".join(sections["user"]).strip(),
+    )
 
 
 def render(name: str, **values: str) -> tuple[str, str]:
@@ -76,8 +71,7 @@ def service_options(services: Iterable) -> str:
     return "\n".join(f"{i}. {s.name}: {s.description}" for i, s in enumerate(services, start=1))
 
 
+@cache
 def snippet(name: str) -> str:
     """Loads a sectionless text fragment shared between templates."""
-    if name not in _snippet_cache:
-        _snippet_cache[name] = (_DIR / f"{name}.txt").read_text(encoding="utf-8").strip()
-    return _snippet_cache[name]
+    return (_DIR / f"{name}.txt").read_text(encoding="utf-8").strip()

@@ -295,13 +295,20 @@ def _assignment_faults(
     With ``share``, the same pass makes the two files' strings one: each
     leaf id of an entry becomes that node's ``node_id`` object, and each
     service in a leaf's list the map's key object, both replaced in place.
-    Without it (``validate``) nothing is changed."""
+    A leaf list that names a service twice cannot be shared, so with
+    ``share`` it comes first, as a ``duplicate-in-leaf`` fault; ``validate``
+    reports those itself. Without ``share`` nothing is changed."""
     # leaf id -> {service: its index in the leaf's list} for each service not
     # yet listed under that leaf; an entry pops what it lists
-    unlisted = {
-        node_id: dict(zip(node.service_ids, range(len(node.service_ids))))
-        for node_id, node in nodes.items() if not node.children
-    }
+    unlisted: dict[str, dict[str, int]] = {}
+    repeats = []
+    for node_id, node in nodes.items():
+        if not node.children:
+            index = unlisted[node_id] = dict(zip(node.service_ids, range(len(node.service_ids))))
+            if share and len(index) < len(node.service_ids):  # a shorter dict holds a repeat
+                seen: set[str] = set()
+                sid = next(sid for sid in node.service_ids if sid in seen or seen.add(sid))
+                repeats.append(Violation("duplicate-in-leaf", node_id, f"service {sid!r} listed twice"))
     held: dict[str, set[str]] = {}  # leaf id -> its services, built on a fault only
     faults = []  # (service id, detail)
     for sid, leaf_ids in assignment.items():
@@ -328,7 +335,7 @@ def _assignment_faults(
         if rest:
             faults += [(sid, f"leaf {leaf_id!r} holds service {sid!r} absent from the assignment map")
                        for sid in nodes[leaf_id].service_ids if sid in rest]
-    return [Violation("assignment-mismatch", sid, detail) for sid, detail in faults]
+    return repeats + [Violation("assignment-mismatch", sid, detail) for sid, detail in faults]
 
 
 def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list[Violation]:
@@ -461,8 +468,9 @@ def load(directory: str | Path) -> Taxonomy:
     Raises SchemaError naming the file and the first fault: a file that is
     not the expected JSON, a node record field of the wrong type, a
     duplicate node id, a root with no record, the first ``_walk`` fault of
-    the child lists, or the first ``_assignment_faults`` fault where
-    class.json and the leaf service lists disagree.
+    the child lists, a leaf list that names a service twice, or the first
+    ``_assignment_faults`` fault where class.json and the leaf service
+    lists disagree.
 
     The loaded tree keeps one string object per id, shared by the pass that
     checks class.json: each service in a leaf's list is the assignment
@@ -510,7 +518,8 @@ def load(directory: str | Path) -> Taxonomy:
 
     faults = _assignment_faults(nodes, assignment, share=True)
     if faults:
-        raise SchemaError(f"{class_path}: {faults[0].detail}")
+        path = tax_path if faults[0].kind == "duplicate-in-leaf" else class_path
+        raise SchemaError(f"{path}: {faults[0].detail}")
 
     taxonomy = Taxonomy(nodes=nodes, root_id=root_id, assignment=assignment)
     logger.info(

@@ -404,6 +404,39 @@ def test_collapse_when_fewer_than_two_survivors():
     assert any("fewer than 2 children survived" in w for w in report.warnings)
 
 
+def test_unusable_keyword_and_classification_replies_are_warnings():
+    rules = [
+        ScriptRule(pattern=r"1\. s01:", label="build.keyword", reply="junk"),
+        ScriptRule(pattern=".*", label="build.keyword", reply="1: maps\n2: maps"),
+        ScriptRule(pattern="Design sibling categories", label="build.design",
+                   reply=design_json("Alpha", "Beta")),
+        ScriptRule(pattern="Audit the proposed", label="build.design", reply='{"ok": true}'),
+        ScriptRule(pattern=".*", label="build.refine", reply=design_json("Alpha", "Beta")),
+        ScriptRule(pattern=r"Service:\ns0[1-5]:", label="build.classify", reply="nothing"),
+        ScriptRule(pattern=r"Service:", label="build.classify", reply="1"),
+    ]
+    gateway = gw(*rules)
+    cfg = BuildConfig(keyword_threshold=5, keyword_batch_size=5, leaf_threshold=5, generic_ratio=0.5)
+    _, report = build(ten_services(), cfg, gateway)
+    assert len(calls(gateway, "build.keyword")) == 2
+    # in each of 4 rounds, five services answer at once and five are re-asked
+    assert len(calls(gateway, "build.classify")) == 4 * (5 + 2 * 5)
+    assert report.warnings == [
+        "root: keyword batch of 5 services parsed to nothing",
+        "root: fewer than 2 children survived the tiny merge; kept as a leaf",
+        "root: 20 classification replies unparseable after re-ask",
+    ]
+
+
+def test_a_split_node_counts_its_unparseable_classification_replies():
+    gateway = gw(*split_rules(["nothing"]))
+    _, report = build(ten_services(), BuildConfig(leaf_threshold=6, generic_ratio=0.5), gateway)
+    assert report.warnings == [
+        "root: 1 stray services forced into 'Alpha'",
+        "root: 4 classification replies unparseable after re-ask",
+    ]
+
+
 # -- root validation ----------------------------------------------------------
 
 
@@ -925,6 +958,17 @@ def test_oneshot_plus_freq_designs_from_keywords():
     design_call = calls(gateway, "oneshot.design")[0]
     assert "Keyword frequencies" in design_call.request.user_prompt
     assert "- docs (4)" in design_call.request.user_prompt
+
+
+def test_oneshot_plus_freq_warns_of_a_keyword_batch_that_parsed_to_nothing():
+    rules = oneshot_rules("Work > Docs > Viewers")
+    rules.append(ScriptRule(pattern=r"1\. e1:", label="oneshot.keyword", reply="junk"))
+    rules.append(ScriptRule(pattern=".*", label="oneshot.keyword", reply="1: docs\n2: docs"))
+    gateway = gw(*rules)
+    _, report = build_oneshot(oneshot_registry(), "freq", BuildConfig(keyword_batch_size=2), gateway)
+    assert report.calls_by_phase["keyword"] == 2
+    assert report.warnings[0] == "keyword batch of 2 services parsed to nothing"
+    assert not any("keyword" in warning for warning in report.warnings[1:])
 
 
 def test_oneshot_plus_axis_prepends_rules():

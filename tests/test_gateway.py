@@ -957,7 +957,7 @@ def test_nested_run_parallel_runs_inline():
 
 
 def test_nested_maps_run_inline_on_the_caller_and_on_helpers(monkeypatch):
-    jobs = counting_pool_submits(monkeypatch)
+    jobs = counting_pool_jobs(monkeypatch)
     gw = LlmGateway(workers=2)
     both = threading.Barrier(2, timeout=10)
 
@@ -1003,11 +1003,13 @@ def test_a_map_finishes_on_its_caller_while_other_maps_hold_every_pool_thread(mo
         for thread in holders:
             thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in holders)
-    # the late helpers of the finished map start now and must do nothing
-    deadline = time.monotonic() + 10
-    while gw._pool.outstanding and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert gw._pool.outstanding == 0
+    # the late helpers of the finished map start now and must do nothing; a
+    # barrier job per pool thread trips only once each thread has finished
+    # every job queued before it
+    drained = threading.Barrier(gw.workers + 1, timeout=10)
+    for _ in range(gw.workers):
+        gw._helpers().put(drained.wait)
+    drained.wait()
     assert thread_errors == []
 
 
@@ -1054,23 +1056,35 @@ def test_workers_caps_calls_in_flight_across_callers():
     assert backend.peak == 3
 
 
-def counting_pool_submits(monkeypatch) -> list:
-    """Patches the pool's submit to append each job it is handed to a list."""
+def counting_pool_jobs(monkeypatch) -> list:
+    """Patches the gateway's pool queue to append each job it is handed to a
+    list."""
     jobs: list = []
-    submit = gateway_module._Pool.submit
+    helpers = LlmGateway._helpers
 
-    def counting_submit(pool, batch):
-        jobs.extend(batch)
-        return submit(pool, batch)
+    class CountingQueue:
+        def __init__(self, queue):
+            self.queue = queue
 
-    monkeypatch.setattr(gateway_module._Pool, "submit", counting_submit)
+        def put(self, job):
+            jobs.append(job)
+            self.queue.put(job)
+
+    monkeypatch.setattr(LlmGateway, "_helpers", lambda gw: CountingQueue(helpers(gw)))
     return jobs
+
+
+def new_pool_threads(before: set[threading.Thread]) -> set[threading.Thread]:
+    return {
+        thread for thread in set(threading.enumerate()) - before
+        if thread.name.startswith("taxonav-gateway_")
+    }
 
 
 def test_run_parallel_keeps_a_bounded_window(monkeypatch):
     """A map of any length hands the pool workers - 1 jobs and runs at most
     workers items at once; the first workers items run all at once."""
-    jobs = counting_pool_submits(monkeypatch)
+    jobs = counting_pool_jobs(monkeypatch)
     lock = threading.Lock()
     state = {"running": 0, "peak": 0}
     gw = LlmGateway(workers=3)
@@ -1094,12 +1108,30 @@ def test_run_parallel_keeps_a_bounded_window(monkeypatch):
 
 @pytest.mark.parametrize("n_items, n_jobs", [(0, 0), (1, 0), (2, 1), (5, 4), (8, 7), (500, 7)])
 def test_a_map_submits_at_most_workers_minus_one_jobs(monkeypatch, n_items, n_jobs):
-    jobs = counting_pool_submits(monkeypatch)
+    jobs = counting_pool_jobs(monkeypatch)
     gw = LlmGateway(workers=8)
     assert gw.run_parallel(lambda i: -i, range(n_items)) == [-i for i in range(n_items)]
     assert len(jobs) == n_jobs
-    # the pool starts a thread only for a job that would otherwise wait
-    assert len(gw._pool.threads if gw._pool else []) <= n_jobs
+
+
+def test_a_gateway_whose_maps_all_run_inline_starts_no_thread():
+    before = set(threading.enumerate())
+    gw, single = LlmGateway(workers=8), LlmGateway(workers=1)
+    assert gw.run_parallel(lambda i: -i, []) == []
+    assert gw.run_parallel(lambda i: -i, [3]) == [-3]
+    assert single.run_parallel(lambda i: -i, range(50)) == [-i for i in range(50)]
+    assert set(threading.enumerate()) - before == set()
+
+
+def test_the_first_pooled_map_starts_every_pool_thread_and_later_maps_none():
+    before = set(threading.enumerate())
+    gw = LlmGateway(workers=20)
+    assert gw.run_parallel(lambda i: -i, range(2)) == [0, -1]
+    started = new_pool_threads(before)
+    assert len(started) == gw.workers
+    for n_items in (2, 20, 500):
+        assert gw.run_parallel(lambda i: -i, range(n_items)) == [-i for i in range(n_items)]
+    assert new_pool_threads(before) == started
 
 
 def test_every_item_runs_once_under_fast_thread_switching():

@@ -62,3 +62,57 @@ def test_every_name_perfbench_traces_is_its_owners_own_attribute(monkeypatch):
     ]
     assert len(traced) > 1
     assert missing == []
+
+
+THREAD_STARTERS = {"Thread", "ThreadPoolExecutor"}
+
+
+def thread_starts(tree: ast.Module) -> list[str]:
+    """The qualified name of the function around each call of a class named
+    in THREAD_STARTERS, as a bare name or as a module attribute."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in THREAD_STARTERS:
+                    found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_thread_starts_finds_each_call_by_its_scope():
+    tree = ast.parse(
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "threading.Thread(target=print).start()\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return ThreadPoolExecutor(2)\n"
+        "        return threading.Thread(target=g)\n"
+    )
+    assert thread_starts(tree) == ["<module>", "A.f.g", "A.f"]
+
+
+def test_only_the_gateway_pool_and_the_eval_client_pool_start_threads():
+    """The gateway's pool is the one place that runs a map's helpers, and
+    ``evaluate``'s client pool runs queries whose calls all go through a
+    gateway. A thread or pool started anywhere else would be concurrency
+    that neither accounts for."""
+    starts = sorted(
+        (str(path.relative_to(ROOT / "src")), scope)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for scope in thread_starts(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert starts == [
+        ("taxonav/eval_harness.py", "evaluate"),
+        ("taxonav/gateway.py", "LlmGateway._helpers"),
+    ]

@@ -354,6 +354,28 @@ def test_load_rejects_a_leaf_listed_twice(tmp_path):
     assert str(exc.value) == f"{tmp_path / 'class.json'}: service 's1' lists leaf 'root/a/a1' twice"
 
 
+def leaf_listing_a_service_twice() -> Taxonomy:
+    tax = Taxonomy()
+    tax.add_child("root", "A").service_ids = ["s2", "s1", "s2", "s1"]
+    tax.assignment = {"s1": ["root/a"], "s2": ["root/a"]}
+    return tax
+
+
+def test_load_rejects_a_leaf_that_lists_a_service_twice(tmp_path):
+    save(leaf_listing_a_service_twice(), tmp_path)
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'taxonomy.json'}: service 's2' listed twice"
+
+
+def test_validate_reports_a_service_listed_twice_in_a_leaf_once():
+    tax = leaf_listing_a_service_twice()
+    assert [(v.kind, v.subject, v.detail) for v in validate(tax, registry_for(tax))] == [
+        ("duplicate-in-leaf", "root/a", "service 's2' listed twice"),
+        ("duplicate-in-leaf", "root/a", "service 's1' listed twice"),
+    ]
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(SchemaError) as exc:
         load(tmp_path)
