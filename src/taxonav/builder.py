@@ -5,15 +5,14 @@ holding more services than the leaf threshold (and above the depth cap) is
 split by an LLM-designed set of sibling categories, with a classification /
 refinement loop that tightens boundaries until every service lands cleanly
 or the iteration budget runs out. All nodes of one level are split
-together: each node's split is a generator that yields its calls in waves,
-and the calls of every node, whatever step it is at, run as one bounded
-parallel map per wave. Oversized nodes are first compressed into a
-keyword frequency table so the designer prompt stays small. After the tree
-settles, a cross-domain pass lets services surface under additional
-top-level domains, which is where the multi-parent structure comes from.
-Its candidates are routed to a leaf by search's own walker
-(``search.navigate``), all of them one level at a time, as get_one walks
-that follow a single branch.
+together, as one parallel map of ``split_node``, and each node's own calls
+run as maps nested inside it, all within the gateway's workers. Oversized
+nodes are first compressed into a keyword frequency table so the designer
+prompt stays small. After the tree settles, a cross-domain pass lets
+services surface under additional top-level domains, which is where the
+multi-parent structure comes from. Its candidates are routed to a leaf by
+search's own walker (``search.navigate``), all of them one level at a
+time, as get_one walks that follow a single branch.
 
 The second builder produces the whole tree from one design call plus one
 classification call per service. It exists as a baseline and deliberately
@@ -25,9 +24,8 @@ from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 from . import prompts
@@ -363,8 +361,8 @@ class TaxonomyBuilder:
         services: list[Service],
         drafts: list[CategoryDraft],
     ) -> list[ClassificationOutcome]:
-        """One chat call per service against the draft list. Nothing in the
-        build calls it; it stays while perfbench/spans.py traces it by name.
+        """One chat call per service against the draft list, as one
+        run_parallel map.
 
         Status rules: no match (including a reply unparseable after its
         re-ask) is unmatched; matching strictly more than generic_ratio *
@@ -429,59 +427,27 @@ class TaxonomyBuilder:
 
     # -- node splitting ------------------------------------------------------
 
-    def split_node(
-        self,
-        taxonomy: Taxonomy,
-        node_id: str,
-        services: list[Service],
-        report: BuildReport,
-    ) -> list[tuple[str, list[Service]]]:
-        """Splits one node into LLM-designed children, as a level of one node.
-        The build splits whole levels; this stays while perfbench/spans.py
-        traces it by name.
-
-        Returns (child_id, child_services) pairs in draft order with any
-        catch-all last, or an empty list when the node stays a leaf (the
-        report says why). Raises DesignError when the root's design fails.
-        """
-        return self._split_level(taxonomy, [(node_id, services)], report)[0]
-
     def _split_level(
         self,
         taxonomy: Taxonomy,
         level: list[tuple[str, list[Service]]],
         report: BuildReport,
     ) -> list[list[tuple[str, list[Service]]]]:
-        """Splits the given (node_id, services) nodes of one level together.
-
-        Each node's split is a generator of call waves (``_split_steps``).
-        Priming the generators in node order extracts the keyword tables one
-        node after another. Then the pending calls of every node, whatever
-        step it is at, run as one run_parallel wave, and each node is sent
-        its own results in order. Every call is one chat call plus its own
-        re-ask, so the gateway's workers bound the calls in flight. Children
-        and each node's own report are added in node order once the level is
-        done, so the result does not depend on call timing.
+        """Splits the given (node_id, services) nodes of one level together,
+        as one run_parallel map of split_node. Each node's own maps nest
+        inside it, so the gateway's workers bound the calls in flight across
+        the level. Children and each node's own report are added in node
+        order once the level is done, so the result does not depend on call
+        timing. When a node's split raises, no node that has not started
+        starts, the nodes already started finish their split, and then the
+        earliest failed node's exception is raised.
 
         Returns, per node, (child_id, child_services) pairs in draft order
-        with any catch-all last, or an empty list when the node stays a leaf:
-        fewer than two children survived the tiny merge, or its design failed
-        even after the re-ask. The report records why. A design failure at
-        the root raises DesignError.
+        with any catch-all last, or an empty list when the node stays a leaf.
         """
-        steps = [self._split_steps(taxonomy, node_id, services) for node_id, services in level]
-        waves = [next(step) for step in steps]
-        ends: list = [None] * len(steps)  # each node's (log, placements)
-        while live := [i for i, wave in enumerate(waves) if wave is not None]:
-            thunks = [thunk for i in live for thunk in waves[i]]
-            results = iter(self.gateway.run_parallel(lambda thunk: thunk(), thunks))
-            for i in live:
-                try:
-                    waves[i] = steps[i].send([next(results) for _ in waves[i]])
-                except StopIteration as stop:
-                    waves[i], ends[i] = None, stop.value
+        splits = self.gateway.run_parallel(lambda entry: self.split_node(taxonomy, *entry), level)
         children: list[list[tuple[str, list[Service]]]] = []
-        for (node_id, _), (log, placements) in zip(level, ends):
+        for (node_id, _), (log, placements) in zip(level, splits):
             children.append([])
             for draft, members in placements:
                 child = taxonomy.add_child(node_id, draft.name, draft.description, draft.boundary)
@@ -492,21 +458,22 @@ class TaxonomyBuilder:
             _absorb(report, log)
         return children
 
-    def _split_steps(
+    def split_node(
         self, taxonomy: Taxonomy, node_id: str, services: list[Service]
-    ) -> Generator[list[Callable[[], object]], list, tuple[BuildReport, list]]:
-        """One node's split, start to end. Each yield is a wave of calls, as
-        thunks, and is sent their results in order. Returns the node's own
-        report and its (draft, services) placements: ok services go to every
-        matched child, generic services to a single forced choice, the rest
-        to the catch-all. Children at or below the tiny threshold are deleted
-        and their services re-classified among the survivors. No placements
-        means the node stays a leaf.
+    ) -> tuple[BuildReport, list[tuple[CategoryDraft, list[Service]]]]:
+        """One node's split, start to end; it reads the taxonomy and does not
+        change it. Returns the node's own report and its (draft, services)
+        placements: ok services go to every matched child, generic services
+        to a single forced choice, the rest to the catch-all. Children at or
+        below the tiny threshold are deleted and their services
+        re-classified among the survivors.
 
-        Warnings and counters go to the node's own report, which the level
-        merges into the build's report in node order. Its last warning counts
-        the node's classification replies that stayed unparseable after their
-        re-ask, if any did.
+        No placements means the node stays a leaf: its design failed even
+        after the re-ask, or fewer than two children survived the tiny
+        merge. The report says why. A design failure at the root raises
+        DesignError. The report's last warning counts the node's
+        classification replies that stayed unparseable after their re-ask,
+        if any did.
         """
         cfg = self.cfg
         log = BuildReport()
@@ -519,7 +486,7 @@ class TaxonomyBuilder:
         table = None
         if len(services) > cfg.keyword_threshold:
             table = self.extract_keywords(services, report=log, node_id=node_id)
-        unparseable = 0  # classification replies, over every wave of the node
+        unparseable = 0  # classification replies, over every map of the node
 
         def done(placements: list) -> tuple[BuildReport, list]:
             if unparseable:
@@ -528,18 +495,14 @@ class TaxonomyBuilder:
                 )
             return log, placements
 
-        def design() -> list[CategoryDraft] | DesignError:
-            payload = table if table is not None else services
-            try:
-                return self.design_categories(payload, parent_context, report=log)
-            except DesignError as exc:
-                return exc
-
-        [drafts] = yield [design]
-        if isinstance(drafts, DesignError):
+        try:
+            drafts = self.design_categories(
+                table if table is not None else services, parent_context, report=log
+            )
+        except DesignError as exc:
             if is_root:
-                raise DesignError(f"unrecoverable design failure at the root: {drafts}") from drafts
-            log.warnings.append(f"{node_id}: design failed ({drafts}); kept as a leaf")
+                raise DesignError(f"unrecoverable design failure at the root: {exc}") from exc
+            log.warnings.append(f"{node_id}: design failed ({exc}); kept as a leaf")
             log.oversized_leaves.append(node_id)
             return log, []
         if is_root:
@@ -547,16 +510,13 @@ class TaxonomyBuilder:
 
         rounds = 0
         while True:
-            classify = self._classifier(drafts)
-            outcomes = yield [partial(classify, svc) for svc in services]
+            outcomes = self.classify_services(services, drafts)
             unparseable += sum(o.parse_failed for o in outcomes)
             generic = [s for s, o in zip(services, outcomes) if o.status == "generic"]
             unmatched = [s for s, o in zip(services, outcomes) if o.status == "unmatched"]
             if not (generic or unmatched) or rounds == cfg.max_refine_iterations:
                 break
-            [refined] = yield [
-                partial(self.refine_drafts, drafts, generic, unmatched, parent_context, report=log)
-            ]
+            refined = self.refine_drafts(drafts, generic, unmatched, parent_context, report=log)
             if refined is None:
                 log.warnings.append(f"{node_id}: refinement reply unusable; boundaries kept as-is")
                 break
@@ -564,8 +524,7 @@ class TaxonomyBuilder:
             rounds += 1
         log.refine_iterations[node_id] = rounds
 
-        single_best = self._classifier(drafts, "classify_single_best")
-        choices = yield [partial(single_best, svc) for svc in generic]
+        choices = self.gateway.run_parallel(self._classifier(drafts, "classify_single_best"), generic)
         unparseable += sum(o.parse_failed for o in choices)
         forced = {
             svc.id: choice.matched[0]  # indices come sorted
@@ -594,8 +553,7 @@ class TaxonomyBuilder:
         log.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
 
         displaced = [svc for i in tiny for svc in buckets[i]]
-        reclassify = self._classifier([drafts[i] for i in survivors])
-        outcomes = yield [partial(reclassify, svc) for svc in displaced]
+        outcomes = self.classify_services(displaced, [drafts[i] for i in survivors])
         unparseable += sum(o.parse_failed for o in outcomes)
         for svc, outcome in zip(displaced, outcomes):
             if outcome.matched:

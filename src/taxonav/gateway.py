@@ -134,10 +134,8 @@ def extract_json_object(text: str) -> dict:
     end = cleaned.rfind("}")
     if start < 0 or end <= start:
         raise ReplyParseError(f"no JSON object in reply {text[:120]!r}")
-    obj = decode_json(cleaned[start : end + 1], ReplyParseError, "reply")
-    if not isinstance(obj, dict):
-        raise ReplyParseError("reply JSON is not an object")
-    return obj
+    # text from a "{" to a "}" decodes to an object or fails
+    return decode_json(cleaned[start : end + 1], ReplyParseError, "reply")
 
 
 def l2_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -486,12 +484,11 @@ class MockEmbeddingBackend:
         return [list(self.vectors[t]) if t in self.vectors else self._fallback(t) for t in texts]
 
 
-def _serve(jobs: queue.SimpleQueue, in_map: threading.local) -> None:
-    """A pool thread: runs jobs until it takes None. It marks itself in
-    ``in_map`` and holds no reference to the gateway. Pool threads are
-    daemon threads because the interpreter joins the others at exit before
-    it runs the gateway's finalizers, which are what send the None."""
-    in_map.active = True
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """A pool thread: runs jobs until it takes None. It holds no reference
+    to the gateway. Pool threads are daemon threads because the interpreter
+    joins the others at exit before it runs the gateway's finalizers, which
+    are what send the None."""
     while (job := jobs.get()) is not None:
         job()
         del job  # an idle thread must not keep its last map, or the gateway, alive
@@ -503,9 +500,10 @@ class LlmGateway:
     ``workers`` caps the backend calls in flight across every caller of one
     gateway: each chat or embedding attempt holds one of ``workers`` permits.
     A ``run_parallel`` map runs on its caller's thread, helped by at most
-    ``workers - 1`` jobs on one queue that every map shares. Its ``workers``
-    pool threads start together with the gateway's first pooled map, hold
-    no reference to the gateway and exit once it is collected.
+    ``workers - 1`` jobs on one queue that every map shares, nested maps
+    included. Its ``workers`` pool threads start together with the
+    gateway's first pooled map, hold no reference to the gateway and exit
+    once it is collected.
     """
 
     def __init__(
@@ -533,8 +531,6 @@ class LlmGateway:
         self._permits = threading.BoundedSemaphore(self.workers)
         self._jobs: queue.SimpleQueue | None = None  # the pool's, once started
         self._pool_lock = threading.Lock()
-        # active on the pool's threads, and on a caller while it drains a map
-        self._in_map = threading.local()
 
     def _call_backend(self, what: str, label: str, call: Callable[[], T]) -> T:
         """One backend call, holding a permit during each attempt. Transport
@@ -735,7 +731,7 @@ class LlmGateway:
                 jobs: queue.SimpleQueue = queue.SimpleQueue()
                 for i in range(self.workers):
                     threading.Thread(
-                        target=_serve, args=(jobs, self._in_map),
+                        target=_serve, args=(jobs,),
                         name=f"taxonav-gateway_{i}", daemon=True,
                     ).start()
                     weakref.finalize(self, jobs.put, None)  # the thread's stop, once self goes
@@ -755,15 +751,18 @@ class LlmGateway:
         running an item. A map never waits for a pool thread that has
         nothing left to do, and a map of any length keeps O(workers) state.
 
-        One item, one worker, or a map started from inside a map's item, on
-        the caller or on a pool thread, runs inline, so a nested map never
-        waits for pool threads its parent holds. After a failure no further
-        item starts; once the started ones finish, the exception of the
-        earliest failed item is raised.
+        One item or one worker runs inline. A map started from inside
+        another map's item, at any depth and on any thread, queues helpers
+        like any other map, and cannot deadlock: its caller drains its items
+        itself, and a thread only ever waits for helpers that are running
+        one of its items, never for a queued job to start. Each of those
+        items is deeper in the nesting than the thread waiting on it, so no
+        cycle of waits can form. After a failure no further item starts;
+        once the started ones finish, the exception of the earliest failed
+        item is raised.
         """
         items = list(items)
-        in_map = self._in_map
-        if self.workers <= 1 or len(items) <= 1 or getattr(in_map, "active", False):
+        if self.workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         results: list = [None] * len(items)
         errors: dict[int, BaseException] = {}
@@ -804,11 +803,9 @@ class LlmGateway:
         jobs = self._helpers()
         for _ in range(min(self.workers, len(items)) - 1):
             jobs.put(functools.partial(contextvars.copy_context().run, helper))
-        in_map.active = True
         try:
             drain()
         finally:
-            in_map.active = False
             with lock:
                 closed = True
                 wait = running > 0

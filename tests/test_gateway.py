@@ -937,41 +937,89 @@ def test_run_parallel_reuses_one_pool_across_maps():
     assert all(thread.name.startswith("taxonav-gateway") for thread in helpers)
 
 
-def test_nested_run_parallel_runs_inline():
-    gw = LlmGateway(workers=2)
-    outcome: dict = {}
-
-    def inner_threads(_):
-        outer = threading.current_thread()
-        inner = gw.run_parallel(lambda _i: threading.current_thread(), range(5))
-        return all(thread is outer for thread in inner)
-
-    def run():
-        outcome["inline"] = gw.run_parallel(inner_threads, range(4))
-
-    caller = threading.Thread(target=run)
-    caller.start()
-    caller.join(timeout=10)
-    assert not caller.is_alive(), "nested map did not finish"
-    assert outcome["inline"] == [True] * 4
-
-
-def test_nested_maps_run_inline_on_the_caller_and_on_helpers(monkeypatch):
+def test_nested_maps_queue_helper_jobs_on_the_caller_and_on_helpers(monkeypatch):
     jobs = counting_pool_jobs(monkeypatch)
     gw = LlmGateway(workers=2)
     both = threading.Barrier(2, timeout=10)
 
-    def outer(_):
+    def outer(i):
         both.wait()  # the two items run at once: one on the caller, one on a helper
-        inner = gw.run_parallel(lambda _i: threading.current_thread(), range(5))
+        inner = gw.run_parallel(lambda j: (i, j), range(5))
         return threading.current_thread(), inner
 
     caller = threading.current_thread()
     results = gw.run_parallel(outer, range(2))
     ran_on = {thread for thread, _ in results}
     assert len(ran_on) == 2 and caller in ran_on
-    assert all(inner == [thread] * 5 for thread, inner in results)
-    assert len(jobs) == 1  # the outer map's helper; neither nested map asked for one
+    assert [inner for _, inner in results] == [[(i, j) for j in range(5)] for i in range(2)]
+    assert len(jobs) == 3  # the outer map's helper and one for each nested map
+
+
+def nest(gw: LlmGateway, depth: int, width: int, prefix: tuple = ()) -> list:
+    """A map of width items, each a map one level down, depth levels deep;
+    the leaves are their index paths."""
+    if depth == 0:
+        return prefix
+    return gw.run_parallel(lambda i: nest(gw, depth - 1, width, (*prefix, i)), range(width))
+
+
+def expected_nest(depth: int, width: int, prefix: tuple = ()) -> list:
+    if depth == 0:
+        return prefix
+    return [expected_nest(depth - 1, width, (*prefix, i)) for i in range(width)]
+
+
+def finishes(fn, timeout: float = 10) -> list:
+    """fn's result, from a thread that must end within timeout seconds. The
+    thread is a daemon, so a deadlocked map fails the test, not the run."""
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "the map did not finish"
+    return out[0]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_three_deep_nest_finishes_in_order_while_other_maps_hold_every_pool_thread(
+    monkeypatch, workers
+):
+    thread_errors: list = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    gw = LlmGateway(workers=workers)
+    release = threading.Event()
+    held = threading.Semaphore(0)
+
+    def hold(_):
+        if threading.current_thread().name.startswith("taxonav-gateway"):
+            held.release()
+        release.wait(timeout=30)
+
+    # two maps of workers blocking items hand the pool more helper jobs than threads
+    holders = [
+        threading.Thread(target=gw.run_parallel, args=(hold, range(workers))) for _ in range(2)
+    ]
+    for thread in holders:
+        thread.start()
+    try:
+        for _ in range(workers):
+            assert held.acquire(timeout=10), "the pool threads never all held an item"
+        # every helper the nest queues waits behind the holders; its callers
+        # drain each map alone and never wait for a queued job to start
+        assert finishes(lambda: nest(gw, 3, 4)) == expected_nest(3, 4)
+    finally:
+        release.set()
+        for thread in holders:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in holders)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # with the pool free, the nest's maps share its threads at every depth
+        for _ in range(5):
+            assert finishes(lambda: nest(gw, 3, 4)) == expected_nest(3, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert thread_errors == []
 
 
 def test_a_map_finishes_on_its_caller_while_other_maps_hold_every_pool_thread(monkeypatch):

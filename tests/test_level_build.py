@@ -8,14 +8,18 @@ and ``world200`` with two cross-domain candidates per leaf. The first two
 digests were taken from the node-by-node builder that preceded the
 level-wide one, the third from the builder that routed each candidate by
 its own serial descent, so they also prove the old and new code produce
-the same bytes. The other tests check that a node split alone gets what it
-gets among its siblings, that siblings at different steps share each wave
-of calls, that calls in flight stay within the gateway's ``workers`` and
-that no ``run_parallel`` runs inside another.
+the same bytes. Each digest is checked serially and at 2, 3, 8 and 20
+workers, with threads switching far more often than by default. The other
+tests check that a node split alone gets what it gets among its siblings,
+that each node of a level runs its own maps, nested inside the level's
+map, that calls in flight stay within the gateway's ``workers``, and that a
+transport failure in one node's classification fails the build in bounded
+time, after the siblings already started finish their split.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import re
@@ -28,6 +32,7 @@ import pytest
 from conftest import RecordingChatBackend
 from taxonav import taxonomy as taxonomy_io
 from taxonav.builder import BuildConfig, BuildReport, TaxonomyBuilder, _absorb, build
+from taxonav.errors import TransportError
 from taxonav.gateway import LlmGateway, MockChatBackend
 from taxonav.registry import Registry, Service
 from taxonav.synthetic import LatentOracle, parse_options
@@ -240,11 +245,8 @@ def _scripted_build(workers: int | None = None):
 
 # -- golden artifacts -------------------------------------------------------------
 
-
-@pytest.mark.parametrize("workers", [None, 1, 8])
-def test_world200_artifacts_match_golden_digests(world200, tmp_path, workers):
-    (taxonomy, report), _ = _world200_build(world200, workers)
-    assert digests(taxonomy, report, tmp_path) == WORLD200_DIGESTS
+# the default, serial, the fewest workers that pool, and more
+GOLDEN_WORKERS = [None, 1, 2, 3, 8]
 
 
 @pytest.fixture()
@@ -259,13 +261,19 @@ def fast_thread_switching():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("workers", [None, 1, 8])
+@pytest.mark.parametrize("workers", GOLDEN_WORKERS)
+def test_world200_artifacts_match_golden_digests(world200, tmp_path, workers, fast_thread_switching):
+    (taxonomy, report), _ = _world200_build(world200, workers)
+    assert digests(taxonomy, report, tmp_path) == WORLD200_DIGESTS
+
+
+@pytest.mark.parametrize("workers", GOLDEN_WORKERS)
 def test_scripted_artifacts_match_golden_digests(tmp_path, workers, fast_thread_switching):
     taxonomy, report = _scripted_build(workers)
     assert digests(taxonomy, report, tmp_path) == SCRIPTED_DIGESTS
 
 
-@pytest.mark.parametrize("workers", [None, 1, 8])
+@pytest.mark.parametrize("workers", GOLDEN_WORKERS)
 def test_cross_domain_artifacts_match_golden_digests(
     world200, tmp_path, workers, fast_thread_switching
 ):
@@ -343,23 +351,50 @@ def test_a_node_split_alone_matches_its_split_among_siblings():
     assert together.warnings and together.refine_iterations and together.oversized_leaves
 
 
-def test_nodes_at_different_steps_share_a_wave(monkeypatch):
-    """Level 1 of the scripted world: Gamma stops after its design, Beta
-    after one refine round, Alpha after two, yet each wave is one map."""
-    sizes = []
-    original = LlmGateway.run_parallel
+def maps_by_node(monkeypatch) -> dict:
+    """Patches the build to record the size of every run_parallel map under
+    the node whose split_node started it, or None outside any split. Each
+    map sees the node through the context it runs in, which run_parallel
+    carries onto its helpers."""
+    node: contextvars.ContextVar[str | None] = contextvars.ContextVar("node", default=None)
+    sizes: dict = {}
+    run_parallel, split_node = LlmGateway.run_parallel, TaxonomyBuilder.split_node
 
     def counted(self, fn, items):
         items = list(items)
-        sizes.append(len(items))
-        return original(self, fn, items)
+        sizes.setdefault(node.get(), []).append(len(items))
+        return run_parallel(self, fn, items)
+
+    def split(self, taxonomy, node_id, services):
+        token = node.set(node_id)
+        try:
+            return split_node(self, taxonomy, node_id, services)
+        finally:
+            node.reset(token)
 
     monkeypatch.setattr(LlmGateway, "run_parallel", counted)
-    _scripted_build()
-    # root classify; level 1: design, classify, refine, classify, refine,
-    # Alpha's classify with Beta's forced choice, Alpha's forced choice with
-    # Beta's re-classification; then the cross-domain proposals
-    assert [n for n in sizes if n > 1] == [34, 3, 25, 2, 25, 2, 13, 2, 7]
+    monkeypatch.setattr(TaxonomyBuilder, "split_node", split)
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_each_node_of_a_level_runs_its_own_maps(monkeypatch, workers, fast_thread_switching):
+    """Level 1 of the scripted world: Gamma stops after its design, Beta
+    after one refine round, Alpha after two, each in maps of its own."""
+    sizes = maps_by_node(monkeypatch)
+    _scripted_build(workers)
+    assert sizes == {
+        # the root level, level 1, the cross-domain proposals and routing
+        None: [1, 3, 7, 1],
+        # keywords, classify, forced choices, re-classification
+        "root": [1, 34, 0, 0],
+        # keywords, classify three times around two refines, a10's forced
+        # choice, a09's re-classification
+        "root/alpha": [1, 12, 12, 12, 1, 1],
+        # keywords, classify twice around one refine, b10's forced choice,
+        # b09's re-classification
+        "root/beta": [1, 13, 13, 1, 1],
+    }
 
 
 # -- concurrency ------------------------------------------------------------------
@@ -395,33 +430,89 @@ def test_cross_domain_routing_calls_overlap_within_workers(world200):
     assert report.total_calls() == len(backend.spans)
 
 
-def test_no_run_parallel_starts_inside_another(world200, monkeypatch):
-    original = LlmGateway.run_parallel
-    inside = threading.local()
-    nested: list[int] = []
-    maps: list[int] = []
+@pytest.mark.parametrize("workers", [2, 4, 8])
+def test_classification_maps_nest_in_the_level_map_within_workers(
+    world200, monkeypatch, workers
+):
+    """Every classify_services map runs inside an item of its level's map,
+    as a nested map, and the calls in flight stay within workers."""
+    depth: contextvars.ContextVar[int] = contextvars.ContextVar("depth", default=0)
+    depths: list[int] = []
+    run_parallel, classify_services = LlmGateway.run_parallel, TaxonomyBuilder.classify_services
 
-    def guarded(self, fn, items):
-        if getattr(inside, "depth", 0):
-            nested.append(len(items))
-
+    def nested(self, fn, items):
         def item(x):
-            inside.depth = getattr(inside, "depth", 0) + 1
+            token = depth.set(depth.get() + 1)
             try:
                 return fn(x)
             finally:
-                inside.depth -= 1
+                depth.reset(token)
 
-        items = list(items)
-        maps.append(len(items))
-        return original(self, item, items)
+        return run_parallel(self, item, items)
 
-    monkeypatch.setattr(LlmGateway, "run_parallel", guarded)
-    _world200_build(world200, 4)
-    _world200_build(world200, 4, oracle=CrossDomainOracle)
-    build(scripted_registry(), SCRIPTED_CONFIG,
-          LlmGateway(chat_backend=MockChatBackend(oracle=scripted_oracle), workers=4))
-    assert maps and nested == []
+    def classify(self, services, drafts):
+        depths.append(depth.get())
+        return classify_services(self, services, drafts)
+
+    monkeypatch.setattr(LlmGateway, "run_parallel", nested)
+    monkeypatch.setattr(TaxonomyBuilder, "classify_services", classify)
+    (_, report), backend = _world200_build(world200, workers, CountingBackend)
+    assert depths and set(depths) == {1}
+    assert 1 < backend.peak_inflight <= workers
+    assert report.total_calls() == len(backend.spans)
+
+
+class FailingAlphaBackend:
+    """The scripted world's backend, except that every classification call
+    among Alpha's children raises TransportError once Beta has started its
+    split. It records the prompts of the calls it answers."""
+
+    def __init__(self) -> None:
+        self.inner = MockChatBackend(oracle=scripted_oracle)
+        self.beta_started = threading.Event()
+        self.answered: list[str] = []
+
+    def complete(self, request, label):
+        user = request.user_prompt
+        if 'The parent category is "Beta"' in user:
+            self.beta_started.set()
+        options = {name for _, name in parse_options(user)}
+        if label == "build.classify" and "A1" in options:
+            self.beta_started.wait(timeout=10)
+            raise TransportError("injected: connection reset")
+        self.answered.append(user)
+        return self.inner.complete(request, label)
+
+
+def test_a_transport_failure_in_one_nodes_classification_fails_the_build():
+    """Alpha's classification calls outlast their retries. Beta, whose split
+    had started, still finishes it before the level raises; the build then
+    raises the TransportError, and the gateway still runs later maps."""
+    backend = FailingAlphaBackend()
+    gateway = LlmGateway(chat_backend=backend, workers=4, retries=2, retry_backoff=0)
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            build(scripted_registry(), SCRIPTED_CONFIG, gateway)
+        except TransportError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "the build did not fail in time"
+    [error] = outcome
+    assert "failed after 2 attempts" in str(error)
+    # Beta's last map, b09's re-classification among the tiny merge's survivors
+    assert any(
+        {name for _, name in parse_options(user)} == {"B1", "B2"} for user in backend.answered
+    )
+    later: list = []
+    thread = threading.Thread(target=lambda: later.append(gateway.run_parallel(lambda i: -i, range(9))))
+    thread.start()
+    thread.join(timeout=10)
+    assert later == [[-i for i in range(9)]]
 
 
 def test_concurrent_builds_on_one_gateway_each_count_their_own_calls(
