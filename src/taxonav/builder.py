@@ -711,6 +711,27 @@ def build(registry: Registry, cfg: BuildConfig, gateway: LlmGateway) -> tuple[Ta
 # -- one-shot construction ----------------------------------------------------
 
 
+def _add_level(
+    taxonomy: Taxonomy, report: BuildReport, parent_id: str, items: list, level: int
+) -> int:
+    """Adds one level of a one-shot design under parent_id, depth-first,
+    and returns how many nodes it added there. A module function rather than
+    a self-calling closure, whose reference to itself would keep the tree
+    alive until the cyclic collector ran."""
+    added = 0
+    for name, description, item in _named_items(items):
+        node = taxonomy.add_child(parent_id, name, description)
+        added += 1
+        children = item.get("children")
+        if isinstance(children, list) and level < 3:
+            count = _add_level(taxonomy, report, node.node_id, children, level + 1)
+            if not 3 <= count <= 5:
+                report.warnings.append(
+                    f"{node.node_id}: {count} children outside the requested (3, 5) range"
+                )
+    return added
+
+
 def _tree_from_design(obj: dict, report: BuildReport) -> Taxonomy:
     """Materializes the strict-JSON design tree; bounds are advisory."""
     categories = obj.get("categories")
@@ -718,22 +739,7 @@ def _tree_from_design(obj: dict, report: BuildReport) -> Taxonomy:
         raise DesignError("one-shot design reply has no non-empty 'categories' array")
     taxonomy = Taxonomy()
     taxonomy.root.name = "All services"
-
-    def add_level(parent_id: str, items: list, level: int) -> int:
-        added = 0
-        for name, description, item in _named_items(items):
-            node = taxonomy.add_child(parent_id, name, description)
-            added += 1
-            children = item.get("children")
-            if isinstance(children, list) and level < 3:
-                count = add_level(node.node_id, children, level + 1)
-                if not 3 <= count <= 5:
-                    report.warnings.append(
-                        f"{node.node_id}: {count} children outside the requested (3, 5) range"
-                    )
-        return added
-
-    top_count = add_level(taxonomy.root_id, categories, 1)
+    top_count = _add_level(taxonomy, report, taxonomy.root_id, categories, 1)
     if not 6 <= top_count <= 10:
         report.warnings.append(f"{top_count} top-level categories outside the requested (6, 10) range")
     return taxonomy

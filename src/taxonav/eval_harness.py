@@ -186,7 +186,9 @@ def evaluate(
             flags=list(result.flags),
             # vars(), not asdict(), here and in write_run: asdict deep-copies
             # every field, tens of times slower, for every step and record.
-            trace=[dict(vars(step)) for step in result.trace],
+            # Each step is made for this query alone, so the record keeps the
+            # step's own attribute dict rather than a copy of it.
+            trace=[vars(step) for step in result.trace],
         )
 
     if cfg.workers <= 1 or len(queries) <= 1:

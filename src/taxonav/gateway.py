@@ -95,9 +95,10 @@ def _thinking_disabled(model: str) -> bool:
 T = TypeVar("T")
 
 
-def estimate_tokens(text: str) -> int:
-    """Character-count fallback used only when a backend omits usage."""
-    return (len(text) + 3) // 4
+def estimate_tokens(*texts: str) -> int:
+    """Character-count fallback used only when a backend omits usage: the
+    count of the texts' concatenation, taken without joining them."""
+    return (sum(map(len, texts)) + 3) // 4
 
 
 def parse_index_list(text: str, n_options: int) -> tuple[set[int], int]:
@@ -338,7 +339,7 @@ class MockChatBackend:
                 raise MalformedReplyError(
                     f"mock backend has no scripted reply for label {label!r}"
                 )
-        prompt_tokens = estimate_tokens(request.system_prompt + request.user_prompt)
+        prompt_tokens = estimate_tokens(request.system_prompt, request.user_prompt)
         output_tokens = estimate_tokens(reply)
         if rule is not None and rule.prompt_tokens is not None:
             prompt_tokens = rule.prompt_tokens
@@ -360,13 +361,13 @@ def _retry_after(headers) -> float | None:
     return min(seconds, MAX_RETRY_AFTER_S)
 
 
-def _token_count(usage: dict, key: str, text: str) -> int:
-    """The reply's usage[key], or estimate_tokens(text) when it is absent.
+def _token_count(usage: dict, key: str, *texts: str) -> int:
+    """The reply's usage[key], or estimate_tokens(*texts) when it is absent.
     Anything but a non-negative integer raises MalformedReplyError, so the
     meter never counts junk."""
     count = usage.get(key)
     if count is None:
-        return estimate_tokens(text)
+        return estimate_tokens(*texts)
     if type(count) is not int or count < 0:
         raise MalformedReplyError(f"chat reply usage {key!r} is not a token count: {count!r:.80}")
     return count
@@ -432,10 +433,11 @@ class HttpBackend:
             raise MalformedReplyError(f"chat reply content is not a string: {text!r:.80}")
         if not isinstance(usage, dict):
             raise MalformedReplyError(f"chat reply usage is not an object: {usage!r:.80}")
-        prompt = request.system_prompt + request.user_prompt
         return ChatResponse(
             text=text,
-            prompt_tokens=_token_count(usage, "prompt_tokens", prompt),
+            prompt_tokens=_token_count(
+                usage, "prompt_tokens", request.system_prompt, request.user_prompt
+            ),
             output_tokens=_token_count(usage, "completion_tokens", text),
         )
 

@@ -238,31 +238,38 @@ class LatentOracle:
         return None
 
 
+def _grow(
+    taxonomy: Taxonomy, services: list[Service], parent_id: str, path: str, level: int,
+    branching: int, depth: int, leaf_size: int,
+) -> None:
+    """Adds parent_id's subtree, depth-first, and its leaves' services. A
+    module function rather than a self-calling closure, whose reference to
+    itself would keep the tree alive until the cyclic collector ran."""
+    for i in range(1, branching + 1):
+        tag = f"{path}{i}" if not path else f"{path}-{i}"
+        node = taxonomy.add_child(
+            parent_id, f"cat-{tag}", f"Synthetic category {tag}.", f"Anything outside {tag}."
+        )
+        if level < depth:
+            _grow(taxonomy, services, node.node_id, tag, level + 1, branching, depth, leaf_size)
+        else:
+            for j in range(1, leaf_size + 1):
+                sid = f"svc-{tag}-{j:02d}"
+                services.append(
+                    Service(id=sid, name=sid, description=f"Synthetic service {tag}/{j:02d}.")
+                )
+                node.service_ids.append(sid)
+
+
 def make_balanced_taxonomy(
     branching: int = 8, depth: int = 2, leaf_size: int = 30
 ) -> tuple[Taxonomy, Registry]:
     """A complete b-ary category tree with synthetic leaf services, for
-    exercising search cost accounting without a build."""
+    exercising search cost accounting without a build. The pair is freed on
+    its last reference, with no help from the cyclic collector."""
     taxonomy = Taxonomy()
     taxonomy.root.name = "All services"
     services: list[Service] = []
-
-    def grow(parent_id: str, path: str, level: int) -> None:
-        for i in range(1, branching + 1):
-            tag = f"{path}{i}" if not path else f"{path}-{i}"
-            node = taxonomy.add_child(
-                parent_id, f"cat-{tag}", f"Synthetic category {tag}.", f"Anything outside {tag}."
-            )
-            if level < depth:
-                grow(node.node_id, tag, level + 1)
-            else:
-                for j in range(1, leaf_size + 1):
-                    sid = f"svc-{tag}-{j:02d}"
-                    services.append(
-                        Service(id=sid, name=sid, description=f"Synthetic service {tag}/{j:02d}.")
-                    )
-                    node.service_ids.append(sid)
-
-    grow(taxonomy.root_id, "", 1)
+    _grow(taxonomy, services, taxonomy.root_id, "", 1, branching, depth, leaf_size)
     taxonomy.rebuild_assignment()
     return taxonomy, Registry(services)

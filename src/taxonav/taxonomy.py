@@ -34,7 +34,7 @@ from itertools import islice
 from pathlib import Path
 
 from .errors import DataError, SchemaError
-from .registry import INTEGER, STRING, STRINGS, Registry, check_fields, read_json, write_atomic
+from .registry import INTEGER, STRING, STRINGS, Registry, _encode, check_fields, read_json, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -374,10 +374,6 @@ def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list
 
 
 # -- persistence -----------------------------------------------------------
-
-
-# json.dumps(..., ensure_ascii=False) writes a string through this function
-_encode = json.encoder.encode_basestring
 
 
 def _strings_writer(indent: int) -> Callable[[list[str]], str]:

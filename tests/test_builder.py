@@ -12,6 +12,7 @@ from taxonav.builder import (
     BuildConfig,
     BuildReport,
     CategoryDraft,
+    KeywordTable,
     TaxonomyBuilder,
     _resolve_path,
     build,
@@ -100,6 +101,19 @@ def test_keyword_failed_batch_is_skipped_all_failed_is_fatal():
         builder.extract_keywords(services[:10])
 
 
+def test_keyword_lines_with_out_of_range_indices_count_nothing():
+    services = [svc(f"s{i}") for i in range(4)]
+    gateway = gw(
+        ScriptRule(pattern=r"1\. s0:", label="build.keyword", reply="1: travel\n3: ghost"),
+        ScriptRule(pattern=".*", label="build.keyword", reply="0: ghost\n9: ghost"),
+    )
+    report = BuildReport()
+    builder = TaxonomyBuilder(gateway, BuildConfig(keyword_batch_size=2))
+    table = builder.extract_keywords(services, report=report, node_id="root")
+    assert table.entries == [("travel", 1)]
+    assert report.warnings == ["root: keyword batch of 2 services parsed to nothing"]
+
+
 # -- category design -------------------------------------------------------
 
 
@@ -183,8 +197,13 @@ def test_design_skips_items_that_are_not_objects_or_have_no_name():
 
 def test_design_empty_payload_raises():
     builder = TaxonomyBuilder(gw())
-    with pytest.raises(DesignError, match="zero services"):
+    with pytest.raises(DesignError, match="^cannot design categories for zero services$"):
         builder.design_categories([], "ctx", report=BuildReport())
+    with pytest.raises(
+        DesignError, match="^cannot design categories from an empty keyword table$"
+    ):
+        builder.design_categories(KeywordTable(entries=[]), "ctx", report=BuildReport())
+    assert builder.gateway.chat_backend.transcript == []
 
 
 # -- classification statuses -------------------------------------------------

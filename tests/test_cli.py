@@ -922,11 +922,12 @@ def test_http_backend_requires_endpoint(tmp_path, capsys):
         ({"rules": [{"pattern": "x", "reply": "1", "output_tokens": -1}]},
          "rules[0] 'output_tokens' must be a non-negative integer"),
         ({"rules": {"pattern": "x"}}, "'rules' must be a list"),
+        ({"rules": [{"pattern": "x", "reply": "1"}, "x"]}, "mock script rules[1] is not an object"),
         ({"embeddings": {"a": [0.1, 0.9]}}, "'embeddings' must map texts to lists of 8 numbers"),
         ({"embeddings": {"a": [float("nan")] * 8}}, "'embeddings' must map texts to lists of 8 numbers"),
     ],
     ids=["no-pattern", "top-level-list", "dim-str", "bad-regex", "label-int", "empty-reply",
-         "negative-tokens", "rules-object", "short-vector", "nan-vector"],
+         "negative-tokens", "rules-object", "rule-string", "short-vector", "nan-vector"],
 )
 def test_malformed_mock_script_exits_3(cli_world, tmp_path, capsys, script, message):
     path = tmp_path / "script.json"

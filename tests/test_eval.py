@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taxonav.builder import BuildConfig, build_oneshot
 from taxonav.errors import ConfigError, DataError, SchemaError
 from taxonav.eval_harness import (
     EvalConfig,
@@ -25,8 +28,10 @@ from taxonav.eval_harness import (
     summarize,
     write_run,
 )
-from taxonav.registry import QueryCase
-from taxonav.search import RetrievalResult, TraceStep
+from taxonav.gateway import LlmGateway, MockChatBackend, ScriptRule
+from taxonav.registry import QueryCase, Registry, Service
+from taxonav.search import RetrievalResult, SearchConfig, TraceStep, retrieve
+from taxonav.synthetic import make_balanced_taxonomy
 
 
 def test_score_query_hand_cases():
@@ -413,3 +418,50 @@ def test_summary_dataclass_round_trip():
     payload = summary.to_dict()
     assert payload["query_count"] == 1
     assert payload["precision_is_secondary"] is True
+
+
+ONESHOT_DESIGN = json.dumps({
+    "categories": [
+        {"name": "Work", "children": [{"name": "Docs", "children": [{"name": "Editors"}]}]},
+        {"name": "Play", "children": [{"name": "Games"}]},
+    ]
+})
+
+
+def test_generated_worlds_oneshot_trees_and_eval_results_die_on_their_last_reference():
+    """With the cyclic collector off, a tree or registry that is part of a
+    reference cycle outlives its last reference; each must be freed at once."""
+    gc.disable()
+    try:
+        taxonomy, registry = make_balanced_taxonomy(3, 2, 2)
+        world = [weakref.ref(taxonomy), weakref.ref(registry)]
+        del taxonomy, registry
+
+        gateway = LlmGateway(chat_backend=MockChatBackend(rules=[
+            ScriptRule(pattern=".*", label="oneshot.design", reply=ONESHOT_DESIGN),
+            ScriptRule(pattern=".*", label="oneshot.classify", reply="Work > Docs > Editors"),
+        ]))
+        services = Registry([Service(id=s, name=s, description="edits") for s in ("e1", "e2")])
+        taxonomy, report = build_oneshot(services, "base", BuildConfig(), gateway)
+        assert taxonomy.node("root/work/docs/editors").service_ids == ["e1", "e2"]
+        oneshot = [weakref.ref(taxonomy), weakref.ref(services)]
+        del taxonomy, services, report, gateway
+
+        taxonomy, registry = make_balanced_taxonomy(3, 2, 2)
+        gateway = LlmGateway(workers=2, chat_backend=MockChatBackend(rules=[
+            ScriptRule(pattern=".*", label="search.navigate", reply="1"),
+            ScriptRule(pattern=".*", label="search.select", reply="1"),
+        ]))
+        queries = [QueryCase(f"q{i}", f"need {i}", frozenset({"svc-1-1-01"})) for i in range(3)]
+        summary, records = evaluate(
+            lambda q: retrieve(q.text, taxonomy, registry, gateway, SearchConfig()),
+            queries, EvalConfig(method="taxonomy", workers=2),
+        )
+        assert summary.recall == 1.0 and len(records[0].trace) == 3
+        evaluated = [weakref.ref(taxonomy), weakref.ref(registry)]
+        del taxonomy, registry, gateway, summary, records
+
+        alive = [ref() for ref in world + oneshot + evaluated]
+        assert alive == [None] * 6
+    finally:
+        gc.enable()

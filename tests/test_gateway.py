@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import RecordingChatBackend, RecordingEmbeddingBackend
 from taxonav.errors import (
+    DataError,
     GatewayError,
     IndexParseError,
     MalformedReplyError,
@@ -94,6 +95,11 @@ def test_estimate_tokens():
 @given(st.text(max_size=200), st.text(max_size=50))
 def test_estimate_tokens_monotone_under_extension(a, b):
     assert estimate_tokens(a + b) >= estimate_tokens(a)
+
+
+@given(st.lists(st.text(max_size=60), max_size=4))
+def test_estimate_tokens_of_several_texts_counts_their_concatenation(texts):
+    assert estimate_tokens(*texts) == estimate_tokens("".join(texts))
 
 
 def test_extract_json_object_tolerates_fences_and_prose():
@@ -621,6 +627,42 @@ def test_embed_norm_property(texts):
     gw = LlmGateway(embedding_backend=MockEmbeddingBackend())
     for ev in gw.embed(texts):
         assert np.isclose(np.linalg.norm(ev), 1.0)
+
+
+def test_a_gateway_without_a_backend_for_a_role_refuses_its_calls():
+    with pytest.raises(GatewayError, match="^no chat backend configured$"):
+        LlmGateway(embedding_backend=MockEmbeddingBackend()).chat(SYS, USER, label="x")
+    with pytest.raises(GatewayError, match="^no embedding backend configured$"):
+        LlmGateway(chat_backend=MockChatBackend(default_reply="1")).embed(["a"])
+
+
+def test_embed_reply_with_the_wrong_vector_count_is_malformed():
+    class DropsOne(MockEmbeddingBackend):
+        def embed(self, texts, model):
+            return super().embed(texts, model)[1:]
+
+    with pytest.raises(
+        MalformedReplyError, match="^embedding backend returned 1 vectors for 2 texts$"
+    ):
+        LlmGateway(embedding_backend=DropsOne()).embed(["a", "b"])
+
+
+def test_a_failed_cache_write_names_its_entry_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+    gw = LlmGateway(embedding_backend=MockEmbeddingBackend(), cache_dir=tmp_path)
+    entry = tmp_path / f"{gw._cache_key(gw.embedding_model, 'a')}.npy"
+    (entry / "occupied").mkdir(parents=True)  # a directory in the entry's place
+    with pytest.raises(DataError) as exc:
+        gw.embed(["a"])
+    assert str(exc.value) == f"{entry}: cannot write (Is a directory)"
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+    def fails(fh, vec):  # a failure other than OSError passes through unchanged
+        raise ValueError("cannot serialize")
+
+    monkeypatch.setattr(np, "save", fails)
+    with pytest.raises(ValueError, match="^cannot serialize$"):
+        gw.embed(["b"])
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
 
 
 def test_embed_dimension_mismatch_raises():

@@ -116,3 +116,63 @@ def test_only_the_gateway_pool_and_the_eval_client_pool_start_threads():
         ("taxonav/eval_harness.py", "evaluate"),
         ("taxonav/gateway.py", "LlmGateway._helpers"),
     ]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def self_calling_closures(tree: ast.Module) -> list[str]:
+    """The qualified name of each function defined inside another function
+    that calls itself by name. Such a function holds itself through its own
+    closure, so it and every variable it closes over outlive their last
+    reference until the cyclic collector runs."""
+    found = []
+
+    def visit(node: ast.AST, scope: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                name = f"{scope}.{child.name}".lstrip(".")
+                if in_function and isinstance(child, FUNCTIONS) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.append(name)
+                visit(child, name, isinstance(child, FUNCTIONS))
+                continue
+            visit(child, scope, in_function)
+
+    visit(tree, "", False)
+    return found
+
+
+def test_self_calling_closures_finds_only_nested_functions_that_call_themselves():
+    tree = ast.parse(
+        "def top(n):\n"
+        "    return top(n - 1) if n else 0\n"
+        "def outer(items):\n"
+        "    def walk(item):\n"
+        "        return [walk(i) for i in item]\n"
+        "    def once(item):\n"
+        "        return len(item)\n"
+        "    class Local:\n"
+        "        def again(self):\n"
+        "            return again()\n"
+        "    return walk(items)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        def g(n):\n"
+        "            return self.f() if n else g(n - 1)\n"
+        "        return g\n"
+    )
+    assert self_calling_closures(tree) == ["outer.walk", "A.f.g"]
+
+
+def test_no_nested_function_calls_itself():
+    """A tree built by a self-calling closure lives until the cyclic
+    collector runs; a recursive helper is written at module level instead."""
+    found = [
+        (str(path.relative_to(ROOT / "src")), scope)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for scope in self_calling_closures(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
