@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import prompts
 from .errors import ConfigError, DataError, DesignError, ReplyParseError
-from .gateway import LlmGateway, UsageMeter, extract_json_object, metered
+from .gateway import LlmGateway, SelectionResult, UsageMeter, extract_json_object, metered, parse_index_list
 from .registry import Registry, Service, dump_json
 from .search import navigate
 from .taxonomy import Taxonomy
@@ -88,13 +88,6 @@ class CategoryDraft:
     description: str
     boundary: str
     axis: str
-
-
-@dataclass
-class ClassificationOutcome:
-    matched: tuple[int, ...]  # 1-based draft indices
-    status: str  # ok | generic | unmatched
-    parse_failed: bool = False  # the reply was unparseable after its re-ask
 
 
 @dataclass
@@ -201,8 +194,7 @@ class TaxonomyBuilder:
                 match = line_re.match(line)
                 if not match:
                     continue
-                idx = int(match.group(1))
-                if not 1 <= idx <= len(batch):
+                if not parse_index_list(match.group(1), len(batch))[0]:  # out of range
                     continue
                 parsed_any = True
                 seen: set[str] = set()
@@ -360,40 +352,28 @@ class TaxonomyBuilder:
         self,
         services: list[Service],
         drafts: list[CategoryDraft],
-    ) -> list[ClassificationOutcome]:
+    ) -> list[SelectionResult]:
         """One chat call per service against the draft list, as one
-        run_parallel map.
-
-        Status rules: no match (including a reply unparseable after its
-        re-ask) is unmatched; matching strictly more than generic_ratio *
-        len(drafts) categories is generic; anything else is ok.
-        """
+        run_parallel map; each service's selection of 1-based draft indices,
+        as the gateway returns it. split_node reads the statuses from them."""
         return self.gateway.run_parallel(self._classifier(drafts), services)
 
     def _classifier(
         self, drafts: list[CategoryDraft], template_name: str = "classify_service"
-    ) -> Callable[[Service], ClassificationOutcome]:
-        """The single-service call of classify_services, with its status
-        rules. With the "classify_single_best" prompt it is the forced choice
-        for generic services, whose pick is the smallest index named."""
+    ) -> Callable[[Service], SelectionResult]:
+        """The single-service call of classify_services. With the
+        "classify_single_best" prompt it is the forced choice for generic
+        services, whose pick is the smallest index named: indices come sorted."""
         options = prompts.category_options(drafts)
         template = prompts.load(template_name)
-        threshold = self.cfg.generic_ratio * len(drafts)
 
-        def call(svc: Service) -> ClassificationOutcome:
+        def call(svc: Service) -> SelectionResult:
             system, user = template.render(
                 service_name=svc.name, service_description=svc.description, options=options
             )
-            sel = self.gateway.select_indices(
+            return self.gateway.select_indices(
                 system, user, label="build.classify", n_options=len(drafts)
             )
-            if not sel.indices:
-                status = "unmatched"
-            elif len(sel.indices) > threshold:
-                status = "generic"
-            else:
-                status = "ok"
-            return ClassificationOutcome(sel.indices, status, sel.parse_failed)
 
         return call
 
@@ -405,8 +385,9 @@ class TaxonomyBuilder:
         parent_context: str,
         *,
         report: BuildReport,
-    ) -> list[CategoryDraft] | None:
-        """One refinement round; None when the designer reply is unusable."""
+    ) -> list[CategoryDraft]:
+        """One refinement round: one design call with a single re-ask, as in
+        design_categories. Raises DesignError when the reply is unusable."""
 
         def listing(items: list[Service]) -> str:
             return prompts.service_options(items) if items else "(none)"
@@ -419,11 +400,7 @@ class TaxonomyBuilder:
             "unmatched_services": listing(unmatched),
             "max_categories": str(self.cfg.max_categories),
         }
-        try:
-            return self._request_drafts("refine_categories", values, label="build.refine", report=report)
-        except DesignError as exc:
-            logger.warning("refinement failed (%s); keeping previous drafts", exc)
-            return None
+        return self._request_drafts("refine_categories", values, label="build.refine", report=report)
 
     # -- node splitting ------------------------------------------------------
 
@@ -463,10 +440,13 @@ class TaxonomyBuilder:
     ) -> tuple[BuildReport, list[tuple[CategoryDraft, list[Service]]]]:
         """One node's split, start to end; it reads the taxonomy and does not
         change it. Returns the node's own report and its (draft, services)
-        placements: ok services go to every matched child, generic services
-        to a single forced choice, the rest to the catch-all. Children at or
-        below the tiny threshold are deleted and their services
-        re-classified among the survivors.
+        placements. Each classification round reads a status per service,
+        with limit = generic_ratio * len(drafts): a service that matched more
+        than limit drafts is generic, one that matched none (an unparseable
+        reply included) is unmatched, any other is ok. Ok services go to
+        every matched child, generic services to a single forced choice, the
+        rest to the catch-all. Children at or below the tiny threshold are
+        deleted and their services re-classified among the survivors.
 
         No placements means the node stays a leaf: its design failed even
         after the re-ask, or fewer than two children survived the tiny
@@ -510,32 +490,33 @@ class TaxonomyBuilder:
 
         rounds = 0
         while True:
-            outcomes = self.classify_services(services, drafts)
-            unparseable += sum(o.parse_failed for o in outcomes)
-            generic = [s for s, o in zip(services, outcomes) if o.status == "generic"]
-            unmatched = [s for s, o in zip(services, outcomes) if o.status == "unmatched"]
+            selections = self.classify_services(services, drafts)
+            unparseable += sum(sel.parse_failed for sel in selections)
+            limit = cfg.generic_ratio * len(drafts)
+            generic = [s for s, sel in zip(services, selections) if len(sel.indices) > limit]
+            unmatched = [s for s, sel in zip(services, selections) if not sel.indices]
             if not (generic or unmatched) or rounds == cfg.max_refine_iterations:
                 break
-            refined = self.refine_drafts(drafts, generic, unmatched, parent_context, report=log)
-            if refined is None:
+            try:
+                drafts = self.refine_drafts(drafts, generic, unmatched, parent_context, report=log)
+            except DesignError:
                 log.warnings.append(f"{node_id}: refinement reply unusable; boundaries kept as-is")
                 break
-            drafts = refined
             rounds += 1
         log.refine_iterations[node_id] = rounds
 
         choices = self.gateway.run_parallel(self._classifier(drafts, "classify_single_best"), generic)
-        unparseable += sum(o.parse_failed for o in choices)
+        unparseable += sum(choice.parse_failed for choice in choices)
         forced = {
-            svc.id: choice.matched[0]  # indices come sorted
+            svc.id: choice.indices[0]  # indices come sorted
             for svc, choice in zip(generic, choices)
-            if choice.matched
+            if choice.indices
         }
         buckets: list[list[Service]] = [[] for _ in drafts]
         catchall: list[Service] = []
-        for svc, outcome in zip(services, outcomes):
-            if outcome.status == "ok":
-                for idx in outcome.matched:
+        for svc, sel in zip(services, selections):
+            if 0 < len(sel.indices) <= limit:  # ok
+                for idx in sel.indices:
                     buckets[idx - 1].append(svc)
             elif svc.id in forced:
                 buckets[forced[svc.id] - 1].append(svc)
@@ -553,11 +534,11 @@ class TaxonomyBuilder:
         log.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
 
         displaced = [svc for i in tiny for svc in buckets[i]]
-        outcomes = self.classify_services(displaced, [drafts[i] for i in survivors])
-        unparseable += sum(o.parse_failed for o in outcomes)
-        for svc, outcome in zip(displaced, outcomes):
-            if outcome.matched:
-                for idx in outcome.matched:
+        selections = self.classify_services(displaced, [drafts[i] for i in survivors])
+        unparseable += sum(sel.parse_failed for sel in selections)
+        for svc, sel in zip(displaced, selections):
+            if sel.indices:
+                for idx in sel.indices:
                     buckets[survivors[idx - 1]].append(svc)
             else:
                 catchall.append(svc)

@@ -41,16 +41,13 @@ class MalformedReplyError(GatewayError):
 
 
 class ReplyParseError(MalformedReplyError):
-    """A reply that does not parse into what the caller asked for.
+    """A reply that does not parse into what the caller asked for: an index
+    list with no digits, no JSON object, a design that breaks its rules.
 
     ``LlmGateway.ask`` re-asks once on this error only, so a backend failure
     (a plain MalformedReplyError) is never mistaken for a bad answer.
     """
 
 
-class IndexParseError(ReplyParseError):
-    """A reply that should contain list indices contains no digits at all."""
-
-
 class DesignError(DiscoveryError):
-    """Category design failed even after the retry budget was spent."""
+    """Category design or refinement failed even after its re-ask."""

@@ -45,7 +45,6 @@ from .errors import (
     ConfigError,
     DataError,
     GatewayError,
-    IndexParseError,
     MalformedReplyError,
     ReplyParseError,
     TransportError,
@@ -106,7 +105,7 @@ def parse_index_list(text: str, n_options: int) -> tuple[set[int], int]:
 
     Tolerates prose, brackets, and repeats. Returns the in-range index set
     plus a count of out-of-range tokens that were dropped. A reply with no
-    digits at all raises IndexParseError so the caller can re-ask. A token
+    digits at all raises ReplyParseError so the caller can re-ask. A token
     with more significant digits than n_options is dropped unconverted, so a
     huge number cannot trip the interpreter's int-string digit limit.
     """
@@ -114,7 +113,7 @@ def parse_index_list(text: str, n_options: int) -> tuple[set[int], int]:
         raise ValueError("n_options must be >= 1")
     tokens = re.findall(r"\d+", text)
     if not tokens:
-        raise IndexParseError(f"no indices found in reply {text[:120]!r}")
+        raise ReplyParseError(f"no indices found in reply {text[:120]!r}")
     max_digits = len(str(n_options))
     chosen: set[int] = set()
     dropped = 0
@@ -613,7 +612,7 @@ class LlmGateway:
                 parse=lambda text: parse_index_list(text, n_options),
                 reask=lambda _: STRICT_REPLY_SUFFIX,
             )
-        except IndexParseError:
+        except ReplyParseError:
             logger.warning("index reply unparseable after re-ask (%s); selecting nothing", label)
             return SelectionResult(indices=(), dropped=0, parse_failed=True)
         return SelectionResult(indices=tuple(sorted(indices)), dropped=dropped, parse_failed=False)

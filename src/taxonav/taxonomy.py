@@ -464,7 +464,8 @@ def load(directory: str | Path) -> Taxonomy:
     Raises SchemaError naming the file and the first fault: a file that is
     not the expected JSON, a node record field of the wrong type, a
     duplicate node id, a root with no record, the first ``_walk`` fault of
-    the child lists, a leaf list that names a service twice, or the first
+    the child lists, a node with children that lists services (``save``
+    never writes one), a leaf list that names a service twice, or the first
     ``_assignment_faults`` fault where class.json and the leaf service
     lists disagree.
 
@@ -511,6 +512,8 @@ def load(directory: str | Path) -> Taxonomy:
     _, faults = _walk(nodes, root_id)
     if faults:
         raise SchemaError(f"{tax_path}: {faults[0].detail}")
+    if inner := next((node for node in nodes.values() if node.children and node.service_ids), None):
+        raise SchemaError(f"{tax_path}: node {inner.node_id!r} has children and lists services")
 
     faults = _assignment_faults(nodes, assignment, share=True)
     if faults:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from conftest import RecordingChatBackend
+from taxonav import prompts
 from taxonav.builder import (
     BuildConfig,
     BuildReport,
@@ -114,6 +115,24 @@ def test_keyword_lines_with_out_of_range_indices_count_nothing():
     assert report.warnings == ["root: keyword batch of 2 services parsed to nothing"]
 
 
+def test_a_keyword_line_with_a_huge_index_counts_nothing():
+    # int() of a 5,000-digit index would hit the int-string digit limit
+    reply = "9" * 5000 + ": travel, booking\n" + "0" * 5000 + "2: hotels\n1: flights"
+    gateway = gw(ScriptRule(pattern=".*", label="build.keyword", reply=reply))
+    report = BuildReport()
+    table = TaxonomyBuilder(gateway).extract_keywords([svc("s1"), svc("s2")], report=report)
+    assert table.entries == [("flights", 1), ("hotels", 1)]
+    assert report.warnings == []
+
+
+def test_a_prompt_template_without_a_user_section_is_refused(tmp_path, monkeypatch):
+    (tmp_path / "no_user.txt").write_text("[system]\nYou design categories.\n", encoding="utf-8")
+    monkeypatch.setattr(prompts, "_DIR", tmp_path)
+    message = r"^template 'no_user' must contain \[system\] and \[user\] sections$"
+    with pytest.raises(ValueError, match=message):
+        prompts.load("no_user")
+
+
 # -- category design -------------------------------------------------------
 
 
@@ -217,20 +236,40 @@ def six_drafts() -> list[CategoryDraft]:
 
 
 def test_classify_status_thresholds():
-    # 6 drafts, ratio 1/3: strictly more than 2 matches means generic
+    """6 drafts, ratio 1/3: strictly more than 2 matches is generic and goes
+    to the forced choice (or to the catch-all when that names nothing), 2
+    matches are ok and go to both children, and no match or an unparseable
+    reply is unmatched and goes to the catch-all."""
     gateway = gw(
+        ScriptRule(pattern=r"Service:\ns1:.*single best", label="build.classify", reply="5, 4"),
         ScriptRule(pattern=r"Service:\ns1:", reply="1,2,3"),
         ScriptRule(pattern=r"Service:\ns2:", reply="1,2"),
         ScriptRule(pattern=r"Service:\ns3:", reply="0"),
         ScriptRule(pattern=r"Service:\ns4:", reply="no answer"),
+        ScriptRule(pattern=r"Service:\ns5:.*single best", label="build.classify", reply="none"),
+        ScriptRule(pattern=r"Service:\ns5:", reply="1,2,3,4"),
+        ScriptRule(pattern="Design sibling categories", label="build.design",
+                   reply=design_json(*(f"C{i}" for i in range(1, 7)))),
     )
-    builder = TaxonomyBuilder(gateway, BuildConfig(generic_ratio=1 / 3))
-    outcomes = builder.classify_services(
-        [svc("s1"), svc("s2"), svc("s3"), svc("s4")], six_drafts()
-    )
-    assert [o.status for o in outcomes] == ["generic", "ok", "unmatched", "unmatched"]
-    assert outcomes[0].matched == (1, 2, 3)
-    assert outcomes[3].matched == ()  # unparseable even after the re-ask
+    cfg = BuildConfig(generic_ratio=1 / 3, max_refine_iterations=0, tiny_merge_threshold=0)
+    builder = TaxonomyBuilder(gateway, cfg)
+    services = [svc("s1"), svc("s2"), svc("s3"), svc("s4"), svc("s5")]
+    selections = builder.classify_services(services, six_drafts())
+    assert [(sel.indices, sel.parse_failed) for sel in selections] == [
+        ((1, 2, 3), False), ((1, 2), False), ((), False), ((), True),  # s4 even after the re-ask
+        ((1, 2, 3, 4), False),
+    ]
+
+    tax = Taxonomy()
+    node = tax.add_child("root", "Travel", "trips")
+    gateway.chat_backend.transcript.clear()
+    log, placements = builder.split_node(tax, node.node_id, services)
+    assert [(draft.name, [s.id for s in members]) for draft, members in placements] == [
+        ("C1", ["s2"]), ("C2", ["s2"]), ("C4", ["s1"]), ("Other", ["s3", "s4", "s5"]),
+    ]
+    # s4's re-ask; the forced choices of s1, and of s5 with its re-ask
+    assert len(calls(gateway, "build.classify")) == 5 + 1 + 1 + 2
+    assert log.warnings == [f"{node.node_id}: 2 classification replies unparseable after re-ask"]
 
 
 def test_classify_prompt_text_is_pinned():
@@ -259,12 +298,12 @@ def test_classify_single_best_takes_min_index():
     single-best prompt; its pick is the smallest index the reply names."""
     gateway = gw(ScriptRule(pattern=".*", label="build.classify", reply="3, 2"))
     forced = TaxonomyBuilder(gateway)._classifier(six_drafts(), "classify_single_best")
-    assert forced(svc("s1")).matched[0] == 2
+    assert forced(svc("s1")).indices[0] == 2  # indices come sorted
     (call,) = gateway.chat_backend.transcript
     assert "Choose the single best category" in call.request.user_prompt
     gateway = gw(ScriptRule(pattern=".*", label="build.classify", reply="none"))
     forced = TaxonomyBuilder(gateway)._classifier(six_drafts(), "classify_single_best")
-    assert forced(svc("s1")).matched == ()
+    assert forced(svc("s1")).indices == ()
 
 
 # -- the refine loop ----------------------------------------------------------

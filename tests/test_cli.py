@@ -941,6 +941,27 @@ def test_malformed_mock_script_exits_3(cli_world, tmp_path, capsys, script, mess
 
 
 @pytest.mark.parametrize(
+    "default_reply, code, err",
+    [
+        (3, 3, "error category=data: mock script 'default_reply' must be a string\n"),
+        ("junk", 1, "error category=internal: unrecoverable design failure at the root: category "
+         "design failed after re-ask: the reply was not a valid JSON object (no JSON object in "
+         "reply 'junk')\n"),
+    ],
+    ids=["not-a-string", "junk-design"],
+)
+def test_a_mock_script_default_reply_that_cannot_build(cli_world, tmp_path, capsys, default_reply,
+                                                       code, err):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"default_reply": default_reply}), encoding="utf-8")
+    assert cli.main(
+        ["build", "--registry", str(cli_world["registry"]), "--script", str(path),
+         "--out", str(tmp_path / "o"), "--theta-leaf", "3"]
+    ) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
     "flag, what",
     [("--config", "config file"), ("--script", "mock script"), ("--field-map", "field map file")],
 )

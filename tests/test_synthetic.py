@@ -104,3 +104,13 @@ def test_make_queries_reads_the_registry_once(n):
     world.registry = CountingRegistry(list(world.registry))
     make_queries(world, n=n)
     assert world.registry.reads == 1
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((7, 4), "at most 6 domains available"), ((4, 7), "at most 6 subdomains available")],
+    ids=["domains", "subdomains"],
+)
+def test_make_world_refuses_more_cells_than_its_vocabulary(shape, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_world(*shape)

@@ -447,6 +447,45 @@ def test_validate_reports_the_assignment_fault_that_load_raises(tmp_path):
     )
 
 
+def test_load_rejects_a_node_with_children_that_lists_services(tmp_path):
+    """save writes a services list for leaves only, so a later save would
+    drop this one; an empty list lists nothing and loads."""
+    save(small_tree(), tmp_path)
+    doc = json.loads((tmp_path / "taxonomy.json").read_text())
+    assert doc["nodes"][0]["id"] == "root"
+    doc["nodes"][0]["services"] = ["s1", "s1", "ghost"]
+    (tmp_path / "taxonomy.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'taxonomy.json'}: node 'root' has children and lists services"
+    doc["nodes"][0]["services"] = []
+    (tmp_path / "taxonomy.json").write_text(json.dumps(doc))
+    assert load(tmp_path) == small_tree()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda nodes: nodes.__setitem__(1, "root/a"), "nodes[1] is not an object"),
+        (lambda nodes: nodes.append(dict(nodes[1])), "duplicate node id 'root/a'"),
+    ],
+    ids=["record-string", "duplicate-id"],
+)
+def test_load_rejects_a_bad_node_record(tmp_path, edit, message):
+    save(small_tree(), tmp_path)
+    doc = json.loads((tmp_path / "taxonomy.json").read_text())
+    edit(doc["nodes"])
+    (tmp_path / "taxonomy.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'taxonomy.json'}: {message}"
+
+
+def test_a_node_table_without_its_root_is_refused():
+    with pytest.raises(DataError, match="^root node 'root' missing from node table$"):
+        Taxonomy(nodes={"a": TaxonomyNode("a", "a")})
+
+
 def test_load_rejects_unknown_leaf_reference(tmp_path):
     save(small_tree(), tmp_path)
     doc = json.loads((tmp_path / "class.json").read_text())
@@ -639,3 +678,100 @@ def test_load_either_rejects_or_returns_one_tree(table):
     assert tax.leaves() == [n for n in order if not tax.nodes[n].children]
     kinds = {v.kind for v in validate(tax, registry_for(tax))}
     assert not kinds & TREE_FAULTS
+
+
+SERVICES = ["s1", "s2", "s3"]
+LOAD_FAULTS = TREE_FAULTS | {"duplicate-in-leaf", "assignment-mismatch"}
+
+
+@st.composite
+def mutated_files(draw) -> tuple[list[dict], dict]:
+    """(node records, class.json) for a random well-typed tree whose inner
+    nodes list no services and whose class.json is the inverse of its leaf
+    lists, then up to four random edits: a leaf list that repeats, drops or
+    adds a service; a class.json entry whose leaf ids are dropped, repeated,
+    unknown or not leaves, that is empty or no list, or that is gone; and a
+    tree-shape fault (a wrong depth, a bad child entry, an unreachable leaf)."""
+    ids = NODE_IDS[: draw(st.integers(1, len(NODE_IDS)))]
+    records = {nid: {"id": nid, "name": nid, "description": "", "boundary": "",
+                     "children": [], "depth": 0} for nid in ids}
+    for i, nid in enumerate(ids[1:], start=1):
+        parent = records[draw(st.sampled_from(ids[:i]))]
+        parent["children"].append(nid)
+        records[nid]["depth"] = parent["depth"] + 1
+    leaves = [r for r in records.values() if not r["children"]]
+    inner = [r["id"] for r in records.values() if r["children"]]
+    assignment: dict = {}
+    for leaf in leaves:
+        leaf["services"] = draw(st.lists(st.sampled_from(SERVICES), unique=True, max_size=3))
+        for sid in leaf["services"]:
+            assignment.setdefault(sid, []).append(leaf["id"])
+    leaf_ids = [leaf["id"] for leaf in leaves]
+
+    def add_to_a_leaf() -> None:  # a repeat or an addition
+        draw(st.sampled_from(leaves))["services"].append(draw(st.sampled_from(SERVICES + ["s9"])))
+
+    def drop_from_a_leaf() -> None:
+        services = draw(st.sampled_from(leaves))["services"]
+        if services:
+            del services[draw(st.integers(0, len(services) - 1))]
+
+    def set_an_entry() -> None:  # an empty list, dropped, repeated, unknown or inner ids, or no list
+        assignment[draw(st.sampled_from(SERVICES + ["s9"]))] = draw(st.one_of(
+            st.lists(st.sampled_from(leaf_ids + inner + ["zz"]), max_size=3),
+            st.sampled_from(leaf_ids + [None, {}, 1]),
+        ))
+
+    def drop_an_entry() -> None:
+        assignment.pop(draw(st.sampled_from(SERVICES)), None)
+
+    def set_a_depth() -> None:
+        records[draw(st.sampled_from(ids))]["depth"] = draw(st.integers(0, 3))
+
+    def add_a_child() -> None:  # a repeat, a second parent, a cycle or an unknown id
+        records[draw(st.sampled_from(inner or ["root"]))]["children"].append(draw(st.sampled_from(ids + ["zz"])))
+
+    def add_an_unreachable_leaf() -> None:
+        records["x"] = {"id": "x", "name": "x", "description": "", "boundary": "",
+                        "children": [], "depth": 1, "services": ["s1"]}
+
+    edits = [add_to_a_leaf, drop_from_a_leaf, set_an_entry, drop_an_entry, set_a_depth, add_a_child,
+             add_an_unreachable_leaf]
+    for _ in range(draw(st.integers(0, 4))):
+        draw(st.sampled_from(edits))()
+    return list(records.values()), assignment
+
+
+@given(files=mutated_files())
+def test_load_rejects_exactly_the_files_validate_faults_and_returns_the_inverse_of_its_leaf_lists(files):
+    """load raises SchemaError exactly when validate, on the same tables,
+    reports a tree-shape, duplicate-in-leaf or assignment-mismatch fault. A
+    tree it returns maps each service to the leaves that list it, and saves
+    and loads back equal."""
+    records, assignment = files
+    tables = Taxonomy(
+        nodes={r["id"]: TaxonomyNode(r["id"], r["name"], children=list(r["children"]),
+                                     service_ids=list(r.get("services", [])), depth=r["depth"])
+               for r in records},
+        assignment=json.loads(json.dumps(assignment)),
+    )
+    faults = [v for v in validate(tables, registry_for(tables)) if v.kind in LOAD_FAULTS]
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/taxonomy.json", "w") as fh:
+            json.dump({"root": "root", "nodes": records}, fh)
+        with open(f"{tmp}/class.json", "w") as fh:
+            json.dump(assignment, fh)
+        try:
+            tax = load(tmp)
+        except SchemaError:
+            assert faults
+            return
+        assert not faults
+        inverse: dict[str, set[str]] = {}
+        for node_id, node in tax.nodes.items():
+            for sid in node.service_ids:
+                inverse.setdefault(sid, set()).add(node_id)
+        assert {sid: set(leaf_ids) for sid, leaf_ids in tax.assignment.items()} == inverse
+        assert all(len(set(leaf_ids)) == len(leaf_ids) for leaf_ids in tax.assignment.values())
+        save(tax, f"{tmp}/again")
+        assert load(f"{tmp}/again") == tax
