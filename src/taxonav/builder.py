@@ -642,7 +642,7 @@ class TaxonomyBuilder:
                 stats["duplicates"] += 1
                 continue
             target.service_ids.append(svc.id)
-            taxonomy.assignment.setdefault(svc.id, []).append(target.node_id)
+            taxonomy.assignment[svc.id] = taxonomy.assignment.get(svc.id, ()) + (target.node_id,)
             stats["accepted"] += 1
             extra_counts[svc.id] = extra_counts.get(svc.id, 0) + 1
 

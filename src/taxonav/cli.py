@@ -225,18 +225,20 @@ def _from_flags(cls: type, args: argparse.Namespace):
 
 
 def _build(args: argparse.Namespace, extra: dict, build: Callable) -> tuple:
-    """Writes config.json, then saves in --out the tree and report that
-    ``build(registry, build_cfg, gateway)`` returns. Returns the service
-    count, the tree's stats, the report and --out."""
+    """Checks every setting, the mock script included, writes config.json,
+    then saves in --out the tree and report that ``build(registry,
+    build_cfg, gateway)`` returns. Returns the service count, the tree's
+    stats, the report and --out."""
     cfg = resolve_runtime(args)
     build_cfg = _from_flags(BuildConfig, args)
+    gateway = make_gateway(cfg)
     out_dir = Path(args.out)
     _write_config(
         out_dir, cfg, {"command": args.command, **extra, "build": dataclasses.asdict(build_cfg)}
     )
 
     registry, _ = _load_dataset(args)
-    taxonomy, report = build(registry, build_cfg, make_gateway(cfg))
+    taxonomy, report = build(registry, build_cfg, gateway)
     taxonomy_io.save(taxonomy, out_dir)
     report.save(out_dir / BUILD_REPORT_FILE)
     return len(registry), taxonomy_io.stats(taxonomy), report, out_dir
@@ -283,15 +285,16 @@ def _evaluate(
     args: argparse.Namespace, cfg: RuntimeConfig, extra: dict, setting: str, title: str,
     retriever: Callable,
 ) -> int:
-    """Writes config.json, then scores the per-query retriever that
-    ``retriever(registry, gateway)`` returns, writes the run to --run-dir and
-    prints its summary line under ``title``. Returns 4 when every query
-    failed, else 0."""
+    """Reads the mock script, if any, writes config.json, then scores the
+    per-query retriever that ``retriever(registry, gateway)`` returns, writes
+    the run to --run-dir and prints its summary line under ``title``.
+    Returns 4 when every query failed, else 0."""
+    gateway = make_gateway(cfg)
     run_dir = Path(args.run_dir)
     _write_config(run_dir, cfg, {"command": args.command, **extra, "dataset": args.dataset})
 
     registry, queries = _load_dataset(args, args.queries)
-    run_one = retriever(registry, make_gateway(cfg))
+    run_one = retriever(registry, gateway)
     eval_cfg = eval_harness.EvalConfig(
         method=extra["method"], dataset=args.dataset, setting=setting, workers=cfg.workers
     )

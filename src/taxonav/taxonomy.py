@@ -16,9 +16,9 @@ assignment rebuild and statistics) raises the first as DataError.
 
 Persistence splits into two files: taxonomy.json (nodes, child order,
 boundaries, leaf service lists) and class.json (service id -> ordered leaf
-ids, primary placement first). ``load`` checks the type of every field,
-raises the first ``_assignment_faults`` where the files disagree, and keeps
-one string object per id. ``save`` hands the writer one node record, or
+ids, primary placement first; a tuple in memory). ``load`` checks the type
+of every field, raises the first ``_assignment_faults`` where the files
+disagree, and keeps one string object per id. ``save`` hands the writer one node record, or
 about a thousand class.json entries, at a time.
 """
 
@@ -28,7 +28,7 @@ import json
 import logging
 import re
 import statistics
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -110,13 +110,19 @@ def _walk(nodes: dict[str, TaxonomyNode], root_id: str) -> tuple[list[str], list
 
 
 class Taxonomy:
-    """Rooted category tree plus the service -> leaves assignment map."""
+    """Rooted category tree plus the service -> leaves assignment map.
+
+    Each value of ``assignment`` is a tuple of leaf ids, primary placement
+    first. A tuple of strings is exactly sized and leaves the cyclic
+    collector at its first pass, so the map adds no GC-tracked object per
+    service; an update replaces a service's tuple rather than growing it.
+    """
 
     def __init__(
         self,
         nodes: dict[str, TaxonomyNode] | None = None,
         root_id: str = ROOT_ID,
-        assignment: dict[str, list[str]] | None = None,
+        assignment: dict[str, tuple[str, ...]] | None = None,
     ) -> None:
         self.nodes: dict[str, TaxonomyNode] = nodes or {
             root_id: TaxonomyNode(node_id=root_id, name=root_id)
@@ -124,7 +130,7 @@ class Taxonomy:
         self.root_id = root_id
         if root_id not in self.nodes:
             raise DataError(f"root node {root_id!r} missing from node table")
-        self.assignment: dict[str, list[str]] = assignment or {}
+        self.assignment: dict[str, tuple[str, ...]] = assignment or {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Taxonomy):
@@ -221,18 +227,22 @@ class Taxonomy:
         )
 
     def rebuild_assignment(self) -> None:
-        """Derives the assignment map from leaf service lists.
+        """Derives the assignment map from leaf service lists: each service
+        maps to the tuple of leaves that hold it.
 
         Walks leaves depth-first so the primary placement (first leaf that
         holds the service in tree order) comes first. Cross-domain additions
-        made later must append to the map themselves to keep "primary first".
+        made later must extend a service's tuple themselves, at its end, to
+        keep "primary first".
         """
-        assignment: dict[str, list[str]] = {}
+        assignment: dict[str, tuple[str, ...]] = {}
         for leaf_id in self.leaves():
             for sid in self.node(leaf_id).service_ids:
-                assignment.setdefault(sid, [])
-                if leaf_id not in assignment[sid]:
-                    assignment[sid].append(leaf_id)
+                held = assignment.get(sid)
+                if held is None:
+                    assignment[sid] = (leaf_id,)
+                elif leaf_id not in held:
+                    assignment[sid] = held + (leaf_id,)
         self.assignment = assignment
 
 
@@ -287,17 +297,18 @@ def _assignment_faults(
     nodes: dict[str, TaxonomyNode], assignment: dict, share: bool = False
 ) -> list[Violation]:
     """Every way the assignment map and the leaf service lists disagree, in
-    the order met: an entry that is no non-empty list; a leaf id that is
-    unknown, not a leaf, a leaf without the service, or listed twice in the
-    entry; then, leaf by leaf, each service the map does not list under its
-    leaf.
+    the order met: an entry that is no non-empty tuple or list; a leaf id
+    that is unknown, not a leaf, a leaf without the service, or listed twice
+    in the entry; then, leaf by leaf, each service the map does not list
+    under its leaf.
 
     With ``share``, the same pass makes the two files' strings one: each
-    leaf id of an entry becomes that node's ``node_id`` object, and each
-    service in a leaf's list the map's key object, both replaced in place.
-    A leaf list that names a service twice cannot be shared, so with
-    ``share`` it comes first, as a ``duplicate-in-leaf`` fault; ``validate``
-    reports those itself. Without ``share`` nothing is changed."""
+    entry becomes the tuple of the ``node_id`` objects of its leaves (those
+    without a fault), and each service in a leaf's list the map's key
+    object, replaced in place. A leaf list that names a service twice cannot
+    be shared, so with ``share`` it comes first, as a ``duplicate-in-leaf``
+    fault; ``validate`` reports those itself. Without ``share`` nothing is
+    changed."""
     # leaf id -> {service: its index in the leaf's list} for each service not
     # yet listed under that leaf; an entry pops what it lists
     unlisted: dict[str, dict[str, int]] = {}
@@ -312,10 +323,11 @@ def _assignment_faults(
     held: dict[str, set[str]] = {}  # leaf id -> its services, built on a fault only
     faults = []  # (service id, detail)
     for sid, leaf_ids in assignment.items():
-        if not isinstance(leaf_ids, list) or not leaf_ids:
+        if not isinstance(leaf_ids, (list, tuple)) or not leaf_ids:
             faults.append((sid, f"service {sid!r} must map to a non-empty list"))
             continue
-        for i, leaf_id in enumerate(leaf_ids):
+        shared = ()  # with share, the entry's leaf ids as the nodes hold them
+        for leaf_id in leaf_ids:
             leaf = nodes.get(leaf_id) if isinstance(leaf_id, str) else None
             if leaf is None:
                 faults.append((sid, f"service {sid!r} references unknown leaf {leaf_id!r}"))
@@ -323,7 +335,7 @@ def _assignment_faults(
                 faults.append((sid, f"service {sid!r} references non-leaf {leaf_id!r}"))
             elif (index := unlisted[leaf_id].pop(sid, None)) is not None:
                 if share:
-                    leaf_ids[i] = leaf.node_id
+                    shared += (leaf.node_id,)
                     leaf.service_ids[index] = sid
             else:
                 if leaf_id not in held:
@@ -331,6 +343,8 @@ def _assignment_faults(
                 faults.append((sid, f"service {sid!r} lists leaf {leaf_id!r} twice"
                                if sid in held[leaf_id] else f"service {sid!r} assigned to leaf "
                                f"{leaf_id!r} but missing from its service list"))
+        if share:
+            assignment[sid] = shared  # an existing key: the iteration goes on
     for leaf_id, rest in unlisted.items():
         if rest:
             faults += [(sid, f"leaf {leaf_id!r} holds service {sid!r} absent from the assignment map")
@@ -376,7 +390,7 @@ def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list
 # -- persistence -----------------------------------------------------------
 
 
-def _strings_writer(indent: int) -> Callable[[list[str]], str]:
+def _strings_writer(indent: int) -> Callable[[Sequence[str]], str]:
     """A function giving json.dumps(items, indent=2, ensure_ascii=False) for
     a list of strings whose opening bracket sits ``indent`` spaces deep. The
     padding is built once, not per list: class.json has a list per service."""
@@ -384,7 +398,7 @@ def _strings_writer(indent: int) -> Callable[[list[str]], str]:
     sep = ",\n" + " " * (indent + 2)
     end = "\n" + " " * indent + "]"
 
-    def write(items: list[str]) -> str:
+    def write(items: Sequence[str]) -> str:
         return f"{start}{sep.join(map(_encode, items))}{end}" if items else "[]"
 
     return write
@@ -417,7 +431,7 @@ def _taxonomy_chunks(taxonomy: Taxonomy) -> Iterator[str]:
     yield f'\n  ],\n  "root": {_encode(taxonomy.root_id)}\n}}\n'
 
 
-def _class_chunks(assignment: dict[str, list[str]]) -> Iterator[str]:
+def _class_chunks(assignment: dict[str, tuple[str, ...]]) -> Iterator[str]:
     """class.json, about a thousand entries at a time."""
     if not assignment:
         yield "{}\n"
@@ -471,9 +485,10 @@ def load(directory: str | Path) -> Taxonomy:
 
     The loaded tree keeps one string object per id, shared by the pass that
     checks class.json: each service in a leaf's list is the assignment
-    map's key object, and each leaf id in an assignment list is that node's
-    ``node_id``. The lists both files were read into become the tree's own,
-    uncopied.
+    map's key object, and each leaf id of a service is that node's
+    ``node_id``. The same pass turns each decoded class.json list into a
+    tuple, as every other producer of the map holds it. The lists
+    taxonomy.json was read into become the tree's own, uncopied.
     """
     directory = Path(directory)
     tax_path = directory / TAXONOMY_FILE

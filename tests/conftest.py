@@ -15,6 +15,7 @@ from typing import NamedTuple
 import pytest
 
 import taxonav
+from taxonav import taxonomy as taxonomy_io
 from taxonav.gateway import (
     ChatRequest,
     ChatResponse,
@@ -119,6 +120,19 @@ def random_tree(seed: int, n_nodes: int) -> Taxonomy:
         node = tax.add_child(rng.choice(ids), f"n{i}")
         ids.append(node.node_id)
     return tax
+
+
+def assert_tuples_that_load_keeps(tax: Taxonomy, directory: Path) -> Taxonomy:
+    """Asserts that every value of the tree's assignment map is a tuple and
+    that ``load`` gives back an equal tree from what ``save`` wrote to
+    ``directory``; as equality tells a tuple from a list, the loaded map
+    holds tuples too. Returns the loaded tree."""
+    assert tax.assignment
+    assert all(type(leaf_ids) is tuple for leaf_ids in tax.assignment.values())
+    taxonomy_io.save(tax, directory)
+    loaded = taxonomy_io.load(directory)
+    assert loaded == tax
+    return loaded
 
 
 def bfs_distance(tax: Taxonomy, a: str, b: str) -> int:

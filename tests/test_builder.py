@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import RecordingChatBackend
+from conftest import RecordingChatBackend, assert_tuples_that_load_keeps
 from taxonav import prompts
 from taxonav.builder import (
     BuildConfig,
@@ -418,7 +418,7 @@ def test_ok_service_lands_in_every_matched_category():
     alpha = taxonomy.node("root/alpha").service_ids
     beta = taxonomy.node("root/beta").service_ids
     assert "s01" in alpha and "s01" in beta
-    assert taxonomy.assignment["s01"] == ["root/alpha", "root/beta"]
+    assert taxonomy.assignment["s01"] == ("root/alpha", "root/beta")
     assert report.refine_iterations["root"] == 0
 
 
@@ -692,7 +692,7 @@ def test_cross_domain_copies_service_and_extends_assignment():
     report = BuildReport()
     TaxonomyBuilder(gateway).cross_domain_assign(tax, registry, report)
     assert tax.node("root/finance/payments").service_ids == ["p1", "p2", "p3", "f1"]
-    assert tax.assignment["f1"] == ["root/travel/flights", "root/finance/payments"]
+    assert tax.assignment["f1"] == ("root/travel/flights", "root/finance/payments")
     assert report.cross_domain["accepted"] == 1
     assert report.cross_domain["extra_assignments_distribution"] == {"1": 1}
     assert validate(tax, registry) == []
@@ -856,6 +856,12 @@ def oneshot_rules(bad1_replies) -> list[ScriptRule]:
     ]
 
 
+def test_oneshot_holds_tuples_that_load_keeps(tmp_path):
+    gateway = gw(*oneshot_rules("Nonsense > Path"))
+    taxonomy, _ = build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
+    assert_tuples_that_load_keeps(taxonomy, tmp_path)
+
+
 def test_oneshot_base_call_law_and_failures():
     gateway = gw(*oneshot_rules("Nonsense > Path"))
     taxonomy, report = build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
@@ -926,10 +932,10 @@ def test_oneshot_prunes_leaves_left_empty_and_their_childless_parents():
         "root/media/players": [],
     }
     assert taxonomy.assignment == {
-        "e1": ["root/work/docs/editors"],
-        "e2": ["root/work/docs/editors"],
-        "v1": ["root/work/docs/viewers"],
-        "p1": ["root/media/players"],
+        "e1": ("root/work/docs/editors",),
+        "e2": ("root/work/docs/editors",),
+        "v1": ("root/work/docs/viewers",),
+        "p1": ("root/media/players",),
     }
     # the outline every classify prompt shows, as the recursive renderer wrote it
     outline = (

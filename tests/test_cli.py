@@ -962,6 +962,28 @@ def test_a_mock_script_default_reply_that_cannot_build(cli_world, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--registry", "{registry}", "--out", "{target}"],
+        ["eval", "--registry", "{registry}", "--queries", "{queries}", "--taxonomy", "{taxonomy}",
+         "--run-dir", "{target}"],
+    ],
+    ids=["build", "eval"],
+)
+def test_a_bad_mock_script_exits_3_before_config_is_written(cli_world, tmp_path, capsys, argv):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"default_reply": 3}), encoding="utf-8")
+    target = tmp_path / "o"
+    fields = {"target": target, "registry": cli_world["registry"],
+              "queries": cli_world["queries"], "taxonomy": cli_world["out"]}
+    assert cli.main([arg.format(**fields) for arg in argv] + ["--script", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error category=data: mock script 'default_reply' must be a string\n"
+    )
+    assert not (target / cli.CONFIG_FILE).exists()
+
+
+@pytest.mark.parametrize(
     "flag, what",
     [("--config", "config file"), ("--script", "mock script"), ("--field-map", "field map file")],
 )

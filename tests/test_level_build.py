@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from conftest import RecordingChatBackend
+from conftest import RecordingChatBackend, assert_tuples_that_load_keeps
 from taxonav import taxonomy as taxonomy_io
 from taxonav.builder import BuildConfig, BuildReport, TaxonomyBuilder, _absorb, build
 from taxonav.errors import TransportError
@@ -289,6 +289,15 @@ def test_cross_domain_artifacts_match_golden_digests(
     assert digests(taxonomy, report, tmp_path) == CROSS_DOMAIN_DIGESTS
 
 
+def test_a_cross_domain_pass_extends_tuples_that_load_keeps(world200, tmp_path):
+    (taxonomy, report), _ = _world200_build(world200, oracle=CrossDomainOracle)
+    extended = {sid: leaf_ids for sid, leaf_ids in taxonomy.assignment.items() if len(leaf_ids) > 1}
+    assert len(extended) == report.cross_domain["accepted"] == 18
+    for primary, extra in extended.values():  # one extra leaf each, in another domain
+        assert primary.split("/")[:2] != extra.split("/")[:2]
+    assert_tuples_that_load_keeps(taxonomy, tmp_path)
+
+
 def test_scripted_world_exercises_every_level_phase():
     taxonomy, report = _scripted_build()
     names = {
@@ -307,7 +316,7 @@ def test_scripted_world_exercises_every_level_phase():
     assert taxonomy.node("root/alpha/other").service_ids == ["a11", "a12", "a09"]
     assert "a10" in taxonomy.node("root/alpha/a2").service_ids  # forced choice
     assert {"b09", "b10"} <= set(taxonomy.node("root/beta/b1").service_ids)
-    assert taxonomy.assignment["a01"] == ["root/alpha/a1", "root/beta/b2"]
+    assert taxonomy.assignment["a01"] == ("root/alpha/a1", "root/beta/b2")
     # warnings arrive in BFS node order, whatever order the calls finished in
     def first(text: str) -> int:
         return next(i for i, w in enumerate(report.warnings) if text in w)

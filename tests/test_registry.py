@@ -46,6 +46,14 @@ def test_registries_are_equal_only_with_the_same_services_in_the_same_order():
     assert Registry([svc(1)]) != Registry([svc(1, "does other things")])
 
 
+@pytest.mark.parametrize("other", [None, "s1", [svc(1)], {"s1": svc(1)}])
+def test_a_registry_is_unequal_to_what_is_no_registry(other):
+    reg = Registry([svc(1)])
+    assert reg.__eq__(other) is NotImplemented
+    assert (reg == other) is False
+    assert (reg != other) is True
+
+
 def test_registry_rejects_duplicate_ids():
     with pytest.raises(DataError, match="duplicate service id"):
         Registry([svc(1), svc(1)])
@@ -320,6 +328,25 @@ def test_a_jsonl_file_that_is_not_utf8_names_its_line(tmp_path, newline, good_li
     assert isinstance(exc.value.__cause__, UnicodeDecodeError)
     with pytest.raises(SchemaError, match=f"line {good_lines + 1}: not UTF-8"):
         list(iter_jsonl(path, SchemaError))
+
+
+@pytest.mark.parametrize("again", ["decodes", "vanished"])
+def test_a_file_that_changes_after_its_failed_read_is_named_not_utf8(tmp_path, monkeypatch, again):
+    """The line of an undecodable byte comes from reading the file again;
+    when that read decodes or fails, the error keeps the first read's reason."""
+    path = tmp_path / "services.json"
+    path.write_bytes(b'[{"id": "\xff"}]')
+
+    def read_bytes(self):
+        if again == "vanished":
+            raise FileNotFoundError(2, "No such file or directory")
+        return b"[]"
+
+    monkeypatch.setattr(type(path), "read_bytes", read_bytes)
+    with pytest.raises(DataError) as exc:
+        load_registry(path, format="json")
+    assert str(exc.value) == f"{path}: not UTF-8 (invalid start byte)"
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
 
 def test_a_json_array_file_that_is_not_utf8_is_a_data_error(tmp_path):

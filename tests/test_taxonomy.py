@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bfs_distance, random_tree
+from conftest import assert_tuples_that_load_keeps, bfs_distance, random_tree
 from taxonav.builder import BuildReport, TaxonomyBuilder
 from taxonav.errors import DataError, SchemaError
 from taxonav.gateway import LlmGateway
@@ -112,8 +113,16 @@ def test_distances_reject_unknown_and_unreachable_nodes(bad, match):
 def test_rebuild_assignment_primary_first():
     tax = small_tree()
     # s2 sits in both leaves; the depth-first earlier leaf is primary
-    assert tax.assignment["s2"] == ["root/a/a1", "root/b"]
-    assert tax.assignment["s1"] == ["root/a/a1"]
+    assert tax.assignment["s2"] == ("root/a/a1", "root/b")
+    assert tax.assignment["s1"] == ("root/a/a1",)
+
+
+@pytest.mark.parametrize("other", [None, "root", {"root": TaxonomyNode("root", "root")}])
+def test_a_taxonomy_is_unequal_to_what_is_no_taxonomy(other):
+    tax = small_tree()
+    assert tax.__eq__(other) is NotImplemented
+    assert (tax == other) is False
+    assert (tax != other) is True
 
 
 def test_stats_root_only():
@@ -250,7 +259,7 @@ def json_dumps_save(tax: Taxonomy) -> tuple[str, str]:
 @st.composite
 def unicode_trees(draw) -> Taxonomy:
     """A random tree whose ids, texts and service ids are any Unicode, with
-    services shared between leaves and each assignment list in random order."""
+    services shared between leaves and each assignment tuple in random order."""
     ids = draw(st.lists(unicode_text, min_size=1, max_size=8, unique=True))
     nodes = {ids[0]: TaxonomyNode(ids[0], draw(unicode_text))}
     for i, node_id in enumerate(ids[1:], start=1):
@@ -264,7 +273,8 @@ def unicode_trees(draw) -> Taxonomy:
             node.service_ids = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
     tax = Taxonomy(nodes=nodes, root_id=ids[0])
     tax.rebuild_assignment()
-    tax.assignment = {sid: draw(st.permutations(leaf_ids)) for sid, leaf_ids in tax.assignment.items()}
+    tax.assignment = {sid: draw(st.permutations(leaf_ids).map(tuple))
+                      for sid, leaf_ids in tax.assignment.items()}
     return tax
 
 
@@ -305,6 +315,30 @@ def test_save_streams_its_files(tmp_path):
     assert peak < written / 4
 
 
+def test_a_balanced_tree_and_its_loaded_copy_hold_tuples_that_load_keeps(tmp_path):
+    tax, _ = make_balanced_taxonomy(3, 2, 4)
+    tax.node("root/cat-1/cat-1-2").service_ids.append("svc-1-1-01")  # one service in two leaves
+    tax.rebuild_assignment()
+    assert tax.assignment["svc-1-1-01"] == ("root/cat-1/cat-1-1", "root/cat-1/cat-1-2")
+    loaded = assert_tuples_that_load_keeps(tax, tmp_path / "made")
+    assert_tuples_that_load_keeps(loaded, tmp_path / "loaded")
+
+
+def test_a_loaded_assignment_adds_no_tracked_object_per_service(tmp_path):
+    """Tuples of strings leave the cyclic collector at its first pass, so
+    the objects a loaded tree adds to it follow its nodes, not its services."""
+    tax, _ = make_balanced_taxonomy(3, 2, 40)  # 13 nodes, 360 services
+    save(tax, tmp_path)
+    del tax
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = load(tmp_path)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert not any(gc.is_tracked(leaf_ids) for leaf_ids in loaded.assignment.values())
+    assert added < len(loaded.assignment) == 360
+
+
 def test_load_keeps_one_string_per_id(tmp_path):
     tax, _ = make_balanced_taxonomy(3, 2, 4)
     tax.node("root/cat-1/cat-1-2").service_ids.append("svc-1-1-01")  # one service in two leaves
@@ -321,9 +355,11 @@ def test_load_keeps_one_string_per_id(tmp_path):
 
 def test_validate_changes_no_list():
     tax = small_tree()
-    tax.assignment["s2"].append("root/a/a1")  # a leaf listed twice
-    tax.assignment["s4"] = ["root/b"]  # a leaf without the service
-    tax.assignment = json.loads(json.dumps(tax.assignment))  # string objects the nodes do not hold
+    tax.assignment["s2"] += ("root/a/a1",)  # a leaf listed twice
+    tax.assignment["s4"] = ("root/b",)  # a leaf without the service
+    # lists, as class.json decodes them, of string objects the nodes do not hold
+    tax.assignment = json.loads(json.dumps(tax.assignment))
+    assert all(type(leaf_ids) is list for leaf_ids in tax.assignment.values())
 
     def objects() -> list:
         return [(id(node.service_ids), [id(sid) for sid in node.service_ids])
