@@ -66,6 +66,14 @@ class Registry:
                 raise DataError(f"duplicate service id {svc.id!r}")
             self._services[svc.id] = svc
 
+    @classmethod
+    def _of(cls, services: dict[str, Service]) -> Registry:
+        """The registry of ``services``, an id -> service map whose caller
+        already refused duplicate ids; it is taken as is, uncopied."""
+        registry = cls.__new__(cls)
+        registry._services = services
+        return registry
+
     def __len__(self) -> int:
         return len(self._services)
 
@@ -256,8 +264,7 @@ def load_registry(
     path = Path(path)
     fm = field_map or FieldMap()
     id_key, name_key, description_key, source_key = fm.id, fm.name, fm.description, fm.source
-    services = []
-    seen: set[str] = set()
+    services: dict[str, Service] = {}
     for number, record in _iter_records(path, format):
         if not isinstance(record, dict):
             raise DataError(f"{_where(path, format, number)}: expected a JSON object")
@@ -272,14 +279,13 @@ def load_registry(
             where = _where(path, format, number)
             for key in (id_key, name_key, description_key):
                 _required(record, key, where)
-        if sid in seen:
+        if sid in services:
             raise DataError(f"{_where(path, format, number)}: duplicate service id {sid!r}")
-        seen.add(sid)
         source = record.get(source_key)
-        services.append(
-            Service(sid, name, description, source if isinstance(source, str) and source else None)
+        services[sid] = Service(
+            sid, name, description, source if isinstance(source, str) and source else None
         )
-    registry = Registry(services)
+    registry = Registry._of(services)
     logger.info("loaded %d services from %s", len(registry), path)
     return registry
 

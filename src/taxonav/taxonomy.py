@@ -16,10 +16,13 @@ assignment rebuild and statistics) raises the first as DataError.
 
 Persistence splits into two files: taxonomy.json (nodes, child order,
 boundaries, leaf service lists) and class.json (service id -> ordered leaf
-ids, primary placement first; a tuple in memory). ``load`` checks the type
-of every field, raises the first ``_assignment_faults`` where the files
-disagree, and keeps one string object per id. ``save`` hands the writer one node record, or
-about a thousand class.json entries, at a time.
+ids, primary placement first; a tuple in memory). ``load`` decodes
+class.json first and folds each entry to its tuple, with one string object
+per leaf id, before it reads taxonomy.json; it checks the type of every
+field, raises the first ``_assignment_faults`` where the files disagree,
+whose ``share`` pass makes each service id in a leaf's list the map's key
+object. ``save`` hands the writer one node record, or about a thousand
+class.json entries, at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import re
 import statistics
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import DataError, SchemaError
@@ -302,13 +305,12 @@ def _assignment_faults(
     in the entry; then, leaf by leaf, each service the map does not list
     under its leaf.
 
-    With ``share``, the same pass makes the two files' strings one: each
-    entry becomes the tuple of the ``node_id`` objects of its leaves (those
-    without a fault), and each service in a leaf's list the map's key
-    object, replaced in place. A leaf list that names a service twice cannot
-    be shared, so with ``share`` it comes first, as a ``duplicate-in-leaf``
-    fault; ``validate`` reports those itself. Without ``share`` nothing is
-    changed."""
+    With ``share``, the same pass makes each service in a leaf's list the
+    map's key object, replaced in place; ``load`` has already made each
+    entry's leaf ids the nodes' ``node_id`` objects. A leaf list that names a
+    service twice cannot be shared, so with ``share`` it comes first, as a
+    ``duplicate-in-leaf`` fault; ``validate`` reports those itself. Without
+    ``share`` nothing is changed."""
     # leaf id -> {service: its index in the leaf's list} for each service not
     # yet listed under that leaf; an entry pops what it lists
     unlisted: dict[str, dict[str, int]] = {}
@@ -326,7 +328,6 @@ def _assignment_faults(
         if not isinstance(leaf_ids, (list, tuple)) or not leaf_ids:
             faults.append((sid, f"service {sid!r} must map to a non-empty list"))
             continue
-        shared = ()  # with share, the entry's leaf ids as the nodes hold them
         for leaf_id in leaf_ids:
             leaf = nodes.get(leaf_id) if isinstance(leaf_id, str) else None
             if leaf is None:
@@ -335,7 +336,6 @@ def _assignment_faults(
                 faults.append((sid, f"service {sid!r} references non-leaf {leaf_id!r}"))
             elif (index := unlisted[leaf_id].pop(sid, None)) is not None:
                 if share:
-                    shared += (leaf.node_id,)
                     leaf.service_ids[index] = sid
             else:
                 if leaf_id not in held:
@@ -343,8 +343,6 @@ def _assignment_faults(
                 faults.append((sid, f"service {sid!r} lists leaf {leaf_id!r} twice"
                                if sid in held[leaf_id] else f"service {sid!r} assigned to leaf "
                                f"{leaf_id!r} but missing from its service list"))
-        if share:
-            assignment[sid] = shared  # an existing key: the iteration goes on
     for leaf_id, rest in unlisted.items():
         if rest:
             faults += [(sid, f"leaf {leaf_id!r} holds service {sid!r} absent from the assignment map")
@@ -472,6 +470,27 @@ _NODE_FIELDS = {
 }
 
 
+def _fold_entries(assignment: dict) -> dict[str, str]:
+    """Replaces each decoded class.json entry that is a list of strings with
+    the tuple the assignment map holds, in place, and returns the dict of
+    first-seen copies its leaf ids were taken from (leaf id -> that one
+    string object). An entry of any other shape is left as decoded: it is
+    always an ``_assignment_faults`` fault, named from what the file holds."""
+    ids: dict[str, str] = {}
+    keep = ids.setdefault
+    # each store replaces an existing key's value, so the iteration goes on
+    for sid, leaf_ids in assignment.items():
+        if type(leaf_ids) is not list:
+            continue
+        if len(leaf_ids) == 1:  # nearly every entry; half the cost of the map below
+            leaf_id = leaf_ids[0]
+            if type(leaf_id) is str:
+                assignment[sid] = (keep(leaf_id, leaf_id),)
+        elif all(map(isinstance, leaf_ids, repeat(str))):
+            assignment[sid] = tuple(map(keep, leaf_ids, leaf_ids))
+    return ids
+
+
 def load(directory: str | Path) -> Taxonomy:
     """Reads the taxonomy that ``save`` wrote to ``directory``.
 
@@ -483,18 +502,31 @@ def load(directory: str | Path) -> Taxonomy:
     ``_assignment_faults`` fault where class.json and the leaf service
     lists disagree.
 
-    The loaded tree keeps one string object per id, shared by the pass that
-    checks class.json: each service in a leaf's list is the assignment
-    map's key object, and each leaf id of a service is that node's
-    ``node_id``. The same pass turns each decoded class.json list into a
-    tuple, as every other producer of the map holds it. The lists
-    taxonomy.json was read into become the tree's own, uncopied.
+    class.json is decoded first, and each entry folded to its tuple before
+    taxonomy.json is read, so the two decoded files are never held at once
+    and ``load`` peaks no higher than decoding class.json alone. A read error
+    of class.json waits until taxonomy.json is read, whose own comes first.
+
+    The loaded tree keeps one string object per id: each leaf id of a
+    service is taken from one dict of first-seen copies, and each node whose
+    id is in it takes that copy as its ``node_id``; the pass that checks
+    class.json then makes each service in a leaf's list the assignment
+    map's key object. The lists taxonomy.json was read into become the
+    tree's own, uncopied.
     """
     directory = Path(directory)
     tax_path = directory / TAXONOMY_FILE
     class_path = directory / CLASS_FILE
+    unread = None
+    try:
+        assignment = read_json(class_path, SchemaError)
+    except SchemaError as exc:
+        unread = exc
+    else:
+        ids = _fold_entries(assignment) if isinstance(assignment, dict) else {}
     doc = read_json(tax_path, SchemaError)
-    assignment = read_json(class_path, SchemaError)
+    if unread is not None:
+        raise unread
 
     if not isinstance(doc, dict) or "root" not in doc or "nodes" not in doc:
         raise SchemaError(f"{tax_path}: expected an object with 'root' and 'nodes'")
@@ -508,8 +540,9 @@ def load(directory: str | Path) -> Taxonomy:
         if not isinstance(record, dict):
             raise SchemaError(f"{tax_path}: nodes[{idx}] is not an object")
         check_fields(record, _NODE_FIELDS, f"{tax_path}: nodes[{idx}]", SchemaError, ("services",))
+        node_id = record["id"]
         node = TaxonomyNode(
-            node_id=record["id"],
+            node_id=ids.get(node_id, node_id),
             name=record["name"],
             description=record["description"],
             boundary=record["boundary"],

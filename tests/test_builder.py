@@ -4,6 +4,7 @@ classify/refine loop, tiny-category merging, cross-domain copies, one-shot."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -1066,6 +1067,22 @@ def test_oneshot_design_with_empty_categories_raises():
     with pytest.raises(DesignError, match="no non-empty 'categories' array"):
         build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
     assert [c.label for c in gateway.chat_backend.transcript] == ["oneshot.design"]
+
+
+def test_oneshot_refine_prompt_lists_at_most_20_failed_services():
+    registry = Registry([svc(f"f{i:02d}") for i in range(1, 23)])
+    gateway = gw(
+        ScriptRule(pattern=".*", label="oneshot.design", reply=ONESHOT_TREE),
+        ScriptRule(pattern=".*", label="oneshot.refine", reply=ONESHOT_TREE),
+        ScriptRule(pattern=".*", label="oneshot.classify", reply="Nonsense > Path"),
+    )
+    _, report = build_oneshot(registry, "refine", BuildConfig(max_refine_iterations=1), gateway)
+    assert len(report.classification_failures) == 22
+    [refine] = calls(gateway, "oneshot.refine")
+    prompt = refine.request.user_prompt
+    assert "(22 in total, sample below)" in prompt
+    listed = re.findall(r"^\d+\. (f\d+):", prompt, flags=re.MULTILINE)
+    assert listed == [f"f{i:02d}" for i in range(1, 21)]
 
 
 @pytest.mark.parametrize("reply, refine_calls", [("not a tree", 2), ('{"categories": []}', 1)])

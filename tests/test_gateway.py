@@ -104,6 +104,7 @@ def test_estimate_tokens_of_several_texts_counts_their_concatenation(texts):
 def test_extract_json_object_tolerates_fences_and_prose():
     assert extract_json_object('```json\n{"a": 1}\n```') == {"a": 1}
     assert extract_json_object('Sure! {"a": {"b": 2}} hope that helps') == {"a": {"b": 2}}
+    assert extract_json_object('{"a": 1}.') == {"a": 1}  # the object ends at its last brace
 
 
 def test_extract_json_object_rejects_junk():

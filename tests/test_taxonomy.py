@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 
@@ -17,7 +18,7 @@ from conftest import assert_tuples_that_load_keeps, bfs_distance, random_tree
 from taxonav.builder import BuildReport, TaxonomyBuilder
 from taxonav.errors import DataError, SchemaError
 from taxonav.gateway import LlmGateway
-from taxonav.registry import Registry, Service
+from taxonav.registry import Registry, Service, read_json
 from taxonav.synthetic import make_balanced_taxonomy
 from taxonav.taxonomy import (
     Taxonomy,
@@ -152,6 +153,10 @@ def registry_for(tax: Taxonomy) -> Registry:
 def test_validate_clean_tree():
     tax = small_tree()
     assert validate(tax, registry_for(tax)) == []
+    assert validate(tax, registry_for(tax), max_depth=2) == []  # root/a/a1 sits exactly at the cap
+    assert [(v.kind, v.subject) for v in validate(tax, registry_for(tax), max_depth=1)] == [
+        ("over-depth", "root/a/a1"),
+    ]
 
 
 def test_validate_detects_violations():
@@ -339,6 +344,53 @@ def test_a_loaded_assignment_adds_no_tracked_object_per_service(tmp_path):
     assert added < len(loaded.assignment) == 360
 
 
+def deep_size(obj: object) -> int:
+    """sys.getsizeof summed over every object reachable from ``obj`` through
+    dicts, lists, tuples and instance dicts, each counted once."""
+    seen: set[int] = set()
+    stack = [obj]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return total
+
+
+def test_load_peaks_no_higher_than_decoding_class_json(tmp_path):
+    """load folds class.json to its tuples before it reads taxonomy.json, so
+    the two decoded files are never held at once (decoding both before
+    checking either peaks at 1.29x), and it keeps no more than the tree it
+    returns."""
+    tax, _ = make_balanced_taxonomy(8, 2, 40)  # 73 nodes, 2,560 services
+    save(tax, tmp_path)
+    del tax
+
+    def traced(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - before, kept - before
+
+    _, decode_peak, _ = traced(lambda: read_json(tmp_path / "class.json"))
+    loaded, load_peak, kept = traced(lambda: load(tmp_path))
+    assert load_peak <= 1.05 * decode_peak
+    assert kept <= 1.03 * deep_size(loaded)  # 1.007x; 1.022x when the check built the tuples
+
+
 def test_load_keeps_one_string_per_id(tmp_path):
     tax, _ = make_balanced_taxonomy(3, 2, 4)
     tax.node("root/cat-1/cat-1-2").service_ids.append("svc-1-1-01")  # one service in two leaves
@@ -515,6 +567,16 @@ def test_load_rejects_a_bad_node_record(tmp_path, edit, message):
     with pytest.raises(SchemaError) as exc:
         load(tmp_path)
     assert str(exc.value) == f"{tmp_path / 'taxonomy.json'}: {message}"
+
+
+def test_load_rejects_a_root_with_no_node_record(tmp_path):
+    save(small_tree(), tmp_path)
+    doc = json.loads((tmp_path / "taxonomy.json").read_text())
+    doc["root"] = "x"
+    (tmp_path / "taxonomy.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'taxonomy.json'}: root 'x' has no node record"
 
 
 def test_a_node_table_without_its_root_is_refused():
