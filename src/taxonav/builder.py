@@ -633,6 +633,8 @@ class TaxonomyBuilder:
 
         walks = [(f"{svc.name}: {svc.description}", target_id) for svc, target_id in routed]
         results = navigate(taxonomy, walks, "get_one", self.gateway, label="build.cross_domain")
+        # placement -> its one tuple, so an extension equal to a held tuple shares it
+        placements = {leaf_ids: leaf_ids for leaf_ids in taxonomy.assignment.values()}
         for (svc, _), (hits, _) in zip(routed, results):
             if not hits:
                 stats["routing_failures"] += 1
@@ -642,7 +644,8 @@ class TaxonomyBuilder:
                 stats["duplicates"] += 1
                 continue
             target.service_ids.append(svc.id)
-            taxonomy.assignment[svc.id] = taxonomy.assignment.get(svc.id, ()) + (target.node_id,)
+            grown = taxonomy.assignment.get(svc.id, ()) + (target.node_id,)
+            taxonomy.assignment[svc.id] = placements.setdefault(grown, grown)
             stats["accepted"] += 1
             extra_counts[svc.id] = extra_counts.get(svc.id, 0) + 1
 

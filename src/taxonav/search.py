@@ -326,6 +326,10 @@ def retrieve(
 
     In get_one mode the result is capped to the single first-selected
     service, matching the single-branch navigation instruction.
+
+    Each step that chose nothing adds one flag, in trace order:
+    ``parse_failed:<node id>`` when its reply stayed unparseable after the
+    re-ask, ``empty_selection:<node id>`` when it parsed to no pick.
     """
     cfg = cfg or SearchConfig()
 
@@ -343,6 +347,10 @@ def retrieve(
         steps.append(step)
     if cfg.mode == "get_one":
         service_ids = service_ids[:1]
+    flags = [
+        f"parse_failed:{step.node_id}" if step.parse_failed else f"empty_selection:{step.node_id}"
+        for step in steps if not step.chosen
+    ]
 
     nav_levels: dict[int, list[int]] = {}
     for step in nav_steps:
@@ -362,4 +370,5 @@ def retrieve(
         depth_reached=max(leaf_depths) if leaf_depths else 0,
         branches_per_level=branches,
         groups_visited=len(groups),
+        flags=flags,
     )

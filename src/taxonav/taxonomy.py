@@ -17,12 +17,13 @@ assignment rebuild and statistics) raises the first as DataError.
 Persistence splits into two files: taxonomy.json (nodes, child order,
 boundaries, leaf service lists) and class.json (service id -> ordered leaf
 ids, primary placement first; a tuple in memory). ``load`` decodes
-class.json first and folds each entry to its tuple, with one string object
-per leaf id, before it reads taxonomy.json; it checks the type of every
-field, raises the first ``_assignment_faults`` where the files disagree,
-whose ``share`` pass makes each service id in a leaf's list the map's key
-object. ``save`` hands the writer one node record, or about a thousand
-class.json entries, at a time.
+class.json first and folds each entry to its tuple, with one tuple object
+per distinct placement and one string object per leaf id, before it reads
+taxonomy.json; it checks the type of every field, raises the first
+``_assignment_faults`` where the files disagree, whose ``share`` pass makes
+each service id in a leaf's list the map's key object. ``save`` hands the
+writer one node record, or about a thousand class.json entries, at a time,
+and renders each leaf's one-leaf list once.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ class Taxonomy:
     first. A tuple of strings is exactly sized and leaves the cyclic
     collector at its first pass, so the map adds no GC-tracked object per
     service; an update replaces a service's tuple rather than growing it.
+    Services placed alike share one tuple object, whether ``load``, a build
+    or ``rebuild_assignment`` made the map, so its tuples follow the leaves
+    and the distinct placements, not the services.
     """
 
     def __init__(
@@ -239,13 +243,16 @@ class Taxonomy:
         keep "primary first".
         """
         assignment: dict[str, tuple[str, ...]] = {}
+        placements: dict[tuple[str, ...], tuple[str, ...]] = {}  # multi-leaf value -> its one tuple
         for leaf_id in self.leaves():
+            alone = (leaf_id,)  # each leaf is visited once: one tuple for all it holds alone
             for sid in self.node(leaf_id).service_ids:
                 held = assignment.get(sid)
                 if held is None:
-                    assignment[sid] = (leaf_id,)
+                    assignment[sid] = alone
                 elif leaf_id not in held:
-                    assignment[sid] = held + (leaf_id,)
+                    grown = held + (leaf_id,)
+                    assignment[sid] = placements.setdefault(grown, grown)
         self.assignment = assignment
 
 
@@ -430,11 +437,22 @@ def _taxonomy_chunks(taxonomy: Taxonomy) -> Iterator[str]:
 
 
 def _class_chunks(assignment: dict[str, tuple[str, ...]]) -> Iterator[str]:
-    """class.json, about a thousand entries at a time."""
+    """class.json, about a thousand entries at a time. Each one-leaf list is
+    rendered once per leaf, not once per service."""
     if not assignment:
         yield "{}\n"
         return
-    entries = (f"{_encode(sid)}: {_class_strings(leaf_ids)}" for sid, leaf_ids in assignment.items())
+    alone: dict[str, str] = {}  # leaf id -> its one-leaf list as written
+
+    def leaf_list(leaf_ids: tuple[str, ...]) -> str:
+        if len(leaf_ids) != 1:
+            return _class_strings(leaf_ids)
+        text = alone.get(leaf_ids[0])
+        if text is None:
+            text = alone[leaf_ids[0]] = _class_strings(leaf_ids)
+        return text
+
+    entries = (f"{_encode(sid)}: {leaf_list(leaf_ids)}" for sid, leaf_ids in assignment.items())
     lead = "{\n  "
     while batch := list(islice(entries, 1000)):
         yield lead + ",\n  ".join(batch)
@@ -470,25 +488,30 @@ _NODE_FIELDS = {
 }
 
 
-def _fold_entries(assignment: dict) -> dict[str, str]:
+def _fold_entries(assignment: dict) -> dict[str | tuple[str, ...], tuple[str, ...]]:
     """Replaces each decoded class.json entry that is a list of strings with
-    the tuple the assignment map holds, in place, and returns the dict of
-    first-seen copies its leaf ids were taken from (leaf id -> that one
-    string object). An entry of any other shape is left as decoded: it is
-    always an ``_assignment_faults`` fault, named from what the file holds."""
-    ids: dict[str, str] = {}
-    keep = ids.setdefault
+    the tuple the assignment map holds, in place, one tuple object per
+    distinct placement, and returns the memo those tuples came from: leaf id
+    -> its one-leaf tuple, whose string is the first-seen copy every tuple
+    takes that leaf id from, and multi-leaf tuple -> itself. An entry of any
+    other shape is left as decoded: it is always an ``_assignment_faults``
+    fault, named from what the file holds."""
+    placements: dict[str | tuple[str, ...], tuple[str, ...]] = {}
     # each store replaces an existing key's value, so the iteration goes on
     for sid, leaf_ids in assignment.items():
         if type(leaf_ids) is not list:
             continue
-        if len(leaf_ids) == 1:  # nearly every entry; half the cost of the map below
+        if len(leaf_ids) == 1:  # nearly every entry
             leaf_id = leaf_ids[0]
             if type(leaf_id) is str:
-                assignment[sid] = (keep(leaf_id, leaf_id),)
+                placement = placements.get(leaf_id)
+                if placement is None:
+                    placement = placements[leaf_id] = (leaf_id,)
+                assignment[sid] = placement
         elif all(map(isinstance, leaf_ids, repeat(str))):
-            assignment[sid] = tuple(map(keep, leaf_ids, leaf_ids))
-    return ids
+            folded = tuple([placements.setdefault(leaf_id, (leaf_id,))[0] for leaf_id in leaf_ids])
+            assignment[sid] = placements.setdefault(folded, folded)
+    return placements
 
 
 def load(directory: str | Path) -> Taxonomy:
@@ -523,7 +546,7 @@ def load(directory: str | Path) -> Taxonomy:
     except SchemaError as exc:
         unread = exc
     else:
-        ids = _fold_entries(assignment) if isinstance(assignment, dict) else {}
+        placements = _fold_entries(assignment) if isinstance(assignment, dict) else {}
     doc = read_json(tax_path, SchemaError)
     if unread is not None:
         raise unread
@@ -542,7 +565,7 @@ def load(directory: str | Path) -> Taxonomy:
         check_fields(record, _NODE_FIELDS, f"{tax_path}: nodes[{idx}]", SchemaError, ("services",))
         node_id = record["id"]
         node = TaxonomyNode(
-            node_id=ids.get(node_id, node_id),
+            node_id=placements.get(node_id, (node_id,))[0],
             name=record["name"],
             description=record["description"],
             boundary=record["boundary"],

@@ -123,15 +123,18 @@ def random_tree(seed: int, n_nodes: int) -> Taxonomy:
 
 
 def assert_tuples_that_load_keeps(tax: Taxonomy, directory: Path) -> Taxonomy:
-    """Asserts that every value of the tree's assignment map is a tuple and
-    that ``load`` gives back an equal tree from what ``save`` wrote to
-    ``directory``; as equality tells a tuple from a list, the loaded map
-    holds tuples too. Returns the loaded tree."""
+    """Asserts that ``load`` gives back an equal tree from what ``save`` wrote
+    to ``directory``, and that the assignment map of each tree holds tuples,
+    one tuple object per distinct placement, shared by every service placed
+    there. Returns the loaded tree."""
     assert tax.assignment
-    assert all(type(leaf_ids) is tuple for leaf_ids in tax.assignment.values())
     taxonomy_io.save(tax, directory)
     loaded = taxonomy_io.load(directory)
     assert loaded == tax
+    for tree in (tax, loaded):
+        values = tree.assignment.values()
+        assert all(type(leaf_ids) is tuple for leaf_ids in values)
+        assert len({id(leaf_ids) for leaf_ids in values}) == len(set(values))
     return loaded
 
 

@@ -699,6 +699,17 @@ def test_cross_domain_copies_service_and_extends_assignment():
     assert validate(tax, registry) == []
 
 
+def test_cross_domain_extensions_share_one_tuple_per_placement(tmp_path):
+    tax, registry = two_domain_taxonomy()
+    tax.node("root/finance/payments").service_ids.append("f3")  # placed in both leaves before the pass
+    tax.rebuild_assignment()
+    reply = '{"candidates": [{"index": 1, "domain": "Finance"}, {"index": 2, "domain": "Finance"}]}'
+    TaxonomyBuilder(gw(*cross_rules(reply))).cross_domain_assign(tax, registry, BuildReport())
+    assert tax.assignment["f1"] == ("root/travel/flights", "root/finance/payments")
+    assert tax.assignment["f1"] is tax.assignment["f2"] is tax.assignment["f3"]
+    assert_tuples_that_load_keeps(tax, tmp_path)
+
+
 def test_cross_domain_duplicate_proposal_is_idempotent():
     tax, registry = two_domain_taxonomy()
     reply = '{"candidates": [{"index": 1, "domain": "Finance"}, {"index": 1, "domain": "Finance"}]}'

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import re
 import sys
@@ -13,7 +14,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RecordingChatBackend, RecordingEmbeddingBackend
@@ -1331,3 +1332,159 @@ def test_dropped_gateway_lets_its_pool_threads_exit():
     for thread in threads:
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
+
+
+# -- run_parallel's contract, as one property ------------------------------------
+
+ITEM_KINDS = ("return", "sleep", "chat", "raise", "map")
+MAP_DEADLINE_S = 10.0
+
+
+@st.composite
+def map_plans(draw, depth: int = 4) -> list[tuple]:
+    """A map of at most 6 items, each ("return",), ("sleep", seconds),
+    ("chat",), ("raise",) or ("map", plan), nested at most depth maps deep."""
+    plan = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(ITEM_KINDS if depth > 1 else ITEM_KINDS[:-1]))
+        if kind == "sleep":
+            plan.append((kind, draw(st.floats(0, 0.002))))
+        elif kind == "map":
+            plan.append((kind, draw(map_plans(depth - 1))))
+        else:
+            plan.append((kind,))
+    return plan
+
+
+class ItemError(Exception):
+    """Raised by a ("raise",) item; its argument is the item's path."""
+
+
+def expected_map(plan: list[tuple], path: tuple) -> tuple[list | None, tuple | None]:
+    """What a map of plan at path returns, or the path of the item whose
+    error it raises: its first item, in input order, that fails. An item
+    before that one never fails, so that one always starts."""
+    results = []
+    for i, item in enumerate(plan):
+        here = (*path, i)
+        if item[0] == "raise":
+            return None, here
+        if item[0] == "map":
+            inner, failed = expected_map(item[1], here)
+            if failed:
+                return None, failed
+            results.append(inner)
+        else:
+            results.append((item[0], here))
+    return results, None
+
+
+class CountingChatBackend:
+    """Counts chat calls in flight; each call takes 0.2 ms and answers with
+    its user prompt."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+
+    def complete(self, request: ChatRequest, label: str) -> ChatResponse:
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0.0002)
+        with self.lock:
+            self.in_flight -= 1
+        return ChatResponse(text=request.user_prompt, prompt_tokens=1, output_tokens=1)
+
+
+def run_plans(plans: list[list[tuple]], workers: int) -> tuple[list, list, list, list, int, set]:
+    """Runs each plan as a map from its own caller thread on one gateway.
+    Returns each caller's outcome, the item starts (map path, index,
+    thread, event number), the failed items (map path, thread, event
+    number), the maps (path, first and last event number, seconds taken),
+    the peak chat calls in flight and the gateway's pool threads. The
+    gateway is unreachable once this returns."""
+    backend = CountingChatBackend()
+    gw = LlmGateway(chat_backend=backend, workers=workers)
+    before = set(threading.enumerate())
+    events = itertools.count()  # one number per event, in the order the events happen
+    starts, failures, maps = [], [], []
+
+    def run_map(plan: list[tuple], path: tuple) -> list:
+        def item(i: int):
+            kind, *arg = plan[i]
+            starts.append((path, i, threading.current_thread(), next(events)))
+            try:
+                if kind == "sleep":
+                    time.sleep(arg[0])
+                elif kind == "chat":
+                    return kind, tuple(json.loads(gw.chat(SYS, json.dumps((*path, i)), label="prop").text))
+                elif kind == "raise":
+                    raise ItemError((*path, i))
+                elif kind == "map":
+                    return run_map(arg[0], (*path, i))
+                return kind, (*path, i)
+            except ItemError:
+                failures.append((path, threading.current_thread(), next(events)))
+                raise
+
+        first, started = next(events), time.monotonic()
+        try:
+            return gw.run_parallel(item, range(len(plan)))
+        finally:
+            maps.append((path, first, next(events), time.monotonic() - started))
+
+    outcomes: list = [None] * len(plans)
+
+    def caller(c: int) -> None:
+        try:
+            outcomes[c] = ("returned", run_map(plans[c], (c,)))
+        except ItemError as exc:
+            outcomes[c] = ("raised", exc.args[0])
+
+    callers = [threading.Thread(target=caller, args=(c,), daemon=True) for c in range(len(plans))]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join(timeout=MAP_DEADLINE_S)
+    assert not any(thread.is_alive() for thread in callers), "a map did not finish: deadlock"
+    pool = new_pool_threads(before)
+    return outcomes, starts, failures, maps, backend.peak, pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(plans=st.lists(map_plans(), min_size=1, max_size=3), workers=st.integers(1, 8))
+def test_run_parallel_keeps_its_contract_on_any_nest_of_maps(plans, workers):
+    """Any nest of maps, from 1-3 caller threads sharing one gateway, with
+    threads switching every microsecond: each map returns its results in
+    input order or raises the error of its earliest failing item; a map
+    starts its items in index order and none after it ends, and a thread
+    whose item failed starts no more of that map's items; at most workers
+    chat calls are in flight; every map ends within a deadline; and the
+    gateway's pool threads exit once it is dropped."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcomes, starts, failures, maps, peak, pool = run_plans(plans, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    deadline = time.monotonic() + 10
+    # a helper job still queued when its map ended holds the gateway until a
+    # pool thread takes it; the collector then frees the gateway
+    while any(thread.is_alive() for thread in pool) and time.monotonic() < deadline:
+        gc.collect()
+        time.sleep(0.001)
+    assert not any(thread.is_alive() for thread in pool)
+    assert len(pool) <= workers
+    assert peak <= workers
+
+    for c, plan in enumerate(plans):
+        results, failed = expected_map(plan, (c,))
+        assert outcomes[c] == (("raised", failed) if failed else ("returned", results))
+    for path, first, last, seconds in maps:
+        assert seconds < MAP_DEADLINE_S
+        indices = sorted(i for p, i, _, _ in starts if p == path)
+        assert indices == list(range(len(indices)))  # index order, each item once
+        assert all(first < event < last for p, _, _, event in starts if p == path)
+    for path, thread, failed_at in failures:
+        assert not [i for p, i, t, event in starts if p == path and t is thread and event > failed_at]

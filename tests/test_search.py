@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RecordingChatBackend, bfs_distance, random_tree
+from conftest import RecordingChatBackend, bfs_distance, make_oracle_gateway, random_tree
+from taxonav.baselines import pure_llm_retrieve
+from taxonav.builder import BuildConfig, build
 from taxonav.errors import ConfigError, DataError, TransportError
 from taxonav.eval_harness import EvalConfig, evaluate
 from taxonav.gateway import LlmGateway, ScriptRule, estimate_tokens
@@ -26,7 +29,7 @@ from taxonav.search import (
     path_distance,
     retrieve,
 )
-from taxonav.synthetic import make_balanced_taxonomy, parse_options
+from taxonav.synthetic import make_balanced_taxonomy, make_queries, make_world, parse_options
 from taxonav.taxonomy import Taxonomy, TaxonomyNode
 
 
@@ -420,12 +423,33 @@ def test_retrieve_orders_hits_by_navigation_path():
     )
     result = retrieve("q", tax, registry, gateway, SearchConfig(merge_threshold=1))
     assert result.service_ids == ["b1", "c1"]
+    assert result.flags == []
     nav_nodes = [s.node_id for s in result.trace if s.kind == "navigate"]
     assert nav_nodes == ["root", "root/c1", "root/c2"]
     assert result.depth_reached == 2
     assert result.groups_visited == 2
     # level 0 chose 2 branches, level 1 averaged (1 + 1) / 2
     assert result.branches_per_level == pytest.approx(1.5)
+
+
+def test_retrieve_flags_each_step_that_chose_nothing():
+    tax, registry = two_level_tree()
+    leaf(tax, leaf(tax, "root", "C3", []).node_id, "L31", ["d1"])
+    tax.rebuild_assignment()
+    gateway = gw(
+        ScriptRule(pattern=r"1\. C1:", label="search.navigate", reply="1, 2, 3"),
+        ScriptRule(pattern=r"1\. L11:", label="search.navigate", reply=["junk", "still junk"]),
+        ScriptRule(pattern=r"1\. L21:", label="search.navigate", reply="1"),
+        ScriptRule(pattern=r"1\. L31:", label="search.navigate", reply="0"),
+        ScriptRule(pattern=r"1\. c1:", label="search.select", reply="none of them: 0"),
+    )
+    result = retrieve("q", tax, registry, gateway)
+    assert result.service_ids == []
+    assert result.flags == [
+        "parse_failed:root/c1",  # unparseable after its re-ask
+        "empty_selection:root/c3",  # parsed, chose nothing
+        "empty_selection:root/c2/l21",
+    ]
 
 
 def test_retrieve_counts_reask_calls():
@@ -546,6 +570,73 @@ def test_no_prompt_enumerates_the_registry(world200, gateway_factory):
         result = retrieve(query.text, taxonomy, world200.registry, gateway)
         assert set(result.service_ids) == set(query.ground_truth)
         assert max(step.options_shown for step in result.trace) < len(world200.registry)
+
+
+class PromptSizes(NamedTuple):
+    navigate_chars: int  # the largest navigate prompt, system and user text
+    navigate_menu: tuple[str, ...]  # the option names that prompt lists
+    select_options: int  # the most options a select prompt lists
+    pure_llm_tokens: int  # the pure-LLM prompt of the first query
+
+
+def prompt_sizes(tax: Taxonomy, registry: Registry, queries: list[str], gateway: LlmGateway) -> PromptSizes:
+    """Retrieves each query over the tree and measures the prompts the
+    gateway's recording backend saw, then the pure-LLM prompt of the first."""
+    for query in queries:
+        retrieve(query, tax, registry, gateway)
+    calls = gateway.chat_backend.transcript
+    navigate = max((c.request for c in calls if c.label == "search.navigate"),
+                   key=lambda request: len(request.system_prompt) + len(request.user_prompt))
+    return PromptSizes(
+        navigate_chars=len(navigate.system_prompt) + len(navigate.user_prompt),
+        navigate_menu=tuple(name for _, name in parse_options(navigate.user_prompt)),
+        select_options=max(len(parse_options(c.request.user_prompt))
+                           for c in calls if c.label == "search.select"),
+        pure_llm_tokens=pure_llm_retrieve(queries[0], registry, gw(ScriptRule(".*", "NONE"))).prompt_tokens,
+    )
+
+
+def menus(tax: Taxonomy) -> set[tuple[str, ...]]:
+    """Each internal node's children names, in child order."""
+    return {tuple(tax.nodes[c].name for c in node.children) for node in tax.nodes.values() if node.children}
+
+
+def balanced_case(leaf_size: int) -> tuple[Taxonomy, Registry, list[str], LlmGateway]:
+    """make_balanced_taxonomy(8, 3, leaf_size), walked down its first branch."""
+    tax, registry = make_balanced_taxonomy(8, 3, leaf_size)
+    return tax, registry, ["I need a synthetic service"], gw(ScriptRule(pattern=".*", label="search", reply="1"))
+
+
+def built_case(n_services: int) -> tuple[Taxonomy, Registry, list[str], LlmGateway]:
+    """The tree the builder makes of a 4 x 4 latent world, and ten of its
+    queries, all answered by its oracle."""
+    world = make_world(4, 4, n_services)
+    queries = [case.text for case in make_queries(world, n=10, seed=1)]
+    gateway = make_oracle_gateway(world)
+    cfg = BuildConfig()
+    tax, _ = build(world.registry, cfg, gateway)
+    assert all(len(node.service_ids) <= cfg.leaf_threshold or node.depth == cfg.max_depth
+               for node in tax.nodes.values() if node.is_leaf())
+    return tax, world.registry, queries, gateway
+
+
+@pytest.mark.parametrize("case, scales", [(balanced_case, (5, 30)), (built_case, (200, 600))])
+def test_prompt_size_follows_the_tree_not_the_registry(case, scales):
+    """Progressive disclosure: the largest navigate prompt lists one node's
+    children and the largest select prompt at most one leaf, whatever the
+    registry size, while the pure-LLM prompt grows with the catalog."""
+    sides = []
+    for scale in scales:
+        tax, registry, queries, gateway = case(scale)
+        sizes = prompt_sizes(tax, registry, queries, gateway)
+        assert sizes.navigate_menu in menus(tax)
+        assert sizes.select_options <= max(len(tax.nodes[leaf_id].service_ids) for leaf_id in tax.leaves())
+        sides.append((len(registry), sizes))
+    (small_n, small), (large_n, large) = sides
+    if case is balanced_case:
+        assert small.navigate_chars == large.navigate_chars
+        assert (small.select_options, large.select_options) == scales
+    assert large.pure_llm_tokens / small.pure_llm_tokens == pytest.approx(large_n / small_n, rel=0.05)
 
 
 def test_search_config_validation():

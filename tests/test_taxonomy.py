@@ -322,9 +322,11 @@ def test_save_streams_its_files(tmp_path):
 
 def test_a_balanced_tree_and_its_loaded_copy_hold_tuples_that_load_keeps(tmp_path):
     tax, _ = make_balanced_taxonomy(3, 2, 4)
-    tax.node("root/cat-1/cat-1-2").service_ids.append("svc-1-1-01")  # one service in two leaves
+    # two services in the same two leaves
+    tax.node("root/cat-1/cat-1-2").service_ids += ["svc-1-1-01", "svc-1-1-02"]
     tax.rebuild_assignment()
     assert tax.assignment["svc-1-1-01"] == ("root/cat-1/cat-1-1", "root/cat-1/cat-1-2")
+    assert tax.assignment["svc-1-1-01"] is tax.assignment["svc-1-1-02"]
     loaded = assert_tuples_that_load_keeps(tax, tmp_path / "made")
     assert_tuples_that_load_keeps(loaded, tmp_path / "loaded")
 
