@@ -576,7 +576,7 @@ class TaxonomyBuilder:
         Results apply in (leaf, candidate) order; re-proposing an existing
         placement changes nothing."""
         root = taxonomy.root
-        order = taxonomy.walk()  # DataError unless the child lists form one tree
+        order = taxonomy.walk()  # DataError unless one tree whose inner nodes list no services
         if len(root.children) < 2:
             order = order[:1]  # no other domain to surface under: no leaf is asked
         domain_ids = set(root.children)

@@ -9,7 +9,9 @@ longer; no wait exceeds MAX_RETRY_AFTER_S.
 ``LlmGateway.ask`` is the one call-parse-re-ask path: a reply whose parser
 raises ReplyParseError gets exactly one re-ask with a stricter suffix, and a
 second parse failure propagates for the caller to degrade on (an empty
-selection, None, a DesignError, a flagged fallback).
+selection, None, a DesignError, a flagged fallback). ``embed`` caches each
+vector in memory and, given a directory, as a .npy file that
+``registry.write_atomic`` writes, as it writes every other file.
 
 Every chat call is counted in the meter of each enclosing ``metered()``
 scope, and nowhere else. The scope lives in a context variable that
@@ -26,30 +28,28 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import io
 import logging
 import math
-import os
 import queue
 import re
-import tempfile
 import threading
 import time
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
 
 from .errors import (
     ConfigError,
-    DataError,
     GatewayError,
     MalformedReplyError,
     ReplyParseError,
     TransportError,
 )
-from .registry import NUMBER, decode_json
+from .registry import NUMBER, decode_json, write_atomic
 
 if TYPE_CHECKING:
     # For the annotations only. numpy and hashlib are imported inside the
@@ -656,30 +656,17 @@ class LlmGateway:
         return None
 
     def _cache_store(self, key: str, vec: np.ndarray) -> None:
-        """Writes to a temporary file in the cache directory and renames it
-        into place, so a reader never sees a partly written entry. An entry
-        that cannot be written raises DataError naming it, and leaves no
-        temporary file."""
+        """Renders the entry's .npy bytes in memory for ``write_atomic``, so a
+        reader never sees a partly written entry and a failed write raises
+        DataError naming it, leaving no temporary file."""
         with self._cache_lock:
             self._memory_cache[key] = vec
         if self.cache_dir is not None:
             import numpy as np
 
-            path, tmp = self.cache_dir / f"{key}.npy", None
-            try:
-                with suppress(FileExistsError):  # a regular file there fails mkstemp
-                    self.cache_dir.mkdir(parents=True)
-                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-                with os.fdopen(fd, "wb") as fh:
-                    np.save(fh, vec)
-                os.replace(tmp, path)
-            except BaseException as exc:
-                if tmp is not None:
-                    with suppress(OSError):
-                        os.unlink(tmp)
-                if isinstance(exc, OSError):
-                    raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
-                raise
+            buffer = io.BytesIO()
+            np.save(buffer, vec)
+            write_atomic({self.cache_dir / f"{key}.npy": buffer.getvalue()})
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         """The unit-norm vector of each text under the gateway's embedding

@@ -290,24 +290,26 @@ def load_registry(
     return registry
 
 
-def write_atomic(files: dict[Path, Iterable[str]]) -> None:
-    """Writes each path's text, chunk by chunk, to a temporary file in the
-    path's directory, then renames every temporary file onto its path, one
-    after another; no path ever holds part of a write, and no newline is
-    translated. A path that cannot be written, or text UTF-8 cannot encode,
-    raises DataError naming its path, and no temporary file is left. On an
-    error before the renames every path is left as it was; when a rename
-    fails, the paths renamed before it already hold their new text."""
+def write_atomic(files: dict[Path, Iterable[str] | bytes]) -> None:
+    """The package's one file writer. Writes each path's bytes, or its text
+    chunk by chunk, to a temporary file in the path's directory, then renames
+    every temporary file onto its path, one after another; no path ever
+    holds part of a write, and no newline is translated. A path that cannot
+    be written, or text UTF-8 cannot encode, raises DataError naming its
+    path, and no temporary file is left. On an error before the renames
+    every path is left as it was; when a rename fails, the paths renamed
+    before it already hold their new content."""
     temps: list[Path] = []
     try:
-        for path, chunks in files.items():
+        for path, content in files.items():
             with suppress(FileExistsError):  # a regular file there fails the open below
                 path.parent.mkdir(parents=True)
             tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-            with tmp.open("x", encoding="utf-8", newline="") as fh:
+            binary = isinstance(content, bytes)  # once per file, not per chunk
+            with tmp.open("xb") if binary else tmp.open("x", encoding="utf-8", newline="") as fh:
                 temps.append(tmp)
                 try:
-                    fh.writelines(chunks)
+                    fh.writelines((content,) if binary else content)
                 except UnicodeEncodeError as exc:
                     bad = exc.object[exc.start : exc.end]
                     raise DataError(f"{path}: cannot write as UTF-8 ({exc.reason}: {bad!r})") from exc

@@ -10,9 +10,10 @@ The downward traversals here and in the builder share one walk, ``_walk``:
 depth-first, child-index order, each node once. It records each way the
 child lists fail to form one tree: an unknown child, the root listed as a
 child, a node listed twice or under two parents, a wrong depth, an
-unreachable node. ``load`` raises the first such fault as SchemaError,
-``validate`` reports them all, and ``Taxonomy.walk`` (under leaves, the
-assignment rebuild and statistics) raises the first as DataError.
+unreachable node; after those, a node with children that lists services.
+``load`` raises the first such fault as SchemaError, ``validate`` reports
+them all, and ``Taxonomy.walk`` (under ``save``, leaves, the assignment
+rebuild and statistics) raises the first as DataError.
 
 Persistence splits into two files: taxonomy.json (nodes, child order,
 boundaries, leaf service lists) and class.json (service id -> ordered leaf
@@ -65,7 +66,8 @@ class TaxonomyNode:
 def _walk(nodes: dict[str, TaxonomyNode], root_id: str) -> tuple[list[str], list[Violation]]:
     """The ids reachable from the root, depth-first in child-index order and
     each once, plus every fault that keeps the child lists from forming one
-    tree, in the order met; unreachable nodes come last, in id order.
+    tree, in the order met; unreachable nodes come last, in id order. Then
+    each reached node with children that lists services, in walk order.
 
     A cycle through the root lists the root as a child; any other cycle
     reached from the root enters it at a node with two parents; a cycle
@@ -73,6 +75,7 @@ def _walk(nodes: dict[str, TaxonomyNode], root_id: str) -> tuple[list[str], list
     followed, so the walk always ends.
     """
     faults: list[Violation] = []
+    inner: list[Violation] = []  # after the shape faults, which a leaf given a child also makes
     parent_of: dict[str, str] = {}
     order: list[str] = []
     stack = [root_id]
@@ -80,6 +83,9 @@ def _walk(nodes: dict[str, TaxonomyNode], root_id: str) -> tuple[list[str], list
         node_id = stack.pop()
         order.append(node_id)
         node = nodes[node_id]
+        if node.children and node.service_ids:
+            inner.append(Violation("inner-services", node_id,
+                                   f"node {node_id!r} has children and lists services"))
         fresh: list[str] = []
         for child_id in node.children:
             if child_id not in nodes:
@@ -110,7 +116,7 @@ def _walk(nodes: dict[str, TaxonomyNode], root_id: str) -> tuple[list[str], list
             Violation("unreachable", node_id, f"node {node_id!r} is not reachable from the root {root_id!r}")
             for node_id in sorted(nodes) if node_id not in reached
         ]
-    return order, faults
+    return order, faults + inner
 
 
 class Taxonomy:
@@ -192,7 +198,8 @@ class Taxonomy:
 
     def walk(self) -> list[str]:
         """Every node id once, depth-first in child-index order. Raises
-        DataError naming the first fault if the child lists are not one tree."""
+        DataError naming the first fault if the child lists are not one tree
+        or a node with children lists services."""
         order, faults = _walk(self.nodes, self.root_id)
         if faults:
             raise DataError(faults[0].detail)
@@ -358,9 +365,10 @@ def _assignment_faults(
 
 
 def validate(taxonomy: Taxonomy, registry: Registry, max_depth: int = 3) -> list[Violation]:
-    """Reports violations instead of raising: every tree-shape fault of
-    ``_walk``, then over-depth nodes, duplicate and dangling services,
-    uncovered services, and every assignment fault ``load`` would raise."""
+    """Reports violations instead of raising: every fault of ``_walk``, an
+    inner node that lists services included, then over-depth nodes,
+    duplicate and dangling services, uncovered services, and every
+    assignment fault ``load`` would raise."""
     order, violations = _walk(taxonomy.nodes, taxonomy.root_id)
     held: dict[str, set[str]] = {}
     for node_id in sorted(taxonomy.nodes):
@@ -465,8 +473,9 @@ def save(taxonomy: Taxonomy, directory: str | Path) -> None:
     writes with indent=2 (and sort_keys=True for taxonomy.json), at a
     fraction of the cost of its pure-Python indenting encoder. The text is
     handed to the writer in pieces, so no whole file is ever held. Raises
-    DataError, before either file is replaced, if the child lists are not one
-    tree or a string cannot be written as UTF-8."""
+    DataError, before either file is replaced, on the first ``_walk`` fault
+    (an inner node's services have no place in the files) or on a string
+    that cannot be written as UTF-8."""
     taxonomy.walk()
     directory = Path(directory)
     write_atomic({
@@ -519,11 +528,10 @@ def load(directory: str | Path) -> Taxonomy:
 
     Raises SchemaError naming the file and the first fault: a file that is
     not the expected JSON, a node record field of the wrong type, a
-    duplicate node id, a root with no record, the first ``_walk`` fault of
-    the child lists, a node with children that lists services (``save``
-    never writes one), a leaf list that names a service twice, or the first
-    ``_assignment_faults`` fault where class.json and the leaf service
-    lists disagree.
+    duplicate node id, a root with no record, the first ``_walk`` fault (an
+    inner node that lists services included), a leaf list that names a
+    service twice, or the first ``_assignment_faults`` fault where class.json
+    and the leaf service lists disagree.
 
     class.json is decoded first, and each entry folded to its tuple before
     taxonomy.json is read, so the two decoded files are never held at once
@@ -583,8 +591,6 @@ def load(directory: str | Path) -> Taxonomy:
     _, faults = _walk(nodes, root_id)
     if faults:
         raise SchemaError(f"{tax_path}: {faults[0].detail}")
-    if inner := next((node for node in nodes.values() if node.children and node.service_ids), None):
-        raise SchemaError(f"{tax_path}: node {inner.node_id!r} has children and lists services")
 
     faults = _assignment_faults(nodes, assignment, share=True)
     if faults:

@@ -212,6 +212,20 @@ def test_save_refuses_a_table_that_is_not_one_tree(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_save_refuses_an_inner_node_that_lists_services_and_leaves_its_directory_as_it_was(tmp_path):
+    """taxonomy.json has a service list for leaves only: a save that dropped
+    the root's list would load back a different tree."""
+    save(small_tree(), tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    tax = small_tree()
+    tax.root.service_ids = ["s3"]
+    assert [v.kind for v in validate(tax, registry_for(small_tree()))] == ["inner-services"]
+    with pytest.raises(DataError) as exc:
+        save(tax, tmp_path)
+    assert str(exc.value) == "node 'root' has children and lists services"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def spoil_a_node_name(tax: Taxonomy) -> None:
     tax.node("root/b").name = "bad \ud800"
 
@@ -619,8 +633,12 @@ def _add_node(records: dict, node_id: str, depth: int, children=()) -> None:
          "unreachable"),
         (lambda r: r["root/a/a1"].update(depth=1), r"node 'root/a/a1' has depth 1, expected 2",
          "wrong-depth"),
+        # save writes services for leaves only, so it would drop this list
+        (lambda r: r["root/a"].update(services=["s1"]), r"node 'root/a' has children and lists services$",
+         "inner-services"),
     ],
-    ids=["root-cycle", "detached-cycle", "inner-cycle", "two-parents", "listed-twice", "unreachable", "depth"],
+    ids=["root-cycle", "detached-cycle", "inner-cycle", "two-parents", "listed-twice", "unreachable", "depth",
+         "inner-services"],
 )
 def test_load_rejects_trees_that_are_not_one_tree(tmp_path, edit, match, kind):
     save(small_tree(), tmp_path)
@@ -724,7 +742,8 @@ def test_load_rejects_non_string_leaf_ids_in_class_file(tmp_path):
         load(tmp_path)
 
 
-TREE_FAULTS = {"dangling-child", "cycle", "duplicate-child", "two-parents", "wrong-depth", "unreachable"}
+TREE_FAULTS = {"dangling-child", "cycle", "duplicate-child", "two-parents", "wrong-depth", "unreachable",
+               "inner-services"}
 NODE_IDS = ["root", "a", "b", "c", "d"]
 odd_values = st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.text(max_size=2),
                        st.sampled_from(NODE_IDS + ["zz"]),
@@ -790,8 +809,9 @@ def mutated_files(draw) -> tuple[list[dict], dict]:
     nodes list no services and whose class.json is the inverse of its leaf
     lists, then up to four random edits: a leaf list that repeats, drops or
     adds a service; a class.json entry whose leaf ids are dropped, repeated,
-    unknown or not leaves, that is empty or no list, or that is gone; and a
-    tree-shape fault (a wrong depth, a bad child entry, an unreachable leaf)."""
+    unknown or not leaves, that is empty or no list, or that is gone; a
+    tree-shape fault (a wrong depth, a bad child entry, an unreachable leaf);
+    and a leaf given a child of its own, so it lists services and has children."""
     ids = NODE_IDS[: draw(st.integers(1, len(NODE_IDS)))]
     records = {nid: {"id": nid, "name": nid, "description": "", "boundary": "",
                      "children": [], "depth": 0} for nid in ids}
@@ -835,8 +855,14 @@ def mutated_files(draw) -> tuple[list[dict], dict]:
         records["x"] = {"id": "x", "name": "x", "description": "", "boundary": "",
                         "children": [], "depth": 1, "services": ["s1"]}
 
+    def give_a_leaf_a_child() -> None:  # a second use gives "y" two parents or lists it twice
+        leaf = draw(st.sampled_from(leaves))
+        leaf["children"].append("y")
+        records["y"] = {"id": "y", "name": "y", "description": "", "boundary": "",
+                        "children": [], "depth": leaf["depth"] + 1, "services": []}
+
     edits = [add_to_a_leaf, drop_from_a_leaf, set_an_entry, drop_an_entry, set_a_depth, add_a_child,
-             add_an_unreachable_leaf]
+             add_an_unreachable_leaf, give_a_leaf_a_child]
     for _ in range(draw(st.integers(0, 4))):
         draw(st.sampled_from(edits))()
     return list(records.values()), assignment
