@@ -16,13 +16,9 @@ counts at its first evaluated line. Docstrings, constant expressions,
 statements here; module and class bodies are not function bodies.
 
 Each never-run statement is printed as ``path:line: function: first line``.
-Each entry of scripts/probe_statements_allowlist.json (a JSON list of
-{"file", "function", "statement", "reason"}) allows one never-run statement
-whose file, function and first line it names; two alike statements need two
-entries. Exits 1 if any other statement never ran, if an entry has no
-reason, or if the suite itself failed; exits 0 otherwise. Entries left over
-are printed, so a list that outlives its statements shows. The hook makes
-the suite two to three times slower than a plain run.
+Exits 1 if any statement never ran or if the suite itself failed; exits 0
+otherwise. There are no exceptions: a statement no test reaches gets a test
+or goes. The hook makes the suite two to three times slower than a plain run.
 
     PYTHONPATH=src python3 scripts/probe_statements.py
 """
@@ -30,16 +26,13 @@ the suite two to three times slower than a plain run.
 from __future__ import annotations
 
 import ast
-import json
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-ALLOWLIST = ROOT / "scripts" / "probe_statements_allowlist.json"
 
 # statements that compile to no line event of their own
 SILENT = (ast.Try, ast.Global, ast.Nonlocal) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
@@ -53,10 +46,6 @@ class Statement:
     line: int
     lines: range  # any line event in here means it ran
     text: str  # its first line, stripped
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return self.file, self.function, self.text
 
 
 def _first_line(node: ast.AST) -> int:
@@ -166,39 +155,18 @@ def run_suite(files: list[Path]) -> tuple[int, dict[str, set[int]]]:
     return int(code), ran
 
 
-def read_allowlist(path: Path) -> list[dict]:
-    entries = json.loads(path.read_text(encoding="utf-8"))
-    for entry in entries:
-        if not str(entry.get("reason", "")).strip():
-            raise SystemExit(f"{path}: an entry has no reason: {entry}")
-    return entries
-
-
 def main() -> int:
-    allowed = Counter((e["file"], e["function"], e["statement"]) for e in read_allowlist(ALLOWLIST))
-
     files = sorted(SRC.rglob("*.py"))
     statements = [stmt for path in files for stmt in function_statements(path)]
     code, ran = run_suite(files)
     never = [stmt for stmt in statements if ran[stmt.file].isdisjoint(stmt.lines)]
 
-    left = allowed.copy()  # each entry allows one statement
-    unlisted = []
     print(f"\n{len(statements)} function-body statements under src/, {len(never)} never ran")
     for stmt in never:
-        if left[stmt.key] > 0:
-            left[stmt.key] -= 1
-            mark = "allowed"
-        else:
-            unlisted.append(stmt)
-            mark = "NEVER RAN"
-        print(f"  {mark}: src/{stmt.file}:{stmt.line}: {stmt.function}: {stmt.text}")
-    for key in sorted(left.elements()):
-        print("  allowlist entry left over:", " | ".join(key))
-    print(f"{len(unlisted)} never-run statements are not on the allowlist")
+        print(f"  NEVER RAN: src/{stmt.file}:{stmt.line}: {stmt.function}: {stmt.text}")
     if code != 0:
         print(f"the suite exited {code}; statements a failed test never reached may show above")
-    return 1 if unlisted or code != 0 else 0
+    return 1 if never or code != 0 else 0
 
 
 if __name__ == "__main__":

@@ -441,12 +441,13 @@ class TaxonomyBuilder:
         """One node's split, start to end; it reads the taxonomy and does not
         change it. Returns the node's own report and its (draft, services)
         placements. Each classification round reads a status per service,
-        with limit = generic_ratio * len(drafts): a service that matched more
-        than limit drafts is generic, one that matched none (an unparseable
-        reply included) is unmatched, any other is ok. Ok services go to
-        every matched child, generic services to a single forced choice, the
-        rest to the catch-all. Children at or below the tiny threshold are
-        deleted and their services re-classified among the survivors.
+        with limit = max(1, generic_ratio * len(drafts)): a service that
+        matched more than limit drafts is generic, one that matched none (an
+        unparseable reply included) is unmatched, any other is ok. Ok
+        services go to every matched child, generic services to a single
+        forced choice, the rest to the catch-all. Children at or below the
+        tiny threshold are deleted and their services re-classified among the
+        survivors.
 
         No placements means the node stays a leaf: its design failed even
         after the re-ask, or fewer than two children survived the tiny
@@ -492,7 +493,7 @@ class TaxonomyBuilder:
         while True:
             selections = self.classify_services(services, drafts)
             unparseable += sum(sel.parse_failed for sel in selections)
-            limit = cfg.generic_ratio * len(drafts)
+            limit = max(1.0, cfg.generic_ratio * len(drafts))
             generic = [s for s, sel in zip(services, selections) if len(sel.indices) > limit]
             unmatched = [s for s, sel in zip(services, selections) if not sel.indices]
             if not (generic or unmatched) or rounds == cfg.max_refine_iterations:

@@ -427,7 +427,8 @@ def _build_parent() -> argparse.ArgumentParser:
     g.add_argument("--theta-leaf", dest="leaf_threshold", metavar="THETA_LEAF", type=int,
                    default=d.leaf_threshold, help="stop splitting nodes at or below this size")
     g.add_argument("--max-depth", type=int, default=d.max_depth)
-    g.add_argument("--generic-ratio", type=float, default=d.generic_ratio)
+    g.add_argument("--generic-ratio", type=float, default=d.generic_ratio,
+                   help="a service that matches more than max(1, ratio x drafts) drafts is generic")
     g.add_argument("--max-categories", type=int, default=d.max_categories)
     g.add_argument("--max-refine-iterations", type=int, default=d.max_refine_iterations)
     g.add_argument("--keyword-batch-size", type=int, default=d.keyword_batch_size)

@@ -154,8 +154,6 @@ class LatentOracle:
             domain = world.domain_of.get(name)
             if domain and domain not in present_domains:
                 present_domains.append(domain)
-        if len(present_domains) > 1:
-            return sorted(present_domains)
         if len(present_domains) == 1:
             subs: list[str] = []
             for name in names:
@@ -163,7 +161,7 @@ class LatentOracle:
                 if sub and sub not in subs:
                     subs.append(sub)
             return sorted(subs)
-        return []
+        return sorted(present_domains)
 
     def _design_reply(self, categories: list[str]) -> str:
         cats = ", ".join(

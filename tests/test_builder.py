@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from conftest import RecordingChatBackend, assert_tuples_that_load_keeps
+from conftest import RecordingChatBackend, assert_tuples_that_load_keeps, make_oracle_gateway
 from taxonav import prompts
 from taxonav.builder import (
     BuildConfig,
@@ -23,7 +23,8 @@ from taxonav.builder import (
 from taxonav.errors import ConfigError, DataError, DesignError
 from taxonav.gateway import LlmGateway, MockChatBackend, ScriptRule
 from taxonav.registry import Registry, Service
-from taxonav.synthetic import LatentOracle, make_world
+from taxonav.search import SearchConfig, retrieve
+from taxonav.synthetic import LatentOracle, make_queries, make_world
 from taxonav.taxonomy import Taxonomy, validate
 
 
@@ -271,6 +272,27 @@ def test_classify_status_thresholds():
     # s4's re-ask; the forced choices of s1, and of s5 with its re-ask
     assert len(calls(gateway, "build.classify")) == 5 + 1 + 1 + 2
     assert log.warnings == [f"{node.node_id}: 2 classification replies unparseable after re-ask"]
+
+
+def test_a_two_way_split_keeps_a_single_match_ok():
+    """2 drafts, ratio 1/3: the limit is max(1, 2/3), so a service that
+    matched one draft is ok and goes to it, with no forced choice."""
+    services = [svc(f"a{i}") for i in range(3)] + [svc(f"b{i}") for i in range(3)]
+    gateway = gw(
+        ScriptRule(pattern=r"Service:\na\d:", label="build.classify", reply="1"),
+        ScriptRule(pattern=r"Service:\nb\d:", label="build.classify", reply="2"),
+        ScriptRule(pattern="Design sibling categories", label="build.design", reply=design_json("A", "B")),
+    )
+    builder = TaxonomyBuilder(gateway, BuildConfig(generic_ratio=1 / 3, max_refine_iterations=0))
+    tax = Taxonomy()
+    node = tax.add_child("root", "Travel", "trips")
+    log, placements = builder.split_node(tax, node.node_id, services)
+    assert [(draft.name, [s.id for s in members]) for draft, members in placements] == [
+        ("A", ["a0", "a1", "a2"]), ("B", ["b0", "b1", "b2"]),
+    ]
+    assert len(calls(gateway, "build.classify")) == len(services)
+    assert log.forced_placements == 0
+    assert log.warnings == []
 
 
 def test_classify_prompt_text_is_pinned():
@@ -624,6 +646,28 @@ def test_keyword_routing_above_threshold():
     assert len(taxonomy.leaves()) == 15
     assert report.calls_by_phase["classify"] == 600 + 3 * 200
     assert validate(taxonomy, world.registry) == []
+
+
+# total chat calls of a build of make_world(d, s, 30 * d * s); every shape
+# but (1, 4) and (4, 4) splits some node two ways
+WORLD_BUILD_CALLS = {
+    (1, 4): 126, (2, 2): 248, (2, 3): 370, (3, 2): 371, (6, 2): 740, (2, 6): 736, (4, 4): 982,
+}
+
+
+@pytest.mark.parametrize("shape", list(WORLD_BUILD_CALLS), ids=lambda shape: "x".join(map(str, shape)))
+def test_worlds_with_two_way_splits_build_clean_and_search_with_full_recall(shape):
+    world = make_world(*shape, 30 * shape[0] * shape[1])
+    queries = make_queries(world, n=30)
+    gateway = make_oracle_gateway(world)
+    taxonomy, report = build(world.registry, BuildConfig(), gateway)
+    assert validate(taxonomy, world.registry) == []
+    assert report.catchall_placements == 0
+    assert report.warnings == []
+    assert report.total_calls() == WORLD_BUILD_CALLS[shape]
+    for case in queries:  # hit rate and recall 1.0
+        result = retrieve(case.text, taxonomy, world.registry, gateway, SearchConfig())
+        assert case.ground_truth <= set(result.service_ids)
 
 
 def test_root_design_failure_is_fatal():

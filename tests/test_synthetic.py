@@ -1,5 +1,7 @@
-"""The synthetic query set: the same queries and ground truth from one pass
-over the registry, in the registry's current order."""
+"""The synthetic world and its oracle: the same queries and ground truth
+from one pass over the registry, in the registry's current order, and
+``LatentOracle``'s reply to every prompt, a prompt the world does not
+determine included."""
 
 from __future__ import annotations
 
@@ -9,8 +11,11 @@ import random
 
 import pytest
 
+from conftest import make_oracle_gateway
+from taxonav.builder import BuildConfig, build
+from taxonav.gateway import ChatRequest, MockChatBackend, ScriptRule
 from taxonav.registry import Registry
-from taxonav.synthetic import LatentWorld, make_queries, make_world
+from taxonav.synthetic import LatentOracle, LatentWorld, make_queries, make_world
 
 # sha256 of each query's (id, text, sorted truth), then query_truth and
 # query_target, as written by the generator that scanned the whole registry
@@ -114,3 +119,67 @@ def test_make_queries_reads_the_registry_once(n):
 def test_make_world_refuses_more_cells_than_its_vocabulary(shape, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_world(*shape)
+
+
+def test_a_one_domain_keyword_table_designs_its_subdomains(world200):
+    """At a threshold of 20 the root and each domain are designed from a
+    keyword table, a domain's from keywords of that domain alone: the tree
+    is the one designed from the services themselves."""
+    plain, _ = build(world200.registry, BuildConfig(), make_oracle_gateway(world200))
+    tree, report = build(world200.registry, BuildConfig(keyword_threshold=20), make_oracle_gateway(world200))
+    assert tree == plain
+    assert report.calls_by_phase["keyword"] == 10  # 4 at the root, 6 over the domains' 48-52 services
+    assert report.warnings == []
+
+
+def request(user: str) -> ChatRequest:
+    return ChatRequest(system_prompt="system", user_prompt=user, model="mock")
+
+
+@pytest.fixture(scope="module")
+def small_world() -> LatentWorld:
+    world = make_world(2, 2, 8)  # Travel: Flights, Hotels; Finance: Payments, Invoicing
+    world.query_target["book a flight"] = ("Travel", "Flights")
+    return world
+
+
+FLIGHT = "flights-000: books seats"
+
+# (case, label, user prompt, reply): a service or query outside the world, a
+# prompt without its service or query line, options that miss the target,
+# and labels the oracle does not script
+UNDETERMINED_PROMPTS = [
+    ("keyword-ghost", "build.keyword", f"1. ghost-000: haunts\n2. {FLIGHT}", "2: flights, travel"),
+    ("design-ghosts", "build.design", "Services:\n1. ghost-000: haunts",
+     '{"axis": "functional-domain", "categories": []}'),
+    ("classify-no-service", "build.classify", "Categories:\n1. Flights: air travel.", None),
+    ("classify-no-cell", "build.classify",
+     f"Service:\n{FLIGHT}\n\nCategories:\n1. Payments: money.\n2. Finance: money.", "0"),
+    ("navigate-no-query", "search.navigate", "Categories:\n1. Travel: trips.", None),
+    ("navigate-unknown-query", "search.navigate",
+     "Query: sell a house\n\nCategories:\n1. Travel: trips.", None),
+    ("navigate-no-target", "search.navigate",
+     "Query: book a flight\n\nCategories:\n1. Finance: money.", "0"),
+    ("select-no-query", "search.select", f"Services:\n1. {FLIGHT}", None),
+    ("refine", "build.refine", f"Generic services:\n1. {FLIGHT}", None),
+    ("pure-llm", "baseline.pure_llm", f"Query: book a flight\n\nServices:\n1. {FLIGHT}", None),
+]
+
+
+@pytest.mark.parametrize(
+    "label, user, reply", [case[1:] for case in UNDETERMINED_PROMPTS],
+    ids=[case[0] for case in UNDETERMINED_PROMPTS],
+)
+def test_the_oracle_replies_none_or_0_where_the_world_does_not_determine_it(
+    small_world, label, user, reply
+):
+    assert LatentOracle(small_world)(label, request(user)) == reply
+
+
+def test_a_declined_prompt_falls_through_to_the_backend_rules(small_world):
+    backend = MockChatBackend(
+        rules=[ScriptRule(pattern="sell a house", label="search.navigate", reply="1")],
+        oracle=LatentOracle(small_world),
+    )
+    user = "Query: sell a house\n\nCategories:\n1. Travel: trips."
+    assert backend.complete(request(user), "search.navigate").text == "1"
