@@ -9,8 +9,8 @@ longer; no wait exceeds MAX_RETRY_AFTER_S.
 ``LlmGateway.ask`` is the one call-parse-re-ask path: a reply whose parser
 raises ReplyParseError gets exactly one re-ask with a stricter suffix, and a
 second parse failure propagates for the caller to degrade on (an empty
-selection, None, a DesignError, a flagged fallback). ``embed`` caches each
-vector in memory and, given a directory, as a .npy file that
+selection, None, a DesignError, a flagged fallback). ``embed`` caches
+vectors only on disk, given a directory: one .npy file per text that
 ``registry.write_atomic`` writes, as it writes every other file.
 
 Every chat call is counted in the meter of each enclosing ``metered()``
@@ -527,8 +527,6 @@ class LlmGateway:
         self.retry_backoff = retry_backoff
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.workers = max(1, workers)
-        self._memory_cache: dict[str, np.ndarray] = {}
-        self._cache_lock = threading.Lock()
         self._permits = threading.BoundedSemaphore(self.workers)
         self._jobs: queue.SimpleQueue | None = None  # the pool's, once started
         self._pool_lock = threading.Lock()
@@ -536,26 +534,27 @@ class LlmGateway:
     def _call_backend(self, what: str, label: str, call: Callable[[], T]) -> T:
         """One backend call, holding a permit during each attempt. Transport
         errors retry after max(exponential backoff, Retry-After), capped at
-        MAX_RETRY_AFTER_S, sleeping without a permit."""
-        last_error: TransportError | None = None
+        MAX_RETRY_AFTER_S, sleeping without a permit. No local keeps an
+        error, whose traceback holds this frame: no cycle pins the gateway."""
         for attempt in range(self.retries):
             try:
                 with self._permits:
                     return call()
             except TransportError as exc:
-                last_error = exc
-                if attempt + 1 < self.retries:
-                    # 2.0 ** attempt overflows past 1023, so the exponent
-                    # stops there; no retries count can raise OverflowError.
-                    backoff = self.retry_backoff * 2.0 ** min(attempt, 1023)
-                    delay = min(max(backoff, exc.retry_after or 0.0), MAX_RETRY_AFTER_S)
-                    logger.warning(
-                        "transport error on %s (attempt %d/%d): %s",
-                        label, attempt + 1, self.retries, exc,
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-        raise TransportError(f"{what} failed after {self.retries} attempts: {last_error}")
+                if attempt + 1 == self.retries:
+                    raise TransportError(
+                        f"{what} failed after {self.retries} attempts: {exc}"
+                    ) from exc
+                # 2.0 ** attempt overflows past 1023, so the exponent
+                # stops there; no retries count can raise OverflowError.
+                backoff = self.retry_backoff * 2.0 ** min(attempt, 1023)
+                delay = min(max(backoff, exc.retry_after or 0.0), MAX_RETRY_AFTER_S)
+                logger.warning(
+                    "transport error on %s (attempt %d/%d): %s",
+                    label, attempt + 1, self.retries, exc,
+                )
+                if delay > 0:
+                    time.sleep(delay)
 
     # -- chat ------------------------------------------------------------
 
@@ -596,11 +595,14 @@ class LlmGateway:
             return parse(reply)
         except ReplyParseError as exc:
             first = exc
-        retry = self.chat(system_prompt, user_prompt + reask(first), label=label).text
         try:
-            return parse(retry)
-        except ReplyParseError as exc:
-            raise exc from first
+            retry = self.chat(system_prompt, user_prompt + reask(first), label=label).text
+            try:
+                return parse(retry)
+            except ReplyParseError as exc:
+                raise exc from first
+        finally:
+            del first  # its traceback holds this frame: no cycle pins the gateway
 
     def select_indices(
         self, system_prompt: str, user_prompt: str, *, label: str, n_options: int
@@ -636,31 +638,23 @@ class LlmGateway:
         return hashlib.sha256(f"{model}\x00{text}".encode("utf-8")).hexdigest()
 
     def _cache_load(self, key: str) -> np.ndarray | None:
-        with self._cache_lock:
-            if key in self._memory_cache:
-                return self._memory_cache[key]
-        if self.cache_dir is not None:
-            import numpy as np
+        if self.cache_dir is None:
+            return None
+        import numpy as np
 
-            path = self.cache_dir / f"{key}.npy"
-            try:
-                vec = np.load(path)
-            except FileNotFoundError:  # a miss
-                return None
-            except (OSError, ValueError, EOFError) as exc:
-                logger.warning("unreadable embedding cache entry %s (%s)", path, exc)
-                return None
-            with self._cache_lock:
-                self._memory_cache[key] = vec
-            return vec
-        return None
+        path = self.cache_dir / f"{key}.npy"
+        try:
+            return np.load(path)
+        except FileNotFoundError:  # a miss
+            return None
+        except (OSError, ValueError, EOFError) as exc:
+            logger.warning("unreadable embedding cache entry %s (%s)", path, exc)
+            return None
 
     def _cache_store(self, key: str, vec: np.ndarray) -> None:
         """Renders the entry's .npy bytes in memory for ``write_atomic``, so a
         reader never sees a partly written entry and a failed write raises
         DataError naming it, leaving no temporary file."""
-        with self._cache_lock:
-            self._memory_cache[key] = vec
         if self.cache_dir is not None:
             import numpy as np
 
@@ -670,7 +664,8 @@ class LlmGateway:
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         """The unit-norm vector of each text under the gateway's embedding
-        model, with content-hash caching.
+        model. A call sends each distinct text at most once; only
+        ``cache_dir`` keeps vectors across calls.
 
         Cache misses go to the backend EMBED_BATCH_SIZE texts per request,
         the batches in parallel on the gateway's pool. Each batch is cached
@@ -800,5 +795,8 @@ class LlmGateway:
             if wait:
                 finished.acquire()
         if errors:
-            raise errors[min(errors)]
+            try:
+                raise errors[min(errors)]
+            finally:  # the frames in its traceback reach errors: no cycle
+                errors.clear()
         return results

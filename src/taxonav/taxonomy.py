@@ -548,16 +548,13 @@ def load(directory: str | Path) -> Taxonomy:
     directory = Path(directory)
     tax_path = directory / TAXONOMY_FILE
     class_path = directory / CLASS_FILE
-    unread = None
     try:
         assignment = read_json(class_path, SchemaError)
-    except SchemaError as exc:
-        unread = exc
-    else:
-        placements = _fold_entries(assignment) if isinstance(assignment, dict) else {}
+    except SchemaError:  # bound to no name, so its traceback forms no cycle
+        read_json(tax_path, SchemaError)  # whose own error comes first
+        raise
+    placements = _fold_entries(assignment) if isinstance(assignment, dict) else {}
     doc = read_json(tax_path, SchemaError)
-    if unread is not None:
-        raise unread
 
     if not isinstance(doc, dict) or "root" not in doc or "nodes" not in doc:
         raise SchemaError(f"{tax_path}: expected an object with 'root' and 'nodes'")

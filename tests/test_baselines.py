@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from taxonav.baselines import (
     topk_retrieve,
 )
 from taxonav.errors import ConfigError
-from taxonav.gateway import LlmGateway, ScriptRule
+from taxonav.gateway import EMBED_BATCH_SIZE, LlmGateway, MockEmbeddingBackend, ScriptRule
 from taxonav.registry import Registry, Service
+from taxonav.synthetic import make_balanced_taxonomy
 
 
 def make_registry(ids: list[str]) -> Registry:
@@ -133,6 +136,27 @@ def test_build_index_and_topk_retrieve_end_to_end():
 
     with pytest.raises(ConfigError, match="empty registry"):
         build_embedding_index(Registry([]), gateway)
+
+
+def test_an_index_keeps_about_its_matrix():
+    """The gateway that built an index, still alive, keeps no second copy of
+    its vectors: the matrix is the one store in memory."""
+    _, registry = make_balanced_taxonomy(8, 2, 40)
+    gateway = LlmGateway(embedding_backend=MockEmbeddingBackend(dim=64), workers=4)
+    # numpy's first-use allocations and the pool's threads come before the
+    # measure, from texts of their own, so none of the vectors is cached
+    build_embedding_index(make_registry([f"warm {i}" for i in range(2 * EMBED_BATCH_SIZE)]), gateway)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build_embedding_index(registry, gateway)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert index.matrix.shape == (2560, 64)
+    assert kept <= 1.1 * index.matrix.nbytes
 
 
 EMBEDDING_PATH = """

@@ -461,6 +461,28 @@ def test_compare_renders_table_and_csv(cli_world, capsys, tmp_path):
     assert header.split(",")[:2] == ["method", "dataset"]
 
 
+def test_compare_without_csv_prints_the_table_and_writes_no_file(
+    cli_world, capsys, tmp_path, monkeypatch
+):
+    run_dir, cwd = tmp_path / "run", tmp_path / "cwd"
+    assert cli.main([
+        "baseline", "--method", "embed", "--k", "1", "--run-dir", str(run_dir),
+        "--registry", str(cli_world["registry"]), "--queries", str(cli_world["queries"]),
+    ]) == 0
+    files = {path: path.read_bytes() for path in run_dir.iterdir()}
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert cli.main(["compare", str(run_dir)]) == 0
+    table = capsys.readouterr().out
+    assert list(cwd.iterdir()) == []
+    assert {path: path.read_bytes() for path in run_dir.iterdir()} == files
+
+    csv_path = tmp_path / "table.csv"
+    assert cli.main(["compare", str(run_dir), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == f"{table}wrote {csv_path}\n"
+
+
 # -- stats ---------------------------------------------------------------------
 
 

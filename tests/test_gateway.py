@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import logging
 import re
 import sys
 import threading
@@ -550,7 +551,7 @@ def test_embed_batches_are_in_flight_together():
     assert len(backend.batches) == 3
 
 
-def test_embed_caches_the_batches_that_succeed_when_one_fails():
+def test_embed_caches_the_batches_that_succeed_when_one_fails(tmp_path):
     texts = [f"text {i}" for i in range(2 * EMBED_BATCH_SIZE)]
 
     class FailsOnTheLast(MockEmbeddingBackend):
@@ -559,7 +560,7 @@ def test_embed_caches_the_batches_that_succeed_when_one_fails():
                 raise MalformedReplyError("bad batch")
             return super().embed(texts_, model)
 
-    gw = LlmGateway(embedding_backend=FailsOnTheLast())
+    gw = LlmGateway(embedding_backend=FailsOnTheLast(), cache_dir=tmp_path)
     with pytest.raises(MalformedReplyError, match="bad batch"):
         gw.embed(texts)
     gw.embedding_backend = backend = RecordingEmbeddingBackend()
@@ -567,17 +568,26 @@ def test_embed_caches_the_batches_that_succeed_when_one_fails():
     assert backend.batches == [texts[EMBED_BATCH_SIZE:]]
 
 
-def test_embed_checks_dimensions_across_batches():
+def test_embed_checks_dimensions_across_batches(tmp_path):
     texts = [f"text {i}" for i in range(EMBED_BATCH_SIZE + 1)]
     backend = RecordingEmbeddingBackend(vectors={texts[-1]: [1.0, 2.0]})  # the rest get 8 numbers
-    gw = LlmGateway(embedding_backend=backend)
+    gw = LlmGateway(embedding_backend=backend, cache_dir=tmp_path)
     for _ in range(2):  # the second call finds every vector cached and still refuses
         with pytest.raises(MalformedReplyError, match=r"inconsistent embedding dimensions \[2, 8\]"):
             gw.embed(texts)
     assert len(backend.batches) == 2
 
 
-def test_embed_memory_and_disk_cache(tmp_path, caplog):
+def test_embed_without_a_cache_dir_sends_a_text_once_per_call():
+    backend = RecordingEmbeddingBackend()
+    gw = LlmGateway(embedding_backend=backend)
+    first = gw.embed(["a", "b", "a"])
+    second = gw.embed(["b", "b"])
+    assert backend.batches == [["a", "b"], ["b"]]  # no store outlives a call
+    assert np.array_equal(first[1], second[0])
+
+
+def test_embed_disk_cache_serves_later_calls_and_gateways(tmp_path, caplog):
     backend = RecordingEmbeddingBackend()
     gw = LlmGateway(embedding_backend=backend, cache_dir=tmp_path)
     gw.embed(["a", "b"])
@@ -1332,6 +1342,65 @@ def test_dropped_gateway_lets_its_pool_threads_exit():
     for thread in threads:
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
+
+
+# -- a failure pins no gateway ---------------------------------------------------
+
+
+def outlives_its_last_reference(gw: LlmGateway, use, raises=()) -> bool:
+    """Whether ``gw``, once ``use(gw)`` has run (raising one of ``raises`` or
+    nothing), outlives its last reference with the cyclic collector off: a
+    reference cycle holds it, and its pool threads, until gc runs. The
+    caller passes its only reference, and not inside an ``assert``, whose
+    rewritten form keeps its arguments until the assertion ends."""
+    gc.disable()
+    try:
+        try:
+            use(gw)
+        except raises:
+            pass
+        gateway = weakref.ref(gw)
+        del gw
+        return gateway() is not None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("replies, picked", [(["junk", "2"], (2,)), (["junk", "junk"], ())])
+def test_a_reask_pins_no_gateway(replies, picked):
+    def select(gw):
+        assert gw.select_indices(SYS, USER, label="x", n_options=3).indices == picked
+
+    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply=replies)])
+    pinned = outlives_its_last_reference(LlmGateway(chat_backend=backend), select)
+    assert not pinned
+
+
+@pytest.mark.parametrize("failures, retries", [(1, 3), (99, 2)])
+def test_a_transport_retry_pins_no_gateway(caplog, failures, retries):
+    # the retry warning's record would hold the error, and pytest keeps records
+    caplog.set_level(logging.ERROR, logger="taxonav.gateway")
+    backend = FlakyBackend(failures=failures)
+    pinned = outlives_its_last_reference(
+        LlmGateway(chat_backend=backend, retries=retries, retry_backoff=0.0),
+        lambda gw: gw.chat(SYS, USER, label="x"),
+        raises=TransportError,
+    )
+    assert not pinned
+    assert backend.attempts == min(failures + 1, retries)
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_a_failed_map_item_pins_no_gateway(workers):
+    def work(i):
+        if i == 3:
+            raise ItemError(i)
+        return i
+
+    pinned = outlives_its_last_reference(
+        LlmGateway(workers=workers), lambda gw: gw.run_parallel(work, range(8)), raises=ItemError
+    )
+    assert not pinned
 
 
 # -- run_parallel's contract, as one property ------------------------------------

@@ -498,6 +498,29 @@ def test_load_invalid_json(tmp_path):
         load(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "broken", [("class.json",), ("taxonomy.json",), ("class.json", "taxonomy.json")]
+)
+def test_a_failed_load_leaves_no_reference_cycle(tmp_path, broken):
+    """A read error must not form a cycle with the frame that raised it,
+    or the decoded taxonomy.json lives on until the cyclic collector runs."""
+    save(small_tree(), tmp_path)
+    for name in broken:
+        (tmp_path / name).write_text("{nope")
+    gc.disable()
+    try:
+        gc.collect()
+        try:
+            load(tmp_path)
+        except SchemaError as exc:
+            assert str(exc).startswith(f"{tmp_path / broken[-1]}: ")
+        else:
+            raise AssertionError("load accepted a broken file")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 
 @pytest.mark.parametrize("name", ["taxonomy.json", "class.json"])
 def test_load_a_file_that_is_not_utf8_is_a_schema_error(tmp_path, name):
