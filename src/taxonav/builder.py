@@ -447,14 +447,17 @@ class TaxonomyBuilder:
         services go to every matched child, generic services to a single
         forced choice, the rest to the catch-all. Children at or below the
         tiny threshold are deleted and their services re-classified among the
-        survivors.
+        survivors, each once; a survivor that already holds a service does
+        not take it again, and a service that a survivor holds goes to no
+        catch-all.
 
-        No placements means the node stays a leaf: its design failed even
-        after the re-ask, or fewer than two children survived the tiny
-        merge. The report says why. A design failure at the root raises
-        DesignError. The report's last warning counts the node's
-        classification replies that stayed unparseable after their re-ask,
-        if any did.
+        ``build`` splits only nodes above ``leaf_threshold``, so the node is
+        oversized whenever it stays a leaf. No placements means it does: its
+        design failed even after the re-ask, or fewer than two children
+        survived the tiny merge. The report says why. A design failure at
+        the root raises DesignError. The report's last warning counts the
+        node's classification replies that stayed unparseable after their
+        re-ask, if any did.
         """
         cfg = self.cfg
         log = BuildReport()
@@ -529,19 +532,22 @@ class TaxonomyBuilder:
             log.warnings.append(
                 f"{node_id}: fewer than 2 children survived the tiny merge; kept as a leaf"
             )
-            if len(services) > cfg.leaf_threshold:
-                log.oversized_leaves.append(node_id)
+            log.oversized_leaves.append(node_id)
             return done([])
         log.merged_tiny_categories += sum(1 for i in tiny if buckets[i])
 
-        displaced = [svc for i in tiny for svc in buckets[i]]
-        selections = self.classify_services(displaced, [drafts[i] for i in survivors])
+        # An ok service can sit in several tiny children, and in a survivor
+        # too: it is re-classified once and joins no child twice.
+        displaced = {svc.id: svc for i in tiny for svc in buckets[i]}
+        held = {(i, svc.id) for i in survivors for svc in buckets[i] if svc.id in displaced}
+        placed = {svc_id for _, svc_id in held}
+        selections = self.classify_services(list(displaced.values()), [drafts[i] for i in survivors])
         unparseable += sum(sel.parse_failed for sel in selections)
-        for svc, sel in zip(displaced, selections):
-            if sel.indices:
-                for idx in sel.indices:
-                    buckets[survivors[idx - 1]].append(svc)
-            else:
+        for svc, sel in zip(displaced.values(), selections):
+            for i in (survivors[idx - 1] for idx in sel.indices):
+                if (i, svc.id) not in held:
+                    buckets[i].append(svc)
+            if not sel.indices and svc.id not in placed:
                 catchall.append(svc)
         if catchall and len(catchall) <= cfg.tiny_merge_threshold:
             # A tiny catch-all would immediately violate the tiny rule, so

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -30,7 +29,7 @@ from . import baselines, builder, eval_harness, search
 from . import taxonomy as taxonomy_io
 from .builder import BuildConfig
 from .errors import ConfigError, DataError, DiscoveryError, TransportError
-from .gateway import HttpBackend, LlmGateway, MockChatBackend, MockEmbeddingBackend
+from .gateway import HttpBackend, LlmGateway, MockChatBackend, MockEmbeddingBackend, check_limits
 from .registry import (
     FieldMap,
     QueryCase,
@@ -77,13 +76,7 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.retries < 1:
-            raise ConfigError("retries must be >= 1")
-        backoff = self.retry_backoff
-        if not (math.isfinite(backoff) and backoff >= 0):
-            raise ConfigError(f"retry_backoff must be a finite number >= 0, not {backoff!r}")
+        check_limits(self.workers, self.retries, self.retry_backoff)
         if self.backend == "http" and not self.endpoint:
             raise ConfigError(
                 "the http backend needs an endpoint (--endpoint, config file, or TAXONAV_ENDPOINT)"

@@ -33,7 +33,7 @@ from .registry import (
     read_json,
     write_atomic,
 )
-from .gateway import metered
+from .gateway import check_limits, metered
 from .search import RetrievalResult, usage_fields
 
 logger = logging.getLogger(__name__)
@@ -69,8 +69,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not self.method:
             raise ConfigError("eval config needs a method name")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
+        check_limits(self.workers)
 
 
 @dataclass
@@ -168,7 +167,7 @@ def evaluate(
             try:
                 result = retrieve_fn(query)
             except DiscoveryError as exc:
-                logger.error("retrieval failed for query %s: %s", query.id, exc)
+                logger.error("retrieval failed for query %s: %s", query.id, str(exc))
                 result = RetrievalResult(service_ids=[], **usage_fields(usage.snapshot()))
                 error = str(exc)
         hit, recall, precision = score_query(result.service_ids, query.ground_truth)

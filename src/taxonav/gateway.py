@@ -485,6 +485,24 @@ class MockEmbeddingBackend:
         return [list(self.vectors[t]) if t in self.vectors else self._fallback(t) for t in texts]
 
 
+# Most workers one gateway or eval run may have. This package's choice, about
+# 13 times the default of 20: it bounds the pool threads that a gateway's
+# first pooled map starts, eval's query threads and the HTTP connection pool.
+MAX_WORKERS = 256
+
+
+def check_limits(workers: int, retries: int = 1, retry_backoff: float = 0.0) -> None:
+    """The one rule for a run's limits, wherever they are set: raises
+    ConfigError unless 1 <= workers <= MAX_WORKERS, retries >= 1 and
+    retry_backoff is a finite number >= 0."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must be >= 1 and <= {MAX_WORKERS}, not {workers!r}")
+    if retries < 1:
+        raise ConfigError("retries must be >= 1")
+    if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
+        raise ConfigError(f"retry_backoff must be a finite number >= 0, not {retry_backoff!r}")
+
+
 def _serve(jobs: queue.SimpleQueue) -> None:
     """A pool thread: runs jobs until it takes None. It holds no reference
     to the gateway. Pool threads are daemon threads because the interpreter
@@ -500,6 +518,8 @@ class LlmGateway:
 
     ``workers`` caps the backend calls in flight across every caller of one
     gateway: each chat or embedding attempt holds one of ``workers`` permits.
+    ``check_limits`` refuses a ``workers`` outside 1..MAX_WORKERS or a
+    ``retries`` below 1 with a ConfigError.
     A ``run_parallel`` map runs on its caller's thread, helped by at most
     ``workers - 1`` jobs on one queue that every map shares, nested maps
     included. Its ``workers`` pool threads start together with the
@@ -519,14 +539,17 @@ class LlmGateway:
         cache_dir: str | Path | None = None,
         workers: int = 20,
     ) -> None:
+        # Any retry_backoff is safe here, an infinite one included:
+        # MAX_RETRY_AFTER_S caps every wait.
+        check_limits(workers, retries)
         self.chat_backend = chat_backend
         self.embedding_backend = embedding_backend
         self.chat_model = chat_model
         self.embedding_model = embedding_model
-        self.retries = max(1, retries)
+        self.retries = retries
         self.retry_backoff = retry_backoff
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.workers = max(1, workers)
+        self.workers = workers
         self._permits = threading.BoundedSemaphore(self.workers)
         self._jobs: queue.SimpleQueue | None = None  # the pool's, once started
         self._pool_lock = threading.Lock()
@@ -549,9 +572,11 @@ class LlmGateway:
                 # stops there; no retries count can raise OverflowError.
                 backoff = self.retry_backoff * 2.0 ** min(attempt, 1023)
                 delay = min(max(backoff, exc.retry_after or 0.0), MAX_RETRY_AFTER_S)
+                # str(exc), not exc: a handler that keeps the record would
+                # keep the error, its traceback and so this frame's gateway.
                 logger.warning(
                     "transport error on %s (attempt %d/%d): %s",
-                    label, attempt + 1, self.retries, exc,
+                    label, attempt + 1, self.retries, str(exc),
                 )
                 if delay > 0:
                     time.sleep(delay)
@@ -627,7 +652,7 @@ class LlmGateway:
                 parse=extract_json_object, reask=lambda _: JSON_REPLY_SUFFIX,
             )
         except ReplyParseError as exc:
-            logger.warning("JSON reply unparseable after re-ask (%s): %s", label, exc.__cause__)
+            logger.warning("JSON reply unparseable after re-ask (%s): %s", label, str(exc.__cause__))
             return None
 
     # -- embeddings ------------------------------------------------------
@@ -648,7 +673,7 @@ class LlmGateway:
         except FileNotFoundError:  # a miss
             return None
         except (OSError, ValueError, EOFError) as exc:
-            logger.warning("unreadable embedding cache entry %s (%s)", path, exc)
+            logger.warning("unreadable embedding cache entry %s (%s)", path, str(exc))
             return None
 
     def _cache_store(self, key: str, vec: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Prompt templates, one versioned text file per LLM call site.
 
-Each template file holds a ``[system]`` and a ``[user]`` section. Rendering
+Each template file holds a ``[system]`` and a ``[user]`` section, with only
+blank lines before the first; ``load`` raises ValueError otherwise. Rendering
 uses string.Template ($name placeholders) so literal braces in JSON schema
 examples need no escaping. Missing placeholders raise KeyError at render
 time, which is deliberate: call sites must supply every slot.
@@ -41,9 +42,10 @@ def load(name: str) -> PromptTemplate:
     for line in text.splitlines():
         if line.strip() in _SECTION_HEADERS:
             current = sections.setdefault(line.strip()[1:-1], [])
-            continue
-        if current is not None:
+        elif current is not None:
             current.append(line)
+        elif line.strip():
+            raise ValueError(f"template {name!r} has text before its first section header")
     if "system" not in sections or "user" not in sections:
         raise ValueError(f"template {name!r} must contain [system] and [user] sections")
     return PromptTemplate(

@@ -82,6 +82,17 @@ def gateway_factory():
     return make_oracle_gateway
 
 
+@pytest.fixture()
+def no_thread_start(monkeypatch):
+    """Fails the test if anything it runs starts a thread: a test of an
+    out-of-range ``workers`` must never start the threads it asks for."""
+
+    def refuse(thread: threading.Thread) -> None:
+        raise AssertionError(f"thread {thread.name!r} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
 def make_oracle_gateway(world, **kwargs) -> LlmGateway:
     return LlmGateway(
         chat_backend=RecordingChatBackend(oracle=LatentOracle(world)),

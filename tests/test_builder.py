@@ -135,6 +135,21 @@ def test_a_prompt_template_without_a_user_section_is_refused(tmp_path, monkeypat
         prompts.load("no_user")
 
 
+def test_a_prompt_template_with_text_before_its_first_section_is_refused(tmp_path, monkeypatch):
+    sections = "[system]\nYou design categories.\n[user]\nDesign them.\n"
+    (tmp_path / "preamble.txt").write_text("Notes for editors.\n" + sections, encoding="utf-8")
+    (tmp_path / "blank_lead.txt").write_text("\n  \n" + sections, encoding="utf-8")
+    monkeypatch.setattr(prompts, "_DIR", tmp_path)
+    prompts.load.cache_clear()
+    try:
+        message = r"^template 'preamble' has text before its first section header$"
+        with pytest.raises(ValueError, match=message):
+            prompts.load("preamble")
+        assert prompts.load("blank_lead").render() == ("You design categories.", "Design them.")
+    finally:
+        prompts.load.cache_clear()  # no later test reads a template from tmp_path
+
+
 # -- category design -------------------------------------------------------
 
 
@@ -466,6 +481,46 @@ def test_tiny_children_merge_and_displaced_reclassify():
     assert report.merged_tiny_categories == 1
     assert "s10" in taxonomy.node("root/beta").service_ids
     assert validate(taxonomy, ten_services()) == []
+
+
+def tiny_merge_rules(x1_replies: list[str]) -> list[ScriptRule]:
+    """Seven drafts A-G at the default ratio 1/3, so up to two matches are
+    ok. a*-e* go to A-E, three each, which survive; F and G hold at most x1
+    and are tiny. x1 gives its first classification, then any re-
+    classifications among the survivors, from ``x1_replies``."""
+    return [
+        ScriptRule(pattern="Design sibling categories", label="build.design",
+                   reply=design_json(*"ABCDEFG")),
+        ScriptRule(pattern="Audit the proposed", label="build.design", reply='{"ok": true}'),
+        ScriptRule(pattern=r"Service:\nx1:", label="build.classify", reply=x1_replies),
+        *(
+            ScriptRule(pattern=rf"Service:\n{family}\d:", label="build.classify", reply=str(index))
+            for index, family in enumerate("abcde", start=1)
+        ),
+        ScriptRule(pattern="ALSO appear", label="build.cross_domain", reply='{"candidates": []}'),
+    ]
+
+
+@pytest.mark.parametrize(
+    "x1_replies",
+    [["1,6", "1"], ["6,7", "1", "1"], ["1,6", "0"]],
+    ids=["survivor-and-tiny", "two-tiny", "survivor-and-tiny-then-no-match"],
+)
+def test_a_service_in_a_tiny_child_joins_no_survivor_twice(tmp_path, x1_replies):
+    """x1 is re-classified once, however many tiny children hold it. A
+    survivor that holds it already does not take it again, and since A
+    holds it, a re-classification that matches nothing sends it to no
+    catch-all, which would be forced into the largest survivor, A."""
+    registry = Registry([svc(f"{family}{i}") for family in "abcde" for i in (1, 2, 3)] + [svc("x1")])
+    gateway = gw(*tiny_merge_rules(x1_replies))
+    taxonomy, report = build(registry, BuildConfig(leaf_threshold=5), gateway)
+    assert len(calls(gateway, "build.classify")) == len(registry) + 1
+    assert [taxonomy.node(c).name for c in taxonomy.root.children] == list("ABCDE")
+    assert taxonomy.node("root/a").service_ids == ["a1", "a2", "a3", "x1"]
+    assert taxonomy.assignment["x1"] == ("root/a",)
+    assert (report.forced_placements, report.catchall_placements) == (0, 0)
+    assert validate(taxonomy, registry) == []
+    assert_tuples_that_load_keeps(taxonomy, tmp_path)
 
 
 def test_collapse_when_fewer_than_two_survivors():
@@ -1101,6 +1156,29 @@ def test_oneshot_plus_axis_prepends_rules():
     build_oneshot(oneshot_registry(), "base", BuildConfig(), gateway)
     base_prompt = calls(gateway, "oneshot.design")[0].request.user_prompt
     assert "Category design rules:" not in base_prompt
+
+
+def test_oneshot_design_with_6_to_10_top_categories_gets_no_range_warning():
+    tops = [f"T{t}" for t in range(1, 7)]
+    tree = {
+        "categories": [
+            {"name": top, "description": "top",
+             "children": [{"name": f"{top}L{i}", "description": "leaf"} for i in (1, 2, 3)]}
+            for top in tops
+        ]
+    }
+    registry = Registry([svc(top.lower()) for top in tops])
+    gateway = gw(
+        ScriptRule(pattern=".*", label="oneshot.design", reply=json.dumps(tree)),
+        *(
+            ScriptRule(pattern=rf"Service:\n{top.lower()}:", label="oneshot.classify",
+                       reply=f"{top} > {top}L1")
+            for top in tops
+        ),
+    )
+    taxonomy, report = build_oneshot(registry, "base", BuildConfig(), gateway)
+    assert [taxonomy.node(c).name for c in taxonomy.root.children] == tops
+    assert report.warnings == []
 
 
 def test_oneshot_rejects_unknown_variant_and_empty_registry():

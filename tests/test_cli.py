@@ -19,8 +19,8 @@ from taxonav import cli
 from taxonav import taxonomy as taxonomy_io
 from taxonav.builder import BuildConfig
 from taxonav.errors import ConfigError, DiscoveryError
-from taxonav.eval_harness import PerQueryRecord, Summary, load_records, load_summary
-from taxonav.gateway import HttpBackend
+from taxonav.eval_harness import EvalConfig, PerQueryRecord, Summary, load_records, load_summary
+from taxonav.gateway import MAX_WORKERS, HttpBackend, LlmGateway
 from taxonav.registry import FieldMap, Registry, Service, field_types, load_queries, load_registry
 from taxonav.search import SearchConfig
 
@@ -449,8 +449,15 @@ def test_an_eval_in_which_every_query_fails_exits_4_and_writes_the_run(cli_world
 
 
 def test_compare_renders_table_and_csv(cli_world, capsys, tmp_path):
+    run_dirs = [str(tmp_path / "run_tax"), str(tmp_path / "run_embed")]
+    common = ["--registry", str(cli_world["registry"]), "--queries", str(cli_world["queries"])]
+    assert cli.main([
+        "eval", *common, "--taxonomy", str(cli_world["out"]),
+        "--script", str(cli_world["search_script"]), "--run-dir", run_dirs[0],
+    ]) == 0
+    assert cli.main(["baseline", "--method", "embed", "--k", "1", *common, "--run-dir", run_dirs[1]]) == 0
+    capsys.readouterr()
     csv_path = tmp_path / "table.csv"
-    run_dirs = [str(cli_world["root"] / "run_tax"), str(cli_world["root"] / "run_embed")]
     code = cli.main(["compare", *run_dirs, "--csv", str(csv_path)])
     assert code == 0
     out = capsys.readouterr().out
@@ -780,6 +787,55 @@ def test_a_runtime_config_built_directly_checks_itself(settings, message):
         cli.RuntimeConfig(**settings)
 
 
+@pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1, 100_000])
+@pytest.mark.parametrize("source", ["flag", "variable", "config file"])
+def test_workers_outside_1_to_the_ceiling_exit_3_before_config_is_written(
+    tmp_path, monkeypatch, capsys, no_thread_start, source, workers
+):
+    out = tmp_path / "o"
+    argv = ["build", "--registry", "r.jsonl", "--out", str(out)]
+    if source == "flag":
+        argv += ["--workers", str(workers)]
+    elif source == "variable":
+        monkeypatch.setenv("TAXONAV_WORKERS", str(workers))
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"workers": workers}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error category=data: workers must be >= 1 and <= {MAX_WORKERS}, not {workers}\n"
+    )
+    assert not (out / cli.CONFIG_FILE).exists()
+
+
+@pytest.mark.parametrize("workers", [-1, 0, MAX_WORKERS + 1, 10**30])
+def test_the_gateway_runtime_and_eval_configs_refuse_workers_alike(no_thread_start, workers):
+    makers = [
+        lambda: LlmGateway(workers=workers),
+        lambda: cli.RuntimeConfig(workers=workers),
+        lambda: EvalConfig(method="m", workers=workers),
+    ]
+    messages = set()
+    for make in makers:
+        with pytest.raises(ConfigError) as caught:
+            make()
+        messages.add(str(caught.value))
+    assert messages == {f"workers must be >= 1 and <= {MAX_WORKERS}, not {workers}"}
+
+
+@pytest.mark.parametrize("workers", [1, MAX_WORKERS])
+def test_every_entry_point_takes_workers_up_to_the_ceiling(no_thread_start, workers):
+    argv = ["build", *REQUIRED["build"], "--workers", str(workers)]
+    for cfg in (
+        cli.resolve_runtime(cli.build_parser().parse_args(argv)),
+        cli.RuntimeConfig(workers=workers),
+        EvalConfig(method="m", workers=workers),
+        LlmGateway(workers=workers),
+    ):
+        assert cfg.workers == workers
+
+
 def test_api_key_comes_from_env_and_is_never_persisted(tmp_path, monkeypatch):
     monkeypatch.setenv("TAXONAV_API_KEY", "super-secret-token")
     out = tmp_path / "out"
@@ -899,7 +955,7 @@ def test_the_http_backend_serves_both_roles():
     )
 
 
-@pytest.mark.parametrize("workers", [1, 8, 20])
+@pytest.mark.parametrize("workers", [1, 8, 20, MAX_WORKERS])
 def test_the_http_session_pools_a_connection_per_worker(workers):
     cfg = cli.RuntimeConfig(backend="http", endpoint="http://llm.local/v1", workers=workers)
     session = cli.make_gateway(cfg).chat_backend.session

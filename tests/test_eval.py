@@ -181,6 +181,28 @@ def test_evaluate_captures_package_errors_as_failures():
     assert summary.hit_rate == pytest.approx(2 / 3)
 
 
+def test_a_failed_query_logged_pins_nothing_its_retrieval_held(caplog):
+    """caplog keeps the failure's record: a record that held the error would
+    hold its traceback, and so each frame of the retrieval and its locals."""
+
+    class Retriever:
+        def __call__(self, query: QueryCase) -> RetrievalResult:
+            raise DataError("leaf vanished")
+
+    gc.disable()
+    try:
+        retriever = Retriever()
+        summary, _ = evaluate(retriever, queries(1), EvalConfig(method="m", workers=1))
+        held = weakref.ref(retriever)
+        del retriever
+        pinned = held() is not None
+    finally:
+        gc.enable()
+    assert not pinned
+    assert summary.failure_count == 1
+    assert "retrieval failed for query q0: leaf vanished" in caplog.text
+
+
 def test_evaluate_lets_foreign_exceptions_propagate():
     def retrieve_fn(query: QueryCase) -> RetrievalResult:
         raise RuntimeError("not a package error")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import itertools
 import json
-import logging
 import re
 import sys
 import threading
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import RecordingChatBackend, RecordingEmbeddingBackend
 from taxonav.errors import (
+    ConfigError,
     DataError,
     GatewayError,
     MalformedReplyError,
@@ -1139,6 +1139,14 @@ class InflightBackend:
         return ChatResponse(text="1", prompt_tokens=1, output_tokens=1)
 
 
+@pytest.mark.parametrize("retries", [0, -3])
+def test_a_gateway_refuses_retries_below_1(retries):
+    """Where it used to clamp them to 1. test_cli.py checks its workers
+    beside the configs' workers."""
+    with pytest.raises(ConfigError, match=r"^retries must be >= 1$"):
+        LlmGateway(retries=retries)
+
+
 def test_workers_caps_calls_in_flight_across_callers():
     backend = InflightBackend()
     gw = LlmGateway(chat_backend=backend, workers=3)
@@ -1378,8 +1386,8 @@ def test_a_reask_pins_no_gateway(replies, picked):
 
 @pytest.mark.parametrize("failures, retries", [(1, 3), (99, 2)])
 def test_a_transport_retry_pins_no_gateway(caplog, failures, retries):
-    # the retry warning's record would hold the error, and pytest keeps records
-    caplog.set_level(logging.ERROR, logger="taxonav.gateway")
+    """caplog keeps each retry warning's record: a record that held the
+    error would hold its traceback, and so the gateway."""
     backend = FlakyBackend(failures=failures)
     pinned = outlives_its_last_reference(
         LlmGateway(chat_backend=backend, retries=retries, retry_backoff=0.0),
@@ -1388,6 +1396,19 @@ def test_a_transport_retry_pins_no_gateway(caplog, failures, retries):
     )
     assert not pinned
     assert backend.attempts == min(failures + 1, retries)
+    assert "transport error on x (attempt 1/" in caplog.text
+
+
+def test_a_json_reply_junk_after_its_reask_pins_no_gateway(caplog):
+    """As above, for the warning that names the first reply's parse error."""
+    backend = MockChatBackend(rules=[ScriptRule(pattern=".*", reply="junk")])
+
+    def ask(gw):
+        assert gw.chat_json(SYS, USER, label="x") is None
+
+    pinned = outlives_its_last_reference(LlmGateway(chat_backend=backend), ask)
+    assert not pinned
+    assert "JSON reply unparseable after re-ask (x): no JSON object in reply 'junk'" in caplog.text
 
 
 @pytest.mark.parametrize("workers", [2, 8])
